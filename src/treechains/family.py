@@ -43,11 +43,14 @@ def build_tree(k: int, n: int) -> SimplicialGraph:
     return SimplicialGraph.build(vertices, edges, coords)
 
 
+def _reflection(t: SimplicialGraph) -> SimplicialMapping:
+    return SimplicialMapping(t, t, {(side, mu): (-side, mu) for side, mu in t.vertices})
+
+
 def map_s(k: int, n: int) -> SimplicialMapping:
     """The left-right reflection (side, mu) -> (-side, mu); a simplicial involution."""
     _check_params(k, n)
-    t = build_tree(k, n)
-    return SimplicialMapping(t, t, {(side, mu): (-side, mu) for side, mu in t.vertices})
+    return _reflection(build_tree(k, n))
 
 
 def _check_bonding_params(k: int, n: int) -> None:
@@ -56,11 +59,11 @@ def _check_bonding_params(k: int, n: int) -> None:
         raise ValueError("bonding maps are defined for n <= k-2 only")
 
 
-def map_sigma(k: int, n: int) -> SimplicialMapping:
-    """Bonding surjection T_{n+1} -> T_n merging level n+1 into the centre column
-    and collapsing the two top edges."""
-    _check_bonding_params(k, n)
-    src, dst = build_tree(k, n + 1), build_tree(k, n)
+# The private builders below take the trees src = T_{n+1} and dst = T_n from
+# the caller, so a diagram builds and checks each tree once.
+
+
+def _sigma(k: int, n: int, src: SimplicialGraph, dst: SimplicialGraph) -> SimplicialMapping:
     assign = {}
     for side, mu in src.vertices:
         if mu == n + 1:
@@ -70,11 +73,7 @@ def map_sigma(k: int, n: int) -> SimplicialMapping:
     return SimplicialMapping(src, dst, assign)
 
 
-def map_tau(k: int, n: int) -> SimplicialMapping:
-    """Bonding surjection T_{n+1} -> T_n shifting every level down by one,
-    fixing the two lowest points and folding level k+1 onto the centre top."""
-    _check_bonding_params(k, n)
-    src, dst = build_tree(k, n + 1), build_tree(k, n)
+def _tau(k: int, n: int, src: SimplicialGraph, dst: SimplicialGraph) -> SimplicialMapping:
     assign = {}
     for side, mu in src.vertices:
         if mu == k + 1:
@@ -84,9 +83,28 @@ def map_tau(k: int, n: int) -> SimplicialMapping:
     return SimplicialMapping(src, dst, assign)
 
 
+def _omega(k: int, n: int, src: SimplicialGraph, dst: SimplicialGraph) -> SimplicialMapping:
+    return _reflection(dst).compose(_tau(k, n, src, dst))
+
+
+def map_sigma(k: int, n: int) -> SimplicialMapping:
+    """Bonding surjection T_{n+1} -> T_n merging level n+1 into the centre column
+    and collapsing the two top edges."""
+    _check_bonding_params(k, n)
+    return _sigma(k, n, build_tree(k, n + 1), build_tree(k, n))
+
+
+def map_tau(k: int, n: int) -> SimplicialMapping:
+    """Bonding surjection T_{n+1} -> T_n shifting every level down by one,
+    fixing the two lowest points and folding level k+1 onto the centre top."""
+    _check_bonding_params(k, n)
+    return _tau(k, n, build_tree(k, n + 1), build_tree(k, n))
+
+
 def map_omega(k: int, n: int) -> SimplicialMapping:
     """The reflected shift: map_s composed with map_tau."""
-    return map_s(k, n).compose(map_tau(k, n))
+    _check_bonding_params(k, n)
+    return _omega(k, n, build_tree(k, n + 1), build_tree(k, n))
 
 
 def build_family_diagram(k: int) -> TreeDiagram:
@@ -95,6 +113,6 @@ def build_family_diagram(k: int) -> TreeDiagram:
     if k < 2:
         raise ValueError("k must be at least 2")
     levels = tuple(build_tree(k, n) for n in range(k))
-    g_row = tuple(map_sigma(k, n) for n in range(k - 1))
-    f_row = tuple(map_omega(k, n) for n in range(k - 1))
+    g_row = tuple(_sigma(k, n, levels[n + 1], levels[n]) for n in range(k - 1))
+    f_row = tuple(_omega(k, n, levels[n + 1], levels[n]) for n in range(k - 1))
     return TreeDiagram(levels, g_row, f_row)

@@ -13,7 +13,7 @@ from functools import cached_property
 from math import sqrt
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .covers import CoverSet, CoverSystem, sets_intersect, set_contains
+from .covers import CoverSet, CoverSystem, sets_intersect
 from .simplicial import EdgePoint, GraphError, SimplicialGraph, vkey
 
 Point = Tuple[Fraction, Fraction]
@@ -56,16 +56,23 @@ def point_on_segment(p: Point, a: Point, b: Point) -> bool:
 
 
 def segment_intersection(a: Point, b: Point, c: Point, d: Point):
-    """None, ("point", p), or ("overlap",) for two closed segments."""
+    """None, ("point", p), or ("overlap",) for two closed segments.
+
+    Exact for int and Fraction coordinates alike: the parameters are tested
+    as numerators against their common denominator, and the only division
+    builds the point of a hit.
+    """
     r = _sub(b, a)
     s = _sub(d, c)
     denom = r[0] * s[1] - r[1] * s[0]
     ca = _sub(c, a)
     if denom != 0:
-        t = (ca[0] * s[1] - ca[1] * s[0]) / denom
-        u = (ca[0] * r[1] - ca[1] * r[0]) / denom
-        if 0 <= t <= 1 and 0 <= u <= 1:
-            return ("point", _lerp(a, b, t))
+        tn = ca[0] * s[1] - ca[1] * s[0]
+        un = ca[0] * r[1] - ca[1] * r[0]
+        if denom < 0:
+            denom, tn, un = -denom, -tn, -un
+        if 0 <= tn <= denom and 0 <= un <= denom:
+            return ("point", _lerp(a, b, Fraction(tn, denom)))
         return None
     if _cross(a, b, c) != 0:
         return None  # parallel, not collinear
@@ -74,13 +81,13 @@ def segment_intersection(a: Point, b: Point, c: Point, d: Point):
         if point_on_segment(a, c, d):
             return ("point", a)
         return None
-    t0 = _dot(ca, r) / rr
-    t1 = _dot(_sub(d, a), r) / rr
-    lo, hi = max(ZERO, min(t0, t1)), min(ONE, max(t0, t1))
+    n0 = _dot(ca, r)
+    n1 = _dot(_sub(d, a), r)
+    lo, hi = max(0, min(n0, n1)), min(rr, max(n0, n1))
     if lo > hi:
         return None
     if lo == hi:
-        return ("point", _lerp(a, b, lo))
+        return ("point", _lerp(a, b, Fraction(lo, rr)))
     return ("overlap",)
 
 

@@ -31,8 +31,28 @@ def fraction_from_json(s) -> Fraction:
         return Fraction(s)
     if isinstance(s, str) and "/" in s:
         num, den = s.split("/", 1)
-        return Fraction(int(num), int(den))
+        try:
+            return Fraction(int(num), int(den))
+        except (ValueError, ZeroDivisionError):
+            pass
     raise FormatError("not a rational: %r" % (s,))
+
+
+def _field(obj, key: str, kind: type):
+    """obj[key], checked to be present and of the given JSON type."""
+    if not isinstance(obj, dict):
+        raise FormatError("expected an object with %r, got a %s" % (key, type(obj).__name__))
+    if key not in obj:
+        raise FormatError("missing field %r" % (key,))
+    if not isinstance(obj[key], kind):
+        raise FormatError("field %r must be a %s" % (key, kind.__name__))
+    return obj[key]
+
+
+def _pair(obj) -> list:
+    if not isinstance(obj, list) or len(obj) != 2:
+        raise FormatError("expected a pair, got %r" % (obj,))
+    return obj
 
 
 def vertex_to_json(v):
@@ -51,7 +71,7 @@ def vertex_to_json(v):
 def vertex_from_json(obj):
     if isinstance(obj, list):
         if len(obj) == 3 and obj[0] == "sub":
-            a, b = obj[1]
+            a, b = _pair(obj[1])
             if obj[2] not in ("1/3", "2/3"):
                 raise FormatError("bad subdivision tag %r" % (obj[2],))
             return ("sub", (vertex_from_json(a), vertex_from_json(b)), obj[2])
@@ -77,12 +97,17 @@ def graph_to_json(g: SimplicialGraph) -> dict:
 
 
 def graph_from_json(obj: dict, check_embedding: bool = False) -> SimplicialGraph:
-    vertices = [vertex_from_json(v) for v in obj["vertices"]]
-    edges = [(vertex_from_json(a), vertex_from_json(b)) for a, b in obj["edges"]]
+    vertices = [vertex_from_json(v) for v in _field(obj, "vertices", list)]
+    edges = [(vertex_from_json(a), vertex_from_json(b))
+             for a, b in map(_pair, _field(obj, "edges", list))]
     coords = None
     if "coords" in obj:
-        coords = {vertex_from_json(v): (fraction_from_json(x), fraction_from_json(y))
-                  for v, (x, y) in obj["coords"]}
+        coords = {}
+        for v, xy in map(_pair, _field(obj, "coords", list)):
+            x, y = _pair(xy)
+            coords[vertex_from_json(v)] = (fraction_from_json(x), fraction_from_json(y))
+        if set(coords) != set(vertices):
+            raise FormatError("coordinates do not match the vertices")
     return SimplicialGraph.build(vertices, edges, coords, check_embedding=check_embedding)
 
 
@@ -92,7 +117,9 @@ def assignment_to_json(assignment: Dict) -> list:
 
 
 def assignment_from_json(obj: list) -> Dict:
-    return {vertex_from_json(v): vertex_from_json(w) for v, w in obj}
+    if not isinstance(obj, list):
+        raise FormatError("an assignment must be a list of pairs")
+    return {vertex_from_json(v): vertex_from_json(w) for v, w in map(_pair, obj)}
 
 
 def diagram_to_json(d: TreeDiagram) -> dict:
@@ -104,8 +131,9 @@ def diagram_to_json(d: TreeDiagram) -> dict:
 
 
 def diagram_from_json(obj: dict) -> TreeDiagram:
-    levels = [graph_from_json(g) for g in obj["levels"]]
-    if len(obj["g_row"]) != len(levels) - 1 or len(obj["f_row"]) != len(levels) - 1:
+    levels = [graph_from_json(g) for g in _field(obj, "levels", list)]
+    if len(_field(obj, "g_row", list)) != len(levels) - 1 or \
+            len(_field(obj, "f_row", list)) != len(levels) - 1:
         raise FormatError("row length does not match level count")
     g_row = tuple(SimplicialMapping(levels[n + 1], levels[n],
                                     assignment_from_json(obj["g_row"][n]))
@@ -151,19 +179,22 @@ class Instance:
 
 
 def instance_from_json(obj: dict) -> Instance:
+    if not isinstance(obj, dict):
+        raise FormatError("an instance must be a JSON object")
     if obj.get("schema") != SCHEMA_VERSION:
         raise FormatError("unsupported schema %r" % (obj.get("schema"),))
-    epsilons = EpsilonSchedule.build([fraction_from_json(e) for e in obj["epsilon"]])
-    diagram = diagram_from_json(obj["diagram"])
+    epsilons = EpsilonSchedule.build(
+        [fraction_from_json(e) for e in _field(obj, "epsilon", list)])
+    diagram = diagram_from_json(_field(obj, "diagram", dict))
     phi = None
     if "phi" in obj:
-        phi = [assignment_from_json(t) for t in obj["phi"]]
+        phi = [assignment_from_json(t) for t in _field(obj, "phi", list)]
     enlargement = None
     if "enlargement" in obj:
-        enl = obj["enlargement"]
+        enl = _field(obj, "enlargement", dict)
         enlargement = {
-            "m_sq": fraction_from_json(enl["m_sq"]),
-            "radius_sq": [fraction_from_json(r) for r in enl["radius_sq"]],
+            "m_sq": fraction_from_json(enl.get("m_sq")),
+            "radius_sq": [fraction_from_json(r) for r in _field(enl, "radius_sq", list)],
         }
     return Instance(diagram, epsilons, phi, enlargement)
 

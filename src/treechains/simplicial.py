@@ -11,6 +11,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Dict, Hashable, Iterable, Optional, Tuple
 
 Vertex = Hashable
@@ -133,25 +134,32 @@ class SimplicialGraph:
         Consistency: an injection on vertices, segments of distinct edges meet
         only in shared endpoint coordinates, and no vertex lies in the
         interior of another edge's segment.
+
+        The coordinates are scaled once by the lcm of their denominators, so
+        every predicate runs on Python ints; scaling by a positive constant
+        keeps every incidence, hence the witness.
         """
         from .geometry import point_on_segment, segments_cross
+        scale = lcm(*(c.denominator for v in self.vertices for c in self.point(v)))
+        ipt = {v: tuple(c.numerator * (scale // c.denominator) for c in self.point(v))
+               for v in self.vertices}
         pts = {}
         for v in self.vertices:
-            p = self.point(v)
+            p = ipt[v]
             if p in pts:
                 return ("duplicate-coordinate", pts[p], v)
             pts[p] = v
-        segs = [(e, self.point(e[0]), self.point(e[1])) for e in self.sorted_edges()]
+        segs = [(e, ipt[e[0]], ipt[e[1]]) for e in self.sorted_edges()]
         for e, a, b in segs:
             for v in self.vertices:
                 if v in e:
                     continue
-                if point_on_segment(self.point(v), a, b):
+                if point_on_segment(ipt[v], a, b):
                     return ("vertex-in-edge", v, e)
         for i, (e1, a1, b1) in enumerate(segs):
             for e2, a2, b2 in segs[i + 1:]:
                 shared = set(e1) & set(e2)
-                hit = segments_cross(a1, b1, a2, b2, ignore={self.point(v) for v in shared})
+                hit = segments_cross(a1, b1, a2, b2, ignore={ipt[v] for v in shared})
                 if hit:
                     return ("edges-cross", e1, e2)
         return None

@@ -20,7 +20,7 @@ from .diagram import (
     proximity_vertices,
 )
 from .family import build_family_diagram
-from .serialize import Instance
+from .serialize import Instance, fraction_to_json
 from .simplicial import (
     EdgePoint,
     SimplicialGraph,
@@ -32,6 +32,7 @@ from .simplicial import (
 CONDITIONS = (
     "schema",
     "diagram-well-formed",
+    "embedding",
     "commutative",
     "coincidence-free",
     "proximity-free",
@@ -81,9 +82,18 @@ class VerificationReport:
                 line += "  witness=%r" % (r.witness,)
             lines.append(line)
         for key in sorted(self.metrics):
-            lines.append("# %s = %s" % (key, self.metrics[key]))
+            lines.append("# %s = %s" % (key, _metric_text(self.metrics[key])))
         lines.append("overall                %s" % ("PASS" if self.passed else "FAIL"))
         return "\n".join(lines)
+
+
+def _metric_text(value) -> str:
+    """Rationals as p/q, also inside lists."""
+    if isinstance(value, Fraction):
+        return fraction_to_json(value)
+    if isinstance(value, list):
+        return "[%s]" % ", ".join(_metric_text(v) for v in value)
+    return str(value)
 
 
 def default_schedule(l: int) -> EpsilonSchedule:
@@ -133,6 +143,18 @@ def verify_instance(instance: Instance, check_enlargement: bool = True) -> Verif
     report.results.append(ConditionResult("schema", "PASS"))
 
     runner.run("diagram-well-formed", d.well_formed_violation)
+
+    def embedding_check():
+        for n, g in enumerate(d.levels):
+            if not g.is_tree():
+                return (n, "not-a-tree")
+            if g.coords is not None:
+                bad = g.embedding_violation()
+                if bad is not None:
+                    return (n, bad)
+        return None
+
+    runner.run("embedding", embedding_check)
     runner.run("commutative", lambda: commutativity_violation(d))
 
     def coincidence_check():

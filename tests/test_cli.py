@@ -44,13 +44,24 @@ class TestVerify:
         assert main(["verify", str(generated / "instance.json")]) == 0
         text = capsys.readouterr().out
         assert "overall                PASS" in text
-        assert text.count("PASS") >= 17
+        assert text.count("PASS") >= 18
+        assert "Fraction(" not in text
 
     def test_garbage_fails_at_schema(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"schema": 1, "epsilon": ["3/4", "1/2"], "diagram": {}}')
         assert main(["verify", str(bad)]) == 1
         assert "schema" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("payload", [
+        '{"schema": 1, "epsilon": ["3/4", "1/2"], "diagram": []}',
+        '{"schema": 1, "epsilon": ["3/4", "1/0"], "diagram": {}}',
+    ])
+    def test_malformed_fails_at_schema(self, tmp_path, capsys, payload):
+        bad = tmp_path / "bad.json"
+        bad.write_text(payload)
+        assert main(["verify", str(bad)]) == 1
+        assert capsys.readouterr().out.startswith("schema                 FAIL")
 
 
 class TestOther:

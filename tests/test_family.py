@@ -2,6 +2,7 @@ from collections import Counter
 
 import pytest
 
+from treechains import family
 from treechains.diagram import coincidence_oracle
 from treechains.family import (
     build_family_diagram,
@@ -98,6 +99,21 @@ class TestFamilyDiagram:
             d = build_family_diagram(k)
             for n in range(d.length):
                 assert not coincidence_oracle(d.f_row[n], d.g_row[n])
+
+    def test_builds_each_tree_once(self, monkeypatch):
+        calls = []
+
+        def counting_build_tree(k, n):
+            calls.append((k, n))
+            return build_tree(k, n)
+
+        monkeypatch.setattr(family, "build_tree", counting_build_tree)
+        d = family.build_family_diagram(6)
+        assert sorted(calls) == [(6, n) for n in range(6)]
+        for n in range(d.length):
+            for m in (d.g_row[n], d.f_row[n]):
+                assert m.source is d.levels[n + 1]
+                assert m.target is d.levels[n]
 
     def test_min_k(self):
         with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 CASES = [
     ("eps_nondecreasing.json", "schema"),
+    ("non_planar.json", "embedding"),
     ("broken_commutativity.json", "commutative"),
     ("proximity_edit.json", "proximity-free"),
     ("phi_equals_g.json", "D1"),

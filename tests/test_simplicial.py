@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
+from treechains.geometry import point_on_segment, segment_intersection
 from treechains.simplicial import (
     EdgePoint,
     GraphError,
@@ -60,6 +63,93 @@ class TestGraph:
                   2: (Fraction(1), Fraction(0))}
         with pytest.raises(GraphError):
             SimplicialGraph.build(range(3), [(0, 1)], coords)
+
+
+def _ref_segment_intersection(a, b, c, d):
+    # divide-first Fraction version, kept as the reference for the integer path
+    r = (b[0] - a[0], b[1] - a[1])
+    s = (d[0] - c[0], d[1] - c[1])
+    denom = r[0] * s[1] - r[1] * s[0]
+    ca = (c[0] - a[0], c[1] - a[1])
+
+    def lerp(t):
+        return ((1 - t) * a[0] + t * b[0], (1 - t) * a[1] + t * b[1])
+
+    if denom != 0:
+        t = (ca[0] * s[1] - ca[1] * s[0]) / denom
+        u = (ca[0] * r[1] - ca[1] * r[0]) / denom
+        return ("point", lerp(t)) if 0 <= t <= 1 and 0 <= u <= 1 else None
+    if r[0] * ca[1] - r[1] * ca[0] != 0:
+        return None
+    rr = r[0] * r[0] + r[1] * r[1]
+    if rr == 0:
+        return ("point", a) if point_on_segment(a, c, d) else None
+    t0 = (ca[0] * r[0] + ca[1] * r[1]) / rr
+    t1 = ((d[0] - a[0]) * r[0] + (d[1] - a[1]) * r[1]) / rr
+    lo, hi = max(Fraction(0), min(t0, t1)), min(Fraction(1), max(t0, t1))
+    if lo > hi:
+        return None
+    return ("point", lerp(lo)) if lo == hi else ("overlap",)
+
+
+def reference_embedding_violation(g):
+    """The all-Fraction scan the integer check must reproduce witness for witness."""
+    pts = {}
+    for v in g.vertices:
+        p = g.point(v)
+        if p in pts:
+            return ("duplicate-coordinate", pts[p], v)
+        pts[p] = v
+    segs = [(e, g.point(e[0]), g.point(e[1])) for e in g.sorted_edges()]
+    for e, a, b in segs:
+        for v in g.vertices:
+            if v not in e and point_on_segment(g.point(v), a, b):
+                return ("vertex-in-edge", v, e)
+    for i, (e1, a1, b1) in enumerate(segs):
+        for e2, a2, b2 in segs[i + 1:]:
+            hit = _ref_segment_intersection(a1, b1, a2, b2)
+            if hit is None:
+                continue
+            if hit[0] == "overlap" or hit[1] not in {g.point(v) for v in set(e1) & set(e2)}:
+                return ("edges-cross", e1, e2)
+    return None
+
+
+# a coarse grid of rationals, so duplicates, collinear overlaps, vertices on
+# edges and crossings all turn up often
+GRID = sorted({Fraction(p, q) for p in range(-4, 5) for q in (1, 2, 3, 5)})
+
+
+@st.composite
+def embedded_graphs(draw):
+    n = draw(st.integers(2, 7))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=8, unique=True))
+    coords = {v: (draw(st.sampled_from(GRID)), draw(st.sampled_from(GRID)))
+              for v in range(n)}
+    return SimplicialGraph.build(range(n), edges, coords, check_embedding=False)
+
+
+class TestEmbeddingViolation:
+    @settings(max_examples=400, deadline=None)
+    @given(embedded_graphs())
+    def test_integer_check_matches_fraction_reference(self, g):
+        expected = reference_embedding_violation(g)
+        event(expected[0] if expected else "planar")
+        assert g.embedding_violation() == expected
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(GRID), st.sampled_from(GRID)),
+                    min_size=4, max_size=4))
+    def test_segment_intersection_exact_on_fractions_and_ints(self, pts):
+        expected = _ref_segment_intersection(*pts)
+        event(expected[0] if expected else "miss")
+        assert segment_intersection(*pts) == expected
+        # GRID denominators divide 30, so this scaling lands on ints
+        scaled = [(int(x * 30), int(y * 30)) for x, y in pts]
+        if expected is not None and expected[0] == "point":
+            expected = ("point", (expected[1][0] * 30, expected[1][1] * 30))
+        assert segment_intersection(*scaled) == expected
 
 
 class TestKClose:

@@ -98,6 +98,16 @@ def proximity_edit():
     raise SystemExit("no proximity mutation found")
 
 
+def non_planar():
+    # swapping two deepest-tree points makes the edges into them cross, while
+    # every combinatorial condition still holds
+    payload = generate_instance(2).to_json()
+    coords = payload["diagram"]["levels"][-1]["coords"]
+    left, right = (next(e for e in coords if e[0] == v) for v in ([-1, 2], [1, 2]))
+    left[1], right[1] = right[1], left[1]
+    expect("non_planar.json", payload, "embedding")
+
+
 def inflated_radius():
     inst = generate_instance(1)
     # a level-0 radius of 3 swallows every gap in a tree of unit edges
@@ -114,6 +124,7 @@ def main():
     eps_nondecreasing()
     proximity_edit()
     inflated_radius()
+    non_planar()
 
 
 if __name__ == "__main__":
