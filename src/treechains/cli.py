@@ -80,19 +80,27 @@ def _schema_failure_report(message: str) -> VerificationReport:
     return report
 
 
-def cmd_verify(args) -> int:
+def _load(path: str):
+    """(instance, None), or (None, a schema FAIL report) for a malformed file."""
     try:
-        instance = load_instance(args.file)
+        return load_instance(path), None
     except (FormatError, ScheduleError, KeyError, ValueError) as exc:
-        report = _schema_failure_report(str(exc))
-    else:
+        return None, _schema_failure_report(str(exc))
+
+
+def cmd_verify(args) -> int:
+    instance, report = _load(args.file)
+    if instance is not None:
         report = verify_instance(instance)
     print(report.to_text())
     return 0 if report.passed else 1
 
 
 def cmd_render(args) -> int:
-    instance = load_instance(args.file)
+    instance, failure = _load(args.file)
+    if failure is not None:
+        print(failure.to_text())
+        return 1
     system = CoverSystem(instance.diagram, instance.epsilons, instance.phi_tables)
     realized = geo.RealizedSystem(system)
     levels = args.level if args.level else None
@@ -111,7 +119,10 @@ def cmd_example1(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    instance = load_instance(args.file)
+    instance, failure = _load(args.file)
+    if failure is not None:
+        print(failure.to_text())
+        return 1
     report = oracle_trials(instance, args.trials, args.seed)
     for key in ("trials", "membership_agree", "map_trials", "map_agree"):
         print("%-20s %s" % (key, report[key]))

@@ -11,6 +11,7 @@ lives in :mod:`treechains.geometry`.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -118,15 +119,30 @@ class CoverSystem:
                 if table.get(v) not in diagram.levels[n].vertices:
                     raise GraphError("pattern table %d not total at %r" % (n, v))
 
-        # closed 1-neighborhoods of fibers in T_l, for fast intersection tests
-        adj = self.deepest.adjacency
-        self._hull: Dict[Tuple[int, object], FrozenSet] = {}
+        # the intersection graph, built once: every cover set gets an int
+        # index in all_sets() order, and two sets meet exactly when their
+        # fibers hold one deepest vertex or the two ends of one deepest edge
+        self._sets = [a for sets in self.covers for a in sets]
+        self.index: Dict[Tuple[int, object], int] = {
+            (a.level, a.vertex): i for i, a in enumerate(self._sets)}
+        self.level_start = [0]
         for sets in self.covers:
-            for a in sets:
-                hull = set(a.fiber)
-                for w in a.fiber:
-                    hull.update(adj[w])
-                self._hull[(a.level, a.vertex)] = frozenset(hull)
+            self.level_start.append(self.level_start[-1] + len(sets))
+        ids = {w: [self.index[(n, towers[n][w])] for n in range(l + 1)]
+               for w in self.deepest.vertices}
+        meets = [set() for _ in self._sets]
+        for own in ids.values():
+            for i in own:
+                meets[i].update(own)
+        for u, w in self.deepest.edges:
+            for i in ids[u]:
+                meets[i].update(ids[w])
+            for i in ids[w]:
+                meets[i].update(ids[u])
+        # adjacency[i]: the indices of the sets meeting set i, ascending;
+        # meets[i] has bit j set when sets i and j meet
+        self.adjacency = [tuple(sorted(m)) for m in meets]
+        self.meets: List[int] = [sum(1 << j for j in adj) for adj in self.adjacency]
 
         self._bonds: Dict[Tuple[int, int], Dict] = {}
 
@@ -136,7 +152,7 @@ class CoverSystem:
         return CoverSet(n, v, self.fibers[n][v], self.epsilons[n])
 
     def all_sets(self) -> List[CoverSet]:
-        return [a for sets in self.covers for a in sets]
+        return list(self._sets)
 
     def bond(self, n: int, j: int) -> Dict:
         """g_{nj} as a vertex dictionary (n <= j)."""
@@ -156,8 +172,12 @@ class CoverSystem:
             raise GraphError("phi is defined on levels 1..l")
         return self.cover_set(a.level - 1, self.phi[a.level - 1][a.vertex])
 
-    def hull(self, a: CoverSet) -> FrozenSet:
-        return self._hull[(a.level, a.vertex)]
+    def neighbors(self, a: CoverSet, level: int, since: int = 0) -> List[CoverSet]:
+        """The sets of covers[level][since:] that meet a, in that order."""
+        adj = self.adjacency[self.index[(a.level, a.vertex)]]
+        lo = bisect_left(adj, self.level_start[level] + since)
+        hi = bisect_left(adj, self.level_start[level + 1], lo)
+        return [self._sets[i] for i in adj[lo:hi]]
 
 
 def build_cover_system(diagram: TreeDiagram, epsilons: EpsilonSchedule,
@@ -203,10 +223,10 @@ def point_in_cover_set(system: CoverSystem, p: EdgePoint, a: CoverSet) -> bool:
 
 def sets_intersect(system: CoverSystem, a: CoverSet, b: CoverSet) -> bool:
     """Nonempty intersection: some pair of fiber vertices is 1-close in the
-    deepest tree.  Symmetric; closures intersect exactly when the sets do."""
-    if len(a.fiber) > len(b.fiber):
-        a, b = b, a
-    return not system.hull(b).isdisjoint(a.fiber)
+    deepest tree.  Symmetric; closures intersect exactly when the sets do.
+    A lookup in the intersection graph of the system."""
+    return system.meets[system.index[(a.level, a.vertex)]] >> \
+        system.index[(b.level, b.vertex)] & 1 == 1
 
 
 def set_contains(system: CoverSystem, outer: CoverSet, inner: CoverSet) -> bool:
@@ -242,9 +262,8 @@ def d1_violation(system: CoverSystem, n: int = 0):
     """U in level n meets V in level n+1 but phi_n(V) still meets U."""
     for v_set in system.covers[n + 1]:
         img = system.apply_phi(v_set)
-        for u_set in system.covers[n]:
-            if sets_intersect(system, u_set, v_set) and \
-                    sets_intersect(system, img, u_set):
+        for u_set in system.neighbors(v_set, n):
+            if sets_intersect(system, img, u_set):
                 return (u_set.vertex, v_set.vertex)
     return None
 
@@ -255,24 +274,24 @@ def d2_violation(system: CoverSystem, j: int, n: int):
         raise GraphError("need 0 <= n <= j <= l-1")
     for u_set in system.covers[j + 1]:
         img_u = system.apply_phi(u_set)
-        for v_set in system.covers[n + 1]:
-            if sets_intersect(system, u_set, v_set) and \
-                    not sets_intersect(system, img_u, system.apply_phi(v_set)):
+        for v_set in system.neighbors(u_set, n + 1):
+            if not sets_intersect(system, img_u, system.apply_phi(v_set)):
                 return (u_set.vertex, v_set.vertex)
     return None
 
 
 def d2prime_violation(system: CoverSystem, j: int, n: int):
     """cl(U) inside V but phi_j(U) not inside phi_n(V), for U in level j+1 and
-    V in level n+1; containments decided by the canonical fiber witness."""
+    V in level n+1; containments decided by the canonical fiber witness.
+    The one V that can contain U is the set of its bond image."""
     if not 0 <= n <= j <= system.l - 1:
         raise GraphError("need 0 <= n <= j <= l-1")
+    bond = system.bond(n + 1, j + 1)
     for u_set in system.covers[j + 1]:
-        for v_set in system.covers[n + 1]:
-            if set_contains(system, v_set, u_set) and \
-                    not set_contains(system, system.apply_phi(v_set),
-                                     system.apply_phi(u_set)):
-                return (u_set.vertex, v_set.vertex)
+        v_set = system.cover_set(n + 1, bond[u_set.vertex])
+        if not set_contains(system, system.apply_phi(v_set),
+                            system.apply_phi(u_set)):
+            return (u_set.vertex, v_set.vertex)
     return None
 
 
@@ -281,9 +300,8 @@ def d3_violation(system: CoverSystem, n: int):
     sets = system.covers[n + 1]
     for i, u_set in enumerate(sets):
         img_u = system.apply_phi(u_set)
-        for v_set in sets[i:]:
-            if sets_intersect(system, u_set, v_set) and \
-                    not sets_intersect(system, img_u, system.apply_phi(v_set)):
+        for v_set in system.neighbors(u_set, n + 1, i):
+            if not sets_intersect(system, img_u, system.apply_phi(v_set)):
                 return (u_set.vertex, v_set.vertex)
     return None
 
@@ -310,9 +328,8 @@ def nerve(system: CoverSystem, n: int):
     sets = system.covers[n]
     edges = []
     for i, a in enumerate(sets):
-        for b in sets[i + 1:]:
-            if sets_intersect(system, a, b):
-                edges.append((a.vertex, b.vertex))
+        for b in system.neighbors(a, n, i + 1):
+            edges.append((a.vertex, b.vertex))
     return SimplicialGraph.build([a.vertex for a in sets], edges)
 
 

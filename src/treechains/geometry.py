@@ -10,10 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import sqrt
+from math import floor, isqrt, lcm, sqrt
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .covers import CoverSet, CoverSystem, sets_intersect
+from .covers import CoverSet, CoverSystem
 from .simplicial import EdgePoint, GraphError, SimplicialGraph, vkey
 
 Point = Tuple[Fraction, Fraction]
@@ -102,13 +102,16 @@ def segments_cross(a: Point, b: Point, c: Point, d: Point, ignore=frozenset()) -
 
 
 def point_segment_dist2(p: Point, a: Point, b: Point) -> Fraction:
+    """Exact for int and Fraction coordinates alike: the clamped parameter is
+    the Fraction num/dd, never a float quotient."""
     d = _sub(b, a)
     dd = _dot(d, d)
-    if dd == 0:
+    num = _dot(_sub(p, a), d)
+    if dd == 0 or num <= 0:
         return dist2(p, a)
-    t = _dot(_sub(p, a), d) / dd
-    t = ZERO if t < 0 else (ONE if t > 1 else t)
-    return dist2(p, _lerp(a, b, t))
+    if num >= dd:
+        return dist2(p, b)
+    return dist2(p, _lerp(a, b, Fraction(num, dd)))
 
 
 def segment_dist2(a: Point, b: Point, c: Point, d: Point) -> Fraction:
@@ -250,15 +253,9 @@ class SegmentRegion:
 
     @cached_property
     def bbox(self) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
-        xs = [p[0] for seg in self.geometric_pieces for p in seg]
-        ys = [p[1] for seg in self.geometric_pieces for p in seg]
-        if not xs:
+        if not self.pieces:
             raise GraphError("empty region has no bounding box")
-        return (min(xs), max(xs), min(ys), max(ys))
-
-    @cached_property
-    def bbox_float(self) -> Tuple[float, float, float, float]:
-        return tuple(float(v) for v in self.bbox)
+        return _box([p for seg in self.geometric_pieces for p in seg])
 
 
 def region_union(regions: Sequence[SegmentRegion]) -> SegmentRegion:
@@ -285,6 +282,32 @@ def region_intersects(r1: SegmentRegion, r2: SegmentRegion) -> bool:
         if other is not None and intervals_intersect(iv, other):
             return True
     return False
+
+
+def later_intersecting(regions: Sequence[SegmentRegion]) -> List[List[int]]:
+    """For each listed region i, the ascending indices j > i of the listed
+    regions that meet it.
+
+    Two regions can meet only on an edge both have pieces on or at a vertex
+    both contain, so inverted indexes from edges and from vertices to the
+    regions give the candidates, and region_intersects decides each one.
+    """
+    by_edge: Dict = {}
+    by_vertex: Dict = {}
+    for i, r in enumerate(regions):
+        for e in r.pieces:
+            by_edge.setdefault(e, []).append(i)
+        for v in r.vertex_set:
+            by_vertex.setdefault(v, []).append(i)
+    out = []
+    for i, r in enumerate(regions):
+        near = set()
+        for e in r.pieces:
+            near.update(by_edge[e])
+        for v in r.vertex_set:
+            near.update(by_vertex[v])
+        out.append(sorted(j for j in near if j > i and region_intersects(r, regions[j])))
+    return out
 
 
 def region_intersection(r1: SegmentRegion, r2: SegmentRegion) -> SegmentRegion:
@@ -359,27 +382,31 @@ def set_distance_squared(r1: SegmentRegion, r2: SegmentRegion,
     return best
 
 
-def bbox_gap_squared(r1: SegmentRegion, r2: SegmentRegion) -> Fraction:
-    """Exact lower bound for the squared distance, from bounding boxes."""
-    ax0, ax1, ay0, ay1 = r1.bbox
-    bx0, bx1, by0, by1 = r2.bbox
-    dx = max(ZERO, bx0 - ax1, ax0 - bx1)
-    dy = max(ZERO, by0 - ay1, ay0 - by1)
+def _box(points: Sequence[Point]):
+    """Bounding box (x0, x1, y0, y1) of a nonempty point list."""
+    xs = [p[0] for p in points]
+    ys = [p[1] for p in points]
+    return (min(xs), max(xs), min(ys), max(ys))
+
+
+def _box_gap_squared(a, b):
+    """Squared gap between two boxes; an int for int boxes."""
+    dx = max(0, b[0] - a[1], a[0] - b[1])
+    dy = max(0, b[2] - a[3], a[2] - b[3])
     return dx * dx + dy * dy
 
 
-def _bbox_gap_float_lower(r1: SegmentRegion, r2: SegmentRegion) -> float:
-    """Float bbox gap, shrunk past rounding error; safe for pruning only."""
-    ax0, ax1, ay0, ay1 = r1.bbox_float
-    bx0, bx1, by0, by1 = r2.bbox_float
-    dx = max(0.0, bx0 - ax1, ax0 - bx1)
-    dy = max(0.0, by0 - ay1, ay0 - by1)
-    return (dx * dx + dy * dy) * (1 - 1e-9) - 1e-12
+def bbox_gap_squared(r1: SegmentRegion, r2: SegmentRegion) -> Fraction:
+    """Exact lower bound for the squared distance, from bounding boxes."""
+    return Fraction(_box_gap_squared(r1.bbox, r2.bbox))
 
 
 def diameter_squared(r: SegmentRegion) -> Fraction:
     """Diameter of the closed region; attained at piece endpoints."""
-    pts = [p for seg in r.geometric_pieces for p in seg]
+    return _diameter_squared([p for seg in r.geometric_pieces for p in seg])
+
+
+def _diameter_squared(pts: Sequence[Point]):
     best = ZERO
     for i, p in enumerate(pts):
         for q in pts[i + 1:]:
@@ -432,6 +459,90 @@ class RealizedSystem:
     def closure(self, a: CoverSet) -> SegmentRegion:
         return self.closures[(a.level, a.vertex)]
 
+    @cached_property
+    def scaled_pieces(self):
+        """(scale, pieces): every closed piece of every closure as one
+        (set index, p, q, box) in all_sets() order, its coordinates multiplied
+        by the lcm of all their denominators, so every one is an int."""
+        raw = [(i, seg) for i, a in enumerate(self.system.all_sets())
+               for seg in self.closure(a).geometric_pieces]
+        scale = lcm(*(c.denominator for _, seg in raw for p in seg for c in p))
+        pieces = []
+        for i, seg in raw:
+            p, q = [tuple(c.numerator * (scale // c.denominator) for c in pt)
+                    for pt in seg]
+            pieces.append((i, p, q, _box((p, q))))
+        return scale, pieces
+
+
+def _grid_pairs(pieces, reach: int):
+    """Every pair of pieces (by position) whose boxes are at most ``reach``
+    apart on both axes, and some farther ones.
+
+    A uniform grid keyed by the low corner of each box, with cells one box
+    side plus ``reach`` wide, puts every such pair in the same or adjacent
+    cells; each unordered pair of cells is visited once.
+    """
+    if not pieces:
+        return
+    size = max(1, reach + max(max(b[1] - b[0], b[3] - b[2]) for _, _, _, b in pieces))
+    cells: Dict[Tuple[int, int], List[int]] = {}
+    for k, piece in enumerate(pieces):
+        box = piece[3]
+        cells.setdefault((box[0] // size, box[2] // size), []).append(k)
+    for (cx, cy), here in cells.items():
+        for x, p in enumerate(here):
+            for q in here[x + 1:]:
+                yield p, q
+        for dx, dy in ((1, -1), (1, 0), (1, 1), (0, 1)):
+            there = cells.get((cx + dx, cy + dy))
+            if there:
+                for p in here:
+                    for q in there:
+                        yield p, q
+
+
+def _least_gap_squared(pieces, meets: Sequence[int]):
+    """Least squared distance between two pieces of sets that do not meet
+    (bit j of meets[i] set when sets i and j meet), exact, in the units of
+    the pieces; None if there is no such pair.
+
+    The grid finds every pair of pieces at most ``reach`` apart; once the
+    least distance among them is at most ``reach`` no farther pair can beat
+    it.  Otherwise ``reach`` doubles, up to the extent of all the pieces.
+    """
+    if not pieces:
+        return None
+    whole = _box([pt for _, p, q, _ in pieces for pt in (p, q)])
+    extent = max(whole[1] - whole[0], whole[3] - whole[2])
+    reach = max(max(b[1] - b[0], b[3] - b[2]) for _, _, _, b in pieces) or 1
+    while True:
+        best = None
+        for p, q in _grid_pairs(pieces, reach):
+            a, b = pieces[p], pieces[q]
+            if meets[a[0]] >> b[0] & 1:
+                continue
+            if best is not None and _box_gap_squared(a[3], b[3]) >= best:
+                continue
+            d = segment_dist2(a[1], a[2], b[1], b[2])
+            if best is None or d < best:
+                best = d
+        if (best is not None and best <= reach * reach) or reach >= extent:
+            return best
+        reach *= 2
+
+
+def _min_disjoint_gap_squared(realized: RealizedSystem,
+                              levels: Optional[Sequence[int]] = None) -> Optional[Fraction]:
+    """Least squared distance between the closures of two disjoint sets (of
+    the given levels, or of all), exact; None if no pair is disjoint."""
+    scale, pieces = realized.scaled_pieces
+    if levels is not None:
+        sets = realized.system.all_sets()
+        pieces = [pc for pc in pieces if sets[pc[0]].level in levels]
+    best = _least_gap_squared(pieces, realized.system.meets)
+    return None if best is None else Fraction(best) / (scale * scale)
+
 
 def compute_rho_and_mesh(realized: RealizedSystem):
     """rho (over disjoint pairs of the coarsest cover) and per-level mesh,
@@ -441,15 +552,15 @@ def compute_rho_and_mesh(realized: RealizedSystem):
     promise it.
     """
     system = realized.system
-    level0 = system.covers[0]
-    rho_sq = None
-    for i, a in enumerate(level0):
-        for b in level0[i + 1:]:
-            if not sets_intersect(system, a, b):
-                d = set_distance_squared(realized.closure(a), realized.closure(b))
-                if rho_sq is None or d < rho_sq:
-                    rho_sq = d
-    mesh_sq = [max(diameter_squared(realized.region(a)) for a in system.covers[n])
+    rho_sq = _min_disjoint_gap_squared(realized, levels=(0,))
+    # diameters on the scaled closed pieces: a closure has the same diameter
+    scale, pieces = realized.scaled_pieces
+    points = [[] for _ in system.all_sets()]
+    for i, p, q, _ in pieces:
+        points[i] += (p, q)
+    diameters = [_diameter_squared(pts) for pts in points]
+    starts = system.level_start
+    mesh_sq = [Fraction(max(diameters[starts[n]:starts[n + 1]]), scale * scale)
                for n in range(system.l + 1)]
     decay = None
     if rho_sq is not None:
@@ -470,27 +581,9 @@ class EnlargedSet:
     radius_sq: Fraction
 
 
-def _disjoint_pairs(system: CoverSystem):
-    sets = system.all_sets()
-    for i, a in enumerate(sets):
-        for b in sets[i + 1:]:
-            if not sets_intersect(system, a, b):
-                yield a, b
-
-
 def family_min_gap_squared(realized: RealizedSystem) -> Fraction:
     """Squared minimum distance over disjoint pairs of the whole family."""
-    system = realized.system
-    best = None
-    best_hi = 0.0
-    for a, b in _disjoint_pairs(system):
-        ra, rb = realized.closure(a), realized.closure(b)
-        if best is not None and _bbox_gap_float_lower(ra, rb) >= best_hi:
-            continue
-        d = set_distance_squared(ra, rb)
-        if best is None or d < best:
-            best = d
-            best_hi = float(best) * (1 + 1e-9) + 1e-12
+    best = _min_disjoint_gap_squared(realized)
     if best is None:
         raise GraphError("the family has no disjoint pair; enlargement margin undefined")
     return best
@@ -511,7 +604,6 @@ def enlarge_taut_family(realized: RealizedSystem,
 
 def _sqrt_exact(x: Fraction) -> Optional[Fraction]:
     """sqrt(x) when rational, else None."""
-    from math import isqrt
     pn, qn = isqrt(x.numerator), isqrt(x.denominator)
     if pn * pn == x.numerator and qn * qn == x.denominator:
         return Fraction(pn, qn)
@@ -529,26 +621,50 @@ def _gt_sum_of_roots(d2: Fraction, ra2: Fraction, rb2: Fraction) -> bool:
     return lhs * lhs > 4 * ra2 * rb2
 
 
+def _floor_sum_of_roots_squared(ra2: Fraction, rb2: Fraction) -> int:
+    """floor((r_a + r_b)^2) given both radii squared, exact: an int g2
+    exceeds (r_a + r_b)^2 exactly when it exceeds this floor."""
+    cross = 4 * ra2 * rb2
+    # the true value lies in [k, k + 2)
+    k = floor(ra2 + rb2) + isqrt(cross.numerator * cross.denominator) // cross.denominator
+    return k if _gt_sum_of_roots(k + 1, ra2, rb2) else k + 1
+
+
 def enlargement_disjointness_violation(realized: RealizedSystem,
                                        enlarged: Sequence[EnlargedSet]):
     """Disjoint members must get enlarged sets with disjoint closures:
-    d(U, V) > r_U + r_V, compared via exact squares."""
+    d(U, V) > r_U + r_V, compared via exact squares.
+
+    A pair can fail only if two of its pieces have boxes at most r_U + r_V
+    apart, so only those pairs, found on a grid in scaled int coordinates,
+    get an exact distance; the first failing one in all_sets() order is the
+    witness.
+    """
+    system = realized.system
     by_key = {(e.level, e.vertex): e for e in enlarged}
-    # (r_a + r_b)^2 upper bound in float per radius pair, for bbox pruning;
-    # radii repeat per level so the cache stays tiny
-    thr_hi: Dict[Tuple[Fraction, Fraction], float] = {}
-    for a, b in _disjoint_pairs(realized.system):
-        ea, eb = by_key[(a.level, a.vertex)], by_key[(b.level, b.vertex)]
-        ra, rb = realized.closure(a), realized.closure(b)
-        ra2, rb2 = ea.radius_sq, eb.radius_sq
-        key = (ra2, rb2)
-        if key not in thr_hi:
-            s = sqrt(float(ra2)) + sqrt(float(rb2))
-            thr_hi[key] = s * s * (1 + 1e-9) + 1e-12
-        if _bbox_gap_float_lower(ra, rb) > thr_hi[key]:
+    sets = system.all_sets()
+    radius = [by_key[(a.level, a.vertex)].radius_sq for a in sets]
+    scale, pieces = realized.scaled_pieces
+    # per pair of distinct radii, the largest scaled squared box gap that
+    # does not yet separate the enlargements
+    kinds = list(dict.fromkeys(radius))
+    kind_of = {r: k for k, r in enumerate(kinds)}
+    kind = [kind_of[r] for r in radius]
+    s2 = scale * scale
+    limit = [[_floor_sum_of_roots_squared(ra2 * s2, rb2 * s2) for rb2 in kinds]
+             for ra2 in kinds]
+    meets = system.meets
+    near = set()
+    for p, q in _grid_pairs(pieces, isqrt(max(map(max, limit)))):
+        a, b = pieces[p], pieces[q]
+        i, j = a[0], b[0]
+        if meets[i] >> j & 1 or _box_gap_squared(a[3], b[3]) > limit[kind[i]][kind[j]]:
             continue
-        d2 = set_distance_squared(ra, rb)
-        if not _gt_sum_of_roots(d2, ra2, rb2):
+        near.add((i, j) if i < j else (j, i))
+    for i, j in sorted(near):
+        a, b = sets[i], sets[j]
+        d2 = set_distance_squared(realized.closure(a), realized.closure(b))
+        if not _gt_sum_of_roots(d2, radius[i], radius[j]):
             return ((a.level, a.vertex), (b.level, b.vertex), d2)
     return None
 

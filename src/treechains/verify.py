@@ -79,7 +79,7 @@ class VerificationReport:
         for r in self.results:
             line = "%-22s %s" % (r.name, r.status)
             if r.status == "FAIL" and r.witness is not None:
-                line += "  witness=%r" % (r.witness,)
+                line += "  witness=%s" % _metric_text(r.witness)
             lines.append(line)
         for key in sorted(self.metrics):
             lines.append("# %s = %s" % (key, _metric_text(self.metrics[key])))
@@ -88,12 +88,15 @@ class VerificationReport:
 
 
 def _metric_text(value) -> str:
-    """Rationals as p/q, also inside lists."""
+    """Rationals as p/q, also inside lists and tuples; anything else as repr."""
     if isinstance(value, Fraction):
         return fraction_to_json(value)
     if isinstance(value, list):
         return "[%s]" % ", ".join(_metric_text(v) for v in value)
-    return str(value)
+    if isinstance(value, tuple):
+        inner = ", ".join(_metric_text(v) for v in value)
+        return "(%s,)" % inner if len(value) == 1 else "(%s)" % inner
+    return repr(value)
 
 
 def default_schedule(l: int) -> EpsilonSchedule:
@@ -246,60 +249,45 @@ def verify_instance(instance: Instance, check_enlargement: bool = True) -> Verif
 
     runner.run("D3", d3_check)
 
-    def pair_scan():
-        """One pass over all pairs: tautness, oracle identity, membership."""
+    def route_mismatch(closed):
+        """First pair, in all_sets() order, on which the intersection graph
+        and the geometric route over the open (or closed) regions disagree,
+        as (a, b, combinatorial answer); None if they agree everywhere."""
         system, realized = state["system"], state["realized"]
         sets = system.all_sets()
-        taut_bad = oracle_bad = None
-        for i, a in enumerate(sets):
-            ra = realized.region(a)
-            ca = realized.closure(a)
-            for b in sets[i + 1:]:
-                ci = cv.sets_intersect(system, a, b)
-                gi = geo.region_intersects(ra, realized.region(b))
-                gc = geo.region_intersects(ca, realized.closure(b))
-                if gi != ci and oracle_bad is None:
-                    oracle_bad = ("open", a.key(), b.key(), ci, gi)
-                if gc != ci and taut_bad is None:
-                    taut_bad = (a.key(), b.key(), ci, gc)
-        member_bad = None
-        for a in sets:
-            ra = realized.region(a)
-            for w in system.deepest.vertices:
-                if cv.contains_member(system, w, a) != \
-                        ra.contains_point(EdgePoint.vertex(w)):
-                    member_bad = ("member", a.key(), w)
-                    break
-            if member_bad:
-                break
-        state["taut_bad"] = taut_bad
-        state["member_bad"] = member_bad
-        return oracle_bad
+        pick = realized.closure if closed else realized.region
+        found = geo.later_intersecting([pick(a) for a in sets])
+        for i, (adj, geo_later) in enumerate(zip(system.adjacency, found)):
+            later = {j for j in adj if j > i}
+            diff = later.symmetric_difference(geo_later)
+            if diff:
+                j = min(diff)
+                return sets[i], sets[j], j in later
+        return None
 
     def taut_check():
-        bad = pair_scan()
-        state["oracle_bad"] = bad
-        return state["taut_bad"]
+        bad = route_mismatch(closed=True)
+        if bad is not None:
+            a, b, ci = bad
+            return (a.key(), b.key(), ci, not ci)
+        return None
 
     runner.run("taut", taut_check)
 
     def triples_check():
         system, realized = state["system"], state["realized"]
         for n in range(l + 1):
-            sets = system.covers[n]
-            inter = [[cv.sets_intersect(system, a, b) for b in sets] for a in sets]
-            for i in range(len(sets)):
-                for j in range(i + 1, len(sets)):
-                    if not inter[i][j]:
-                        continue
-                    for k in range(j + 1, len(sets)):
-                        if not (inter[i][k] and inter[j][k]):
+            for i, a in enumerate(system.covers[n]):
+                near = system.neighbors(a, n, i + 1)
+                for x, b in enumerate(near):
+                    for c in near[x + 1:]:
+                        if not cv.sets_intersect(system, b, c):
                             continue
-                        rij = geo.region_intersection(realized.region(sets[i]),
-                                                      realized.region(sets[j]))
-                        both = geo.region_intersection(rij, realized.region(sets[k]))
+                        ab = geo.region_intersection(realized.region(a),
+                                                     realized.region(b))
+                        both = geo.region_intersection(ab, realized.region(c))
                         if not both.is_empty():
-                            return (n, sets[i].vertex, sets[j].vertex, sets[k].vertex)
+                            return (n, a.vertex, b.vertex, c.vertex)
         return None
 
     runner.run("triples", triples_check)
@@ -316,14 +304,21 @@ def verify_instance(instance: Instance, check_enlargement: bool = True) -> Verif
     runner.run("nerve", nerve_check)
 
     def oracle_check():
-        if state.get("oracle_bad") is not None:
-            return state["oracle_bad"]
-        if state.get("member_bad") is not None:
-            return state["member_bad"]
-        realized = state["realized"]
+        system, realized = state["system"], state["realized"]
+        bad = route_mismatch(closed=False)
+        if bad is not None:
+            a, b, ci = bad
+            return ("open", a.key(), b.key(), ci, not ci)
+        for a in system.all_sets():
+            ra = realized.region(a)
+            if a.fiber == ra.vertex_set:
+                continue  # the fiber is the tower preimage, so no vertex differs
+            for w in system.deepest.vertices:
+                if cv.contains_member(system, w, a) != \
+                        ra.contains_point(EdgePoint.vertex(w)):
+                    return ("member", a.key(), w)
         for n in range(l + 1):
-            if not geo.covers_whole_tree(
-                    [realized.region(a) for a in state["system"].covers[n]]):
+            if not geo.covers_whole_tree([realized.region(a) for a in system.covers[n]]):
                 return ("not-a-cover", n)
         return None
 

@@ -106,6 +106,15 @@ def test_criterion_4_end_to_end_pipeline():
     assert time.monotonic() - t0 < 60.0
 
 
+def test_criterion_4_verify_l12_within_budget():
+    # 1339 cover sets; all-pairs scans of them took about 30 s here
+    inst = generate_instance(12)
+    t0 = time.monotonic()
+    report = verify_instance(inst)
+    assert report.passed, report.first_failure()
+    assert time.monotonic() - t0 < 30.0
+
+
 def test_criterion_5_oracle_identity():
     from treechains.covers import sets_intersect
     inst = generate_instance(3)

@@ -64,6 +64,19 @@ class TestVerify:
         assert capsys.readouterr().out.startswith("schema                 FAIL")
 
 
+    def test_fail_witness_prints_rationals(self, capsys):
+        fixture = os.path.join(os.path.dirname(__file__), "fixtures",
+                               "inflated_radius.json")
+        assert main(["verify", fixture]) == 1
+        text = capsys.readouterr().out
+        assert "enlargement-disjoint   FAIL  witness=" in text
+        assert "101/16" in text
+        assert "Fraction(" not in text
+
+
+MALFORMED = '{"schema": 1, "epsilon": ["3/4", "1/0"], "diagram": {}}'
+
+
 class TestOther:
     def test_generate_family(self, tmp_path):
         out = tmp_path / "fam.json"
@@ -88,3 +101,15 @@ class TestOther:
                      "--trials", "500", "--seed", "3"]) == 0
         out = capsys.readouterr().out
         assert "membership_agree     500" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["render", "{file}", "--out", "{out}"],
+        ["oracle", "{file}", "--trials", "5"],
+    ])
+    def test_malformed_input_fails_without_traceback(self, tmp_path, capsys, argv):
+        bad = tmp_path / "bad.json"
+        bad.write_text(MALFORMED)
+        argv = [a.format(file=bad, out=tmp_path / "x.svg") for a in argv]
+        assert main(argv) == 1
+        assert capsys.readouterr().out.startswith("schema                 FAIL")
+        assert not (tmp_path / "x.svg").exists()

@@ -2,6 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+from test_simplicial import GRID, _ref_segment_intersection
 
 from treechains.covers import CoverSystem, EpsilonSchedule
 from treechains.diagram import TreeDiagram
@@ -119,6 +122,42 @@ class TestSegments:
         assert not _gt_sum_of_roots(F(1, 4), F(1, 16), F(1, 16))
         # irrational cross term: 2*sqrt(2/16) vs d = 1
         assert _gt_sum_of_roots(F(1), F(1, 16), F(1, 8))
+
+
+def _ref_point_segment_dist2(p, a, b):
+    # divide-first Fraction version, kept as the reference for the integer path
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    dd = dx * dx + dy * dy
+    t = F(0) if dd == 0 else ((p[0] - a[0]) * dx + (p[1] - a[1]) * dy) / dd
+    t = min(max(t, F(0)), F(1))
+    x, y = a[0] + t * dx, a[1] + t * dy
+    return (p[0] - x) ** 2 + (p[1] - y) ** 2
+
+
+def _ref_segment_dist2(a, b, c, d):
+    if _ref_segment_intersection(a, b, c, d) is not None:
+        return F(0)
+    return min(_ref_point_segment_dist2(a, c, d), _ref_point_segment_dist2(b, c, d),
+               _ref_point_segment_dist2(c, a, b), _ref_point_segment_dist2(d, a, b))
+
+
+class TestExactDistances:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(GRID), st.sampled_from(GRID)),
+                    min_size=4, max_size=4))
+    def test_distances_exact_on_fractions_and_ints(self, pts):
+        a, b, c, d = pts
+        expected = _ref_segment_dist2(a, b, c, d)
+        event("touching" if expected == 0 else "apart")
+        assert segment_dist2(a, b, c, d) == expected
+        assert point_segment_dist2(a, c, d) == _ref_point_segment_dist2(a, c, d)
+        # GRID denominators divide 30, so this scaling lands on ints
+        scaled = [(int(x * 30), int(y * 30)) for x, y in pts]
+        got = segment_dist2(*scaled)
+        assert not isinstance(got, float) and got == expected * 900
+        got = point_segment_dist2(*scaled[:3])
+        assert not isinstance(got, float)
+        assert got == _ref_point_segment_dist2(a, b, c) * 900
 
 
 class TestRegions:

@@ -1,0 +1,245 @@
+"""The intersection graph, the geometric pair index and the grid distance
+routines against brute-force all-pairs scans of the definitions."""
+
+import json
+import os
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_geometry import path_graph
+
+import treechains.geometry as geo
+from treechains.covers import CoverSystem, sets_intersect
+from treechains.geometry import (
+    RealizedSystem,
+    SegmentRegion,
+    _floor_sum_of_roots_squared,
+    _grid_pairs,
+    _gt_sum_of_roots,
+    _least_gap_squared,
+    bbox_gap_squared,
+    compute_rho_and_mesh,
+    enlarge_taut_family,
+    enlargement_disjointness_violation,
+    family_min_gap_squared,
+    later_intersecting,
+    region_intersects,
+    region_union,
+    segment_dist2,
+    set_distance_squared,
+)
+from treechains.serialize import instance_from_json
+from treechains.verify import generate_instance, verify_instance
+
+F = Fraction
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+
+def _fixtures_past_system_build():
+    out = []
+    for name in sorted(os.listdir(FIXTURES)):
+        with open(os.path.join(FIXTURES, name)) as fh:
+            try:
+                inst = instance_from_json(json.load(fh))
+            except ValueError:
+                continue  # fails at schema
+        statuses = {r.name: r.status for r in verify_instance(inst).results}
+        if statuses["system-build"] == "PASS":
+            out.append((name, inst))
+    return out
+
+
+def _instances():
+    cases = [("l=%d" % l, generate_instance(l)) for l in range(1, 7)]
+    return cases + _fixtures_past_system_build()
+
+
+CASES = _instances()
+IDS = [name for name, _ in CASES]
+
+
+@pytest.fixture(scope="module", params=CASES, ids=IDS)
+def realized(request):
+    inst = request.param[1]
+    return RealizedSystem(CoverSystem(inst.diagram, inst.epsilons, inst.phi_tables))
+
+
+def test_fixtures_reach_system_build():
+    assert IDS[6:] == ["inflated_radius.json", "phi_equals_g.json"]
+
+
+def test_graph_matches_hull_definition(realized):
+    system = realized.system
+    adj = system.deepest.adjacency
+    sets = system.all_sets()
+    hulls = [a.fiber.union(*(adj[w] for w in a.fiber)) for a in sets]
+    for i, a in enumerate(sets):
+        for j, b in enumerate(sets):
+            assert sets_intersect(system, a, b) == (not hulls[j].isdisjoint(a.fiber)), \
+                (a.key(), b.key())
+
+
+def test_region_index_matches_all_pairs(realized):
+    sets = realized.system.all_sets()
+    for pick in (realized.region, realized.closure):
+        regions = [pick(a) for a in sets]
+        brute = [[j for j in range(i + 1, len(sets))
+                  if region_intersects(regions[i], regions[j])]
+                 for i in range(len(sets))]
+        assert later_intersecting(regions) == brute
+
+
+def test_region_index_finds_a_meeting_at_a_vertex_only():
+    g = path_graph(3)
+    left = SegmentRegion.from_pieces(g, {(0, 1): [(F(0), F(1), True, True)]})
+    right = SegmentRegion.from_pieces(g, {(1, 2): [(F(0), F(1, 2), True, True)]})
+    far = SegmentRegion.from_pieces(g, {(1, 2): [(F(1, 2), F(1), False, True)]})
+    assert later_intersecting([left, right, far]) == [[1], [], []]
+
+
+def _ref_min_gap(realized, levels=None):
+    # all disjoint pairs, pruned only by the exact bounding-box gap
+    system = realized.system
+    sets = [a for a in system.all_sets() if levels is None or a.level in levels]
+    best = None
+    for i, a in enumerate(sets):
+        for b in sets[i + 1:]:
+            if sets_intersect(system, a, b):
+                continue
+            ra, rb = realized.closure(a), realized.closure(b)
+            if best is not None and bbox_gap_squared(ra, rb) >= best:
+                continue
+            d = set_distance_squared(ra, rb)
+            if best is None or d < best:
+                best = d
+    return best
+
+
+def test_grid_gaps_match_all_pairs(realized):
+    assert family_min_gap_squared(realized) == _ref_min_gap(realized)
+    rho_sq, mesh_sq, _ = compute_rho_and_mesh(realized)
+    assert rho_sq == _ref_min_gap(realized, levels=(0,))
+    system = realized.system
+    assert mesh_sq == [max(geo.diameter_squared(realized.region(a))
+                           for a in system.covers[n]) for n in range(system.l + 1)]
+
+
+def _ref_disjointness_violation(realized, enlarged):
+    system = realized.system
+    radius = {(e.level, e.vertex): e.radius_sq for e in enlarged}
+    sets = system.all_sets()
+    for i, a in enumerate(sets):
+        for b in sets[i + 1:]:
+            if sets_intersect(system, a, b):
+                continue
+            ra2, rb2 = radius[(a.level, a.vertex)], radius[(b.level, b.vertex)]
+            ra, rb = realized.closure(a), realized.closure(b)
+            if _gt_sum_of_roots(bbox_gap_squared(ra, rb), ra2, rb2):
+                continue
+            d2 = set_distance_squared(ra, rb)
+            if not _gt_sum_of_roots(d2, ra2, rb2):
+                return ((a.level, a.vertex), (b.level, b.vertex), d2)
+    return None
+
+
+@pytest.mark.parametrize("l", [2, 3])
+@pytest.mark.parametrize("factor", ["1", "2", "9/4", "3", "40"])
+def test_enlargement_witness_matches_all_pairs(l, factor):
+    # m_sq = factor * gap^2/9; from 9/4 on, two level-0 radii reach the gap
+    inst = generate_instance(l)
+    realized = RealizedSystem(CoverSystem(inst.diagram, inst.epsilons))
+    m_sq = family_min_gap_squared(realized) / 9 * Fraction(factor)
+    enlarged = enlarge_taut_family(realized, m_sq)
+    expected = _ref_disjointness_violation(realized, enlarged)
+    assert (expected is None) == (Fraction(factor) < Fraction(9, 4))
+    assert enlargement_disjointness_violation(realized, enlarged) == expected
+
+
+def test_tampered_closure_fails_taut_like_brute_force(monkeypatch):
+    built = []
+    original = RealizedSystem.__init__
+
+    def tampered(self, system):
+        original(self, system)
+        # grow one coarse closure over the whole tree; nothing checks a
+        # level-0 closure before taut
+        a = system.covers[0][0]
+        self.closures[(a.level, a.vertex)] = region_union(
+            [self.closure(a)] + [self.closure(b) for b in system.covers[system.l]])
+        built.append(self)
+
+    monkeypatch.setattr(RealizedSystem, "__init__", tampered)
+    report = verify_instance(generate_instance(2))
+    statuses = {r.name: r.status for r in report.results}
+    assert statuses["taut"] == "FAIL" and statuses["D3"] == "PASS"
+
+    realized = built[-1]
+    system = realized.system
+    sets = system.all_sets()
+    expected = None
+    for i, a in enumerate(sets):
+        for b in sets[i + 1:]:
+            ci = sets_intersect(system, a, b)
+            gc = region_intersects(realized.closure(a), realized.closure(b))
+            if ci != gc:
+                expected = (a.key(), b.key(), ci, gc)
+                break
+        if expected:
+            break
+    witness = next(r.witness for r in report.results if r.name == "taut")
+    assert witness == expected
+
+
+def _piece(i, p, q):
+    return (i, p, q, (min(p[0], q[0]), max(p[0], q[0]), min(p[1], q[1]), max(p[1], q[1])))
+
+
+@st.composite
+def piece_lists(draw):
+    # short int segments of four sets spread over a wider square
+    coord, step = st.integers(-40, 40), st.integers(-6, 6)
+    return [_piece(draw(st.integers(0, 3)), (x, y), (x + dx, y + dy))
+            for x, y, dx, dy in draw(st.lists(st.tuples(coord, coord, step, step),
+                                              min_size=1, max_size=12))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(piece_lists(), st.integers(0, 30))
+def test_grid_pairs_yield_every_near_pair_once(pieces, reach):
+    seen = [tuple(sorted(pair)) for pair in _grid_pairs(pieces, reach)]
+    assert len(seen) == len(set(seen))
+    for p in range(len(pieces)):
+        for q in range(p + 1, len(pieces)):
+            a, b = pieces[p][3], pieces[q][3]
+            if max(0, b[0] - a[1], a[0] - b[1]) <= reach and \
+                    max(0, b[2] - a[3], a[2] - b[3]) <= reach:
+                assert (p, q) in seen
+
+
+@settings(max_examples=300, deadline=None)
+@given(piece_lists())
+def test_least_gap_matches_all_pairs(pieces):
+    meets = [1 << i for i in range(4)]  # each set meets only itself
+    brute = min((segment_dist2(a[1], a[2], b[1], b[2])
+                 for x, a in enumerate(pieces) for b in pieces[x + 1:] if a[0] != b[0]),
+                default=None)
+    assert _least_gap_squared(pieces, meets) == brute
+
+
+def test_least_gap_widens_past_a_nearer_cell():
+    # the first grid pairs A with B and B with C; the nearest pair, A and C,
+    # lies two cells apart and shows up only once the reach has doubled
+    pieces = [_piece(0, (0, 0), (10, 0)), _piece(1, (39, 39), (40, 39)),
+              _piece(2, (40, 0), (41, 0))]
+    assert _least_gap_squared(pieces, [1, 2, 4]) == 900
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fractions(min_value=0, max_value=50, max_denominator=40),
+       st.fractions(min_value=0, max_value=50, max_denominator=40))
+def test_floor_of_sum_of_roots_squared(ra2, rb2):
+    k = _floor_sum_of_roots_squared(ra2, rb2)
+    assert not _gt_sum_of_roots(Fraction(k), ra2, rb2)
+    assert _gt_sum_of_roots(Fraction(k + 1), ra2, rb2)
