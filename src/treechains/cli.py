@@ -12,7 +12,7 @@ import os
 import sys
 
 from . import geometry as geo
-from .covers import CoverSystem, EpsilonSchedule, ScheduleError
+from .covers import EpsilonSchedule, ScheduleError
 from .diagram import lift_diagram_3
 from .example1 import check_example1
 from .family import build_family_diagram
@@ -29,6 +29,7 @@ from .serialize import (
 from .verify import (
     ConditionResult,
     VerificationReport,
+    VerifyContext,
     generate_instance,
     oracle_trials,
     verify_instance,
@@ -43,11 +44,11 @@ def _parse_eps(text: str) -> EpsilonSchedule:
 def cmd_generate(args) -> int:
     eps = _parse_eps(args.eps) if args.eps else None
     instance = generate_instance(args.l, eps)
+    ctx = VerifyContext(instance)
+    report = verify_instance(instance, ctx=ctx)
+    system, realized = ctx.system, ctx.realized
+    m_sq, enlarged = ctx.enlargement
     os.makedirs(args.out, exist_ok=True)
-    system = CoverSystem(instance.diagram, instance.epsilons, instance.phi_tables)
-    realized = geo.RealizedSystem(system)
-    enlarged = geo.enlarge_taut_family(realized)
-    m_sq = enlarged[0].radius_sq  # level 0 radius is m itself
     dump_json(instance.to_json(), os.path.join(args.out, "instance.json"))
     dump_json(system_to_json(system), os.path.join(args.out, "system.json"))
     dump_json(regions_to_json(realized), os.path.join(args.out, "regions.json"))
@@ -58,7 +59,6 @@ def cmd_generate(args) -> int:
                       for n in range(system.l + 1)],
     }, os.path.join(args.out, "enlargement.json"))
     geo.render_svg(realized, os.path.join(args.out, "covers.svg"), enlarged)
-    report = verify_instance(instance)
     print(report.to_text())
     return 0 if report.passed else 1
 
@@ -101,10 +101,8 @@ def cmd_render(args) -> int:
     if failure is not None:
         print(failure.to_text())
         return 1
-    system = CoverSystem(instance.diagram, instance.epsilons, instance.phi_tables)
-    realized = geo.RealizedSystem(system)
     levels = args.level if args.level else None
-    geo.render_svg(realized, args.out, levels=levels)
+    geo.render_svg(VerifyContext(instance).realized, args.out, levels=levels)
     print("wrote %s" % args.out)
     return 0
 

@@ -673,20 +673,36 @@ def enlargement_nesting_violation(realized: RealizedSystem,
                                   enlarged: Sequence[EnlargedSet]):
     """A deeper member contained in a shallower one must keep its enlarged
     closure inside the other's enlargement: base containment plus a strictly
-    smaller radius."""
+    smaller radius.
+
+    Bonds compose, and both the radius order and containment are transitive,
+    so every level pair (j, n) holds exactly when the consecutive pairs
+    (j, j - 1) do.  Only when one of those fails does the scan over all
+    pairs run, to name the first failing pair in (j, n) order.
+    """
     system = realized.system
     by_key = {(e.level, e.vertex): e for e in enlarged}
-    for j in range(1, system.l + 1):
+
+    def violation(j, n):
+        bond = system.bond(n, j)
+        for u_set in system.covers[j]:
+            v_set = system.cover_set(n, bond[u_set.vertex])
+            eu = by_key[(j, u_set.vertex)]
+            ev = by_key[(n, v_set.vertex)]
+            if not eu.radius_sq < ev.radius_sq:
+                return ((j, u_set.vertex), (n, v_set.vertex), "radius")
+            if not region_contains(realized.region(v_set), realized.region(u_set)):
+                return ((j, u_set.vertex), (n, v_set.vertex), "base")
+        return None
+
+    levels = range(1, system.l + 1)
+    if all(violation(j, j - 1) is None for j in levels):
+        return None
+    for j in levels:
         for n in range(j):
-            bond = system.bond(n, j)
-            for u_set in system.covers[j]:
-                v_set = system.cover_set(n, bond[u_set.vertex])
-                eu = by_key[(j, u_set.vertex)]
-                ev = by_key[(n, v_set.vertex)]
-                if not eu.radius_sq < ev.radius_sq:
-                    return ((j, u_set.vertex), (n, v_set.vertex), "radius")
-                if not region_contains(realized.region(v_set), realized.region(u_set)):
-                    return ((j, u_set.vertex), (n, v_set.vertex), "base")
+            bad = violation(j, n)
+            if bad is not None:
+                return bad
     return None
 
 

@@ -137,25 +137,27 @@ class SimplicialGraph:
 
         The coordinates are scaled once by the lcm of their denominators, so
         every predicate runs on Python ints; scaling by a positive constant
-        keeps every incidence, hence the witness.
+        keeps every incidence, hence the witness.  A witness vertex is the
+        least in ``vkey`` order among the candidates, never the first one
+        met in the vertex set, whose order depends on string hashing.
         """
         from .geometry import point_on_segment, segments_cross
         scale = lcm(*(c.denominator for v in self.vertices for c in self.point(v)))
         ipt = {v: tuple(c.numerator * (scale // c.denominator) for c in self.point(v))
                for v in self.vertices}
-        pts = {}
-        for v in self.vertices:
-            p = ipt[v]
-            if p in pts:
-                return ("duplicate-coordinate", pts[p], v)
-            pts[p] = v
+        if len(set(ipt.values())) < len(ipt):
+            pts = {}
+            for v in self.sorted_vertices():
+                p = ipt[v]
+                if p in pts:
+                    return ("duplicate-coordinate", pts[p], v)
+                pts[p] = v
         segs = [(e, ipt[e[0]], ipt[e[1]]) for e in self.sorted_edges()]
         for e, a, b in segs:
-            for v in self.vertices:
-                if v in e:
-                    continue
-                if point_on_segment(ipt[v], a, b):
-                    return ("vertex-in-edge", v, e)
+            on = [v for v in self.vertices
+                  if v not in e and point_on_segment(ipt[v], a, b)]
+            if on:
+                return ("vertex-in-edge", min(on, key=vkey), e)
         for i, (e1, a1, b1) in enumerate(segs):
             for e2, a2, b2 in segs[i + 1:]:
                 shared = set(e1) & set(e2)

@@ -7,7 +7,8 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional
+from functools import cached_property
+from typing import Dict, List, Optional, Tuple
 
 from . import covers as cv
 from . import geometry as geo
@@ -26,28 +27,6 @@ from .simplicial import (
     SimplicialGraph,
     SimplicialMapping,
     vkey,
-)
-
-# verification stages, in evaluation order; a failing stage skips the rest
-CONDITIONS = (
-    "schema",
-    "diagram-well-formed",
-    "embedding",
-    "commutative",
-    "coincidence-free",
-    "proximity-free",
-    "system-build",
-    "strong-refinement",
-    "D1",
-    "D2",
-    "D2prime",
-    "D3",
-    "taut",
-    "triples",
-    "nerve",
-    "oracle-identity",
-    "enlargement-disjoint",
-    "enlargement-nested",
 )
 
 
@@ -114,242 +93,276 @@ def generate_instance(l: int, epsilons: Optional[EpsilonSchedule] = None) -> Ins
     return Instance(lifted, eps)
 
 
-class _Runner:
-    def __init__(self, report: VerificationReport):
-        self.report = report
-        self.failed = False
+class VerifyContext:
+    """One instance and the structures built from it, each built on first use
+    and then shared by every stage, and by ``generate`` for its output.
+    ``metrics`` holds what a stage measures for the report (``m_sq``)."""
 
-    def run(self, name, fn):
-        """fn returns a witness (fail) or None (pass)."""
-        if self.failed:
-            self.report.results.append(ConditionResult(name, "SKIP"))
-            return None
-        t0 = time.perf_counter()
-        witness = fn()
-        dt = time.perf_counter() - t0
-        if witness is None:
-            self.report.results.append(ConditionResult(name, "PASS", None, dt))
-        else:
-            self.report.results.append(ConditionResult(name, "FAIL", witness, dt))
-            self.failed = True
-        return witness
+    def __init__(self, instance: Instance):
+        self.instance = instance
+        self.diagram = instance.diagram
+        self.l = instance.diagram.length
+        self.metrics: Dict = {}
+
+    @cached_property
+    def system(self) -> CoverSystem:
+        inst = self.instance
+        return CoverSystem(inst.diagram, inst.epsilons, inst.phi_tables)
+
+    @cached_property
+    def realized(self) -> geo.RealizedSystem:
+        return geo.RealizedSystem(self.system)
+
+    @cached_property
+    def enlargement(self) -> Tuple[Fraction, List[geo.EnlargedSet]]:
+        """(m_sq, enlarged sets): the instance's own margin and radii when it
+        has them, else one third of the least gap, halved per level."""
+        if self.instance.enlargement is None:
+            m_sq = geo.family_min_gap_squared(self.realized) / 9
+            return m_sq, geo.enlarge_taut_family(self.realized, m_sq)
+        radii = self.instance.enlargement["radius_sq"]
+        return self.instance.enlargement["m_sq"], [
+            geo.EnlargedSet(a.level, a.vertex, self.realized.region(a), radii[a.level])
+            for a in self.system.all_sets()]
 
 
-def verify_instance(instance: Instance, check_enlargement: bool = True) -> VerificationReport:
+# -- the stages: each takes the context and returns a witness, or None ------
+
+
+def _well_formed(ctx: VerifyContext):
+    return ctx.diagram.well_formed_violation()
+
+
+def _embedding(ctx: VerifyContext):
+    for n, g in enumerate(ctx.diagram.levels):
+        if not g.is_tree():
+            return (n, "not-a-tree")
+        if g.coords is not None:
+            bad = g.embedding_violation()
+            if bad is not None:
+                return (n, bad)
+    return None
+
+
+def _commutative(ctx: VerifyContext):
+    return commutativity_violation(ctx.diagram)
+
+
+def _coincidence_free(ctx: VerifyContext):
+    d = ctx.diagram
+    for n in range(ctx.l):
+        free = coincidence_free(d.f_row[n], d.g_row[n])
+        oracle = coincidence_oracle(d.f_row[n], d.g_row[n])
+        if free != (not oracle):
+            return ("checker-oracle-disagree", n)
+        if not free:
+            return ("coincidence", n, sorted(p.canonical() for p in oracle)[:3])
+    return None
+
+
+def _proximity_free(ctx: VerifyContext):
+    d = ctx.diagram
+    for n in range(ctx.l):
+        prox = proximity_vertices(d.f_row[n], d.g_row[n])
+        if prox:
+            return (n, sorted(prox, key=vkey)[0])
+    return None
+
+
+def _system_build(ctx: VerifyContext):
+    try:
+        ctx.realized  # builds the system first
+    except Exception as exc:  # schedule length, bad tables
+        return ("build-error", str(exc))
+    return None
+
+
+def _strong_refinement(ctx: VerifyContext):
+    system, realized = ctx.system, ctx.realized
+    for j in range(1, ctx.l + 1):
+        for n in range(j):
+            bad = cv.refinement_violation(system, j, n)
+            if bad is not None:
+                return ("fiber", j, n, bad)
+    for n in range(ctx.l):
+        bond = system.bond(n, n + 1)
+        for a in system.covers[n + 1]:
+            outer = system.cover_set(n, bond[a.vertex])
+            if not geo.region_contains(realized.region(outer), realized.closure(a)):
+                return ("closure", n, a.vertex)
+    return None
+
+
+def _d1(ctx: VerifyContext):
+    for n in range(ctx.l):
+        bad = cv.d1_violation(ctx.system, n)
+        if bad is not None:
+            return (n, bad)
+    return None
+
+
+def _d2(ctx: VerifyContext):
+    for j in range(ctx.l):
+        for n in range(j + 1):
+            bad = cv.d2_violation(ctx.system, j, n)
+            if bad is not None:
+                return (j, n, bad)
+    return None
+
+
+def _d2prime(ctx: VerifyContext):
+    for j in range(ctx.l):
+        for n in range(j + 1):
+            bad = cv.d2prime_violation(ctx.system, j, n)
+            if bad is not None:
+                return (j, n, bad)
+    return None
+
+
+def _d3(ctx: VerifyContext):
+    for n in range(ctx.l):
+        bad = cv.d3_violation(ctx.system, n)
+        if bad is not None:
+            return (n, bad)
+    return None
+
+
+def _route_mismatch(ctx: VerifyContext, closed: bool):
+    """First pair, in all_sets() order, on which the intersection graph and
+    the geometric route over the open (or closed) regions disagree, as
+    (a, b, combinatorial answer); None if they agree everywhere."""
+    system, realized = ctx.system, ctx.realized
+    sets = system.all_sets()
+    pick = realized.closure if closed else realized.region
+    found = geo.later_intersecting([pick(a) for a in sets])
+    for i, (adj, geo_later) in enumerate(zip(system.adjacency, found)):
+        later = {j for j in adj if j > i}
+        diff = later.symmetric_difference(geo_later)
+        if diff:
+            j = min(diff)
+            return sets[i], sets[j], j in later
+    return None
+
+
+def _taut(ctx: VerifyContext):
+    bad = _route_mismatch(ctx, closed=True)
+    if bad is not None:
+        a, b, ci = bad
+        return (a.key(), b.key(), ci, not ci)
+    return None
+
+
+def _triples(ctx: VerifyContext):
+    system, realized = ctx.system, ctx.realized
+    for n in range(ctx.l + 1):
+        for i, a in enumerate(system.covers[n]):
+            near = system.neighbors(a, n, i + 1)
+            for x, b in enumerate(near):
+                for c in near[x + 1:]:
+                    if not cv.sets_intersect(system, b, c):
+                        continue
+                    ab = geo.region_intersection(realized.region(a),
+                                                 realized.region(b))
+                    both = geo.region_intersection(ab, realized.region(c))
+                    if not both.is_empty():
+                        return (n, a.vertex, b.vertex, c.vertex)
+    return None
+
+
+def _nerve(ctx: VerifyContext):
+    for n in range(ctx.l + 1):
+        if not cv.nerve_isomorphic_to(ctx.system, n):
+            return ("not-isomorphic", n)
+        if not cv.nerve(ctx.system, n).is_tree():
+            return ("not-a-tree", n)
+    return None
+
+
+def _oracle_identity(ctx: VerifyContext):
+    system, realized = ctx.system, ctx.realized
+    bad = _route_mismatch(ctx, closed=False)
+    if bad is not None:
+        a, b, ci = bad
+        return ("open", a.key(), b.key(), ci, not ci)
+    for a in system.all_sets():
+        ra = realized.region(a)
+        if a.fiber == ra.vertex_set:
+            continue  # the fiber is the tower preimage, so no vertex differs
+        wrong = [w for w in system.deepest.vertices
+                 if cv.contains_member(system, w, a) !=
+                 ra.contains_point(EdgePoint.vertex(w))]
+        if wrong:
+            return ("member", a.key(), min(wrong, key=vkey))
+    for n in range(ctx.l + 1):
+        if not geo.covers_whole_tree([realized.region(a) for a in system.covers[n]]):
+            return ("not-a-cover", n)
+    return None
+
+
+def _enlargement_disjoint(ctx: VerifyContext):
+    if ctx.instance.enlargement is not None:
+        radii = ctx.instance.enlargement["radius_sq"]
+        if len(radii) != ctx.l + 1:
+            return ("bad-radii-length", len(radii))
+    m_sq, enlarged = ctx.enlargement
+    ctx.metrics["m_sq"] = m_sq
+    return geo.enlargement_disjointness_violation(ctx.realized, enlarged)
+
+
+def _enlargement_nested(ctx: VerifyContext):
+    return geo.enlargement_nesting_violation(ctx.realized, ctx.enlargement[1])
+
+
+# verification stages, in evaluation order; a failing stage skips the rest.
+# The enlargement stages come last, so check_enlargement=False can stop there.
+STAGES = (
+    ("diagram-well-formed", _well_formed),
+    ("embedding", _embedding),
+    ("commutative", _commutative),
+    ("coincidence-free", _coincidence_free),
+    ("proximity-free", _proximity_free),
+    ("system-build", _system_build),
+    ("strong-refinement", _strong_refinement),
+    ("D1", _d1),
+    ("D2", _d2),
+    ("D2prime", _d2prime),
+    ("D3", _d3),
+    ("taut", _taut),
+    ("triples", _triples),
+    ("nerve", _nerve),
+    ("oracle-identity", _oracle_identity),
+    ("enlargement-disjoint", _enlargement_disjoint),
+    ("enlargement-nested", _enlargement_nested),
+)
+
+# "schema" is decided by the loader: an Instance has passed it
+CONDITIONS = ("schema",) + tuple(name for name, _ in STAGES)
+
+
+def verify_instance(instance: Instance, check_enlargement: bool = True,
+                    ctx: Optional[VerifyContext] = None) -> VerificationReport:
     """Evaluate every condition on combinatorial data and the exact geometric
-    oracle; any disagreement between the two routes is itself a failure."""
-    report = VerificationReport()
-    runner = _Runner(report)
-    d = instance.diagram
-    l = d.length
-
+    oracle; any disagreement between the two routes is itself a failure.
+    A given ``ctx`` (of this instance) keeps what the stages build."""
+    if ctx is None:
+        ctx = VerifyContext(instance)
+    report = VerificationReport(metrics=ctx.metrics)
     report.results.append(ConditionResult("schema", "PASS"))
-
-    runner.run("diagram-well-formed", d.well_formed_violation)
-
-    def embedding_check():
-        for n, g in enumerate(d.levels):
-            if not g.is_tree():
-                return (n, "not-a-tree")
-            if g.coords is not None:
-                bad = g.embedding_violation()
-                if bad is not None:
-                    return (n, bad)
-        return None
-
-    runner.run("embedding", embedding_check)
-    runner.run("commutative", lambda: commutativity_violation(d))
-
-    def coincidence_check():
-        for n in range(l):
-            free = coincidence_free(d.f_row[n], d.g_row[n])
-            oracle = coincidence_oracle(d.f_row[n], d.g_row[n])
-            if free != (not oracle):
-                return ("checker-oracle-disagree", n)
-            if not free:
-                return ("coincidence", n, sorted(p.canonical() for p in oracle)[:3])
-        return None
-
-    runner.run("coincidence-free", coincidence_check)
-
-    def proximity_check():
-        for n in range(l):
-            prox = proximity_vertices(d.f_row[n], d.g_row[n])
-            if prox:
-                return (n, sorted(prox, key=vkey)[0])
-        return None
-
-    runner.run("proximity-free", proximity_check)
-
-    state: Dict = {}
-
-    def build_system():
-        try:
-            state["system"] = CoverSystem(d, instance.epsilons, instance.phi_tables)
-            state["realized"] = geo.RealizedSystem(state["system"])
-        except Exception as exc:  # schedule length, bad tables
-            return ("build-error", str(exc))
-        return None
-
-    runner.run("system-build", build_system)
-
-    def refinement_check():
-        system, realized = state["system"], state["realized"]
-        for j in range(1, l + 1):
-            for n in range(j):
-                bad = cv.refinement_violation(system, j, n)
-                if bad is not None:
-                    return ("fiber", j, n, bad)
-        for n in range(l):
-            bond = system.bond(n, n + 1)
-            for a in system.covers[n + 1]:
-                outer = system.cover_set(n, bond[a.vertex])
-                if not geo.region_contains(realized.region(outer),
-                                           realized.closure(a)):
-                    return ("closure", n, a.vertex)
-        return None
-
-    runner.run("strong-refinement", refinement_check)
-
-    def d1_check():
-        for n in range(l):
-            bad = cv.d1_violation(state["system"], n)
-            if bad is not None:
-                return (n, bad)
-        return None
-
-    runner.run("D1", d1_check)
-
-    def d2_check():
-        for j in range(l):
-            for n in range(j + 1):
-                bad = cv.d2_violation(state["system"], j, n)
-                if bad is not None:
-                    return (j, n, bad)
-        return None
-
-    runner.run("D2", d2_check)
-
-    def d2prime_check():
-        for j in range(l):
-            for n in range(j + 1):
-                bad = cv.d2prime_violation(state["system"], j, n)
-                if bad is not None:
-                    return (j, n, bad)
-        return None
-
-    runner.run("D2prime", d2prime_check)
-
-    def d3_check():
-        for n in range(l):
-            bad = cv.d3_violation(state["system"], n)
-            if bad is not None:
-                return (n, bad)
-        return None
-
-    runner.run("D3", d3_check)
-
-    def route_mismatch(closed):
-        """First pair, in all_sets() order, on which the intersection graph
-        and the geometric route over the open (or closed) regions disagree,
-        as (a, b, combinatorial answer); None if they agree everywhere."""
-        system, realized = state["system"], state["realized"]
-        sets = system.all_sets()
-        pick = realized.closure if closed else realized.region
-        found = geo.later_intersecting([pick(a) for a in sets])
-        for i, (adj, geo_later) in enumerate(zip(system.adjacency, found)):
-            later = {j for j in adj if j > i}
-            diff = later.symmetric_difference(geo_later)
-            if diff:
-                j = min(diff)
-                return sets[i], sets[j], j in later
-        return None
-
-    def taut_check():
-        bad = route_mismatch(closed=True)
-        if bad is not None:
-            a, b, ci = bad
-            return (a.key(), b.key(), ci, not ci)
-        return None
-
-    runner.run("taut", taut_check)
-
-    def triples_check():
-        system, realized = state["system"], state["realized"]
-        for n in range(l + 1):
-            for i, a in enumerate(system.covers[n]):
-                near = system.neighbors(a, n, i + 1)
-                for x, b in enumerate(near):
-                    for c in near[x + 1:]:
-                        if not cv.sets_intersect(system, b, c):
-                            continue
-                        ab = geo.region_intersection(realized.region(a),
-                                                     realized.region(b))
-                        both = geo.region_intersection(ab, realized.region(c))
-                        if not both.is_empty():
-                            return (n, a.vertex, b.vertex, c.vertex)
-        return None
-
-    runner.run("triples", triples_check)
-
-    def nerve_check():
-        system = state["system"]
-        for n in range(l + 1):
-            if not cv.nerve_isomorphic_to(system, n):
-                return ("not-isomorphic", n)
-            if not cv.nerve(system, n).is_tree():
-                return ("not-a-tree", n)
-        return None
-
-    runner.run("nerve", nerve_check)
-
-    def oracle_check():
-        system, realized = state["system"], state["realized"]
-        bad = route_mismatch(closed=False)
-        if bad is not None:
-            a, b, ci = bad
-            return ("open", a.key(), b.key(), ci, not ci)
-        for a in system.all_sets():
-            ra = realized.region(a)
-            if a.fiber == ra.vertex_set:
-                continue  # the fiber is the tower preimage, so no vertex differs
-            for w in system.deepest.vertices:
-                if cv.contains_member(system, w, a) != \
-                        ra.contains_point(EdgePoint.vertex(w)):
-                    return ("member", a.key(), w)
-        for n in range(l + 1):
-            if not geo.covers_whole_tree([realized.region(a) for a in system.covers[n]]):
-                return ("not-a-cover", n)
-        return None
-
-    runner.run("oracle-identity", oracle_check)
-
-    if check_enlargement:
-        def enlarge_disjoint():
-            realized = state["realized"]
-            if instance.enlargement is not None:
-                m_sq = instance.enlargement["m_sq"]
-                radii = instance.enlargement["radius_sq"]
-                if len(radii) != l + 1:
-                    return ("bad-radii-length", len(radii))
-                enlarged = [geo.EnlargedSet(a.level, a.vertex,
-                                            realized.region(a), radii[a.level])
-                            for a in state["system"].all_sets()]
-            else:
-                m_sq = geo.family_min_gap_squared(realized)
-                m_sq = m_sq / 9
-                enlarged = geo.enlarge_taut_family(realized, m_sq)
-            state["enlarged"] = enlarged
-            report.metrics["m_sq"] = m_sq
-            return geo.enlargement_disjointness_violation(realized, enlarged)
-
-        runner.run("enlargement-disjoint", enlarge_disjoint)
-        runner.run("enlargement-nested",
-                   lambda: geo.enlargement_nesting_violation(
-                       state["realized"], state["enlarged"]))
-
-    if "realized" in state and not runner.failed:
-        rho_sq, mesh_sq, decay = geo.compute_rho_and_mesh(state["realized"])
+    failed = False
+    for name, check in STAGES:
+        if name == "enlargement-disjoint" and not check_enlargement:
+            break
+        if failed:
+            report.results.append(ConditionResult(name, "SKIP"))
+            continue
+        t0 = time.perf_counter()
+        witness = check(ctx)
+        dt = time.perf_counter() - t0
+        failed = witness is not None
+        report.results.append(ConditionResult(name, "FAIL" if failed else "PASS",
+                                              witness, dt))
+    if not failed:
+        rho_sq, mesh_sq, decay = geo.compute_rho_and_mesh(ctx.realized)
         report.metrics["rho_sq"] = rho_sq
         report.metrics["mesh_sq"] = mesh_sq
         report.metrics["mesh_below_rho_decay"] = decay
@@ -389,8 +402,8 @@ def oracle_trials(instance: Instance, trials: int, seed: int) -> dict:
     """Randomized agreement report: membership identity on the realized system
     and checker-vs-oracle identity on random map pairs."""
     rng = random.Random(seed)
-    system = CoverSystem(instance.diagram, instance.epsilons, instance.phi_tables)
-    realized = geo.RealizedSystem(system)
+    ctx = VerifyContext(instance)
+    system, realized = ctx.system, ctx.realized
     edges = system.deepest.sorted_edges()
     sets = system.all_sets()
     member_agree = 0

@@ -1,9 +1,14 @@
+import functools
 import json
 import os
+from collections import Counter
 
 import pytest
 
+import treechains.geometry as geo
 from treechains.cli import main
+from treechains.covers import CoverSystem
+from treechains.verify import generate_instance, verify_instance
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +42,27 @@ class TestGenerate:
         assert code == 0
         payload = json.loads((out / "instance.json").read_text())
         assert payload["epsilon"] == ["4/5", "7/10"]
+
+    def test_builds_each_structure_once(self, tmp_path, monkeypatch, capsys):
+        expected = verify_instance(generate_instance(4)).to_text() + "\n"
+        calls = Counter()
+
+        def counted(name, fn):
+            @functools.wraps(fn)
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(CoverSystem, "__init__",
+                            counted("system", CoverSystem.__init__))
+        monkeypatch.setattr(geo.RealizedSystem, "__init__",
+                            counted("realized", geo.RealizedSystem.__init__))
+        monkeypatch.setattr(geo, "family_min_gap_squared",
+                            counted("gap", geo.family_min_gap_squared))
+        assert main(["generate", "--l", "4", "--out", str(tmp_path / "o")]) == 0
+        assert calls == {"system": 1, "realized": 1, "gap": 1}
+        assert capsys.readouterr().out == expected
 
 
 class TestVerify:

@@ -19,6 +19,7 @@ CASES = [
     ("proximity_edit.json", "proximity-free"),
     ("phi_equals_g.json", "D1"),
     ("inflated_radius.json", "enlargement-disjoint"),
+    ("nested_radius.json", "enlargement-nested"),
 ]
 
 

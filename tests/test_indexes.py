@@ -13,6 +13,7 @@ from test_geometry import path_graph
 import treechains.geometry as geo
 from treechains.covers import CoverSystem, sets_intersect
 from treechains.geometry import (
+    EnlargedSet,
     RealizedSystem,
     SegmentRegion,
     _floor_sum_of_roots_squared,
@@ -23,8 +24,10 @@ from treechains.geometry import (
     compute_rho_and_mesh,
     enlarge_taut_family,
     enlargement_disjointness_violation,
+    enlargement_nesting_violation,
     family_min_gap_squared,
     later_intersecting,
+    region_contains,
     region_intersects,
     region_union,
     segment_dist2,
@@ -67,7 +70,7 @@ def realized(request):
 
 
 def test_fixtures_reach_system_build():
-    assert IDS[6:] == ["inflated_radius.json", "phi_equals_g.json"]
+    assert IDS[6:] == ["inflated_radius.json", "nested_radius.json", "phi_equals_g.json"]
 
 
 def test_graph_matches_hull_definition(realized):
@@ -155,6 +158,56 @@ def test_enlargement_witness_matches_all_pairs(l, factor):
     expected = _ref_disjointness_violation(realized, enlarged)
     assert (expected is None) == (Fraction(factor) < Fraction(9, 4))
     assert enlargement_disjointness_violation(realized, enlarged) == expected
+
+
+def _ref_nesting_violation(realized, enlarged):
+    # every level pair (j, n) along its composed bond, in that order
+    system = realized.system
+    by_key = {(e.level, e.vertex): e for e in enlarged}
+    for j in range(1, system.l + 1):
+        for n in range(j):
+            bond = system.bond(n, j)
+            for u in system.covers[j]:
+                v = system.cover_set(n, bond[u.vertex])
+                witness = ((j, u.vertex), (n, v.vertex))
+                if not by_key[(j, u.vertex)].radius_sq < by_key[(n, v.vertex)].radius_sq:
+                    return witness + ("radius",)
+                if not region_contains(realized.region(v), realized.region(u)):
+                    return witness + ("base",)
+    return None
+
+
+@pytest.mark.parametrize("l", [2, 3])
+def test_nesting_witness_matches_all_pairs(l):
+    inst = generate_instance(l)
+    realized = RealizedSystem(CoverSystem(inst.diagram, inst.epsilons))
+    system = realized.system
+    enlarged = enlarge_taut_family(realized)
+    assert enlargement_nesting_violation(realized, enlarged) is None
+    assert _ref_nesting_violation(realized, enlarged) is None
+    radius = {e.level: e.radius_sq for e in enlarged}
+    witnesses = []
+    # level j's radius raised to level n's, so (j, n) and (j, j - 1) both fail
+    for j in range(1, l + 1):
+        for n in range(j):
+            raised = [EnlargedSet(e.level, e.vertex, e.base,
+                                  radius[n] if e.level == j else e.radius_sq)
+                      for e in enlarged]
+            expected = _ref_nesting_violation(realized, raised)
+            assert expected[2] == "radius"
+            assert enlargement_nesting_violation(realized, raised) == expected
+            witnesses.append(expected)
+    assert any(u[0] - v[0] > 1 for u, v, _ in witnesses)  # not a consecutive pair
+    # a level-1 region shrunk to that of one set nested in it
+    bond = system.bond(1, 2)
+    for v in system.covers[1]:
+        inside = [u for u in system.covers[2] if bond[u.vertex] == v.vertex]
+        if len(inside) > 1:
+            break
+    realized.regions[(1, v.vertex)] = realized.region(inside[0])
+    expected = _ref_nesting_violation(realized, enlarged)
+    assert expected is not None and expected[2] == "base"
+    assert enlargement_nesting_violation(realized, enlarged) == expected
 
 
 def test_tampered_closure_fails_taut_like_brute_force(monkeypatch):

@@ -1,10 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import treechains
 from treechains.geometry import point_on_segment, segment_intersection
 from treechains.simplicial import (
     EdgePoint,
@@ -93,16 +97,17 @@ def _ref_segment_intersection(a, b, c, d):
 
 
 def reference_embedding_violation(g):
-    """The all-Fraction scan the integer check must reproduce witness for witness."""
+    """The all-Fraction scan the integer check must reproduce witness for
+    witness; witness vertices come in vkey order."""
     pts = {}
-    for v in g.vertices:
+    for v in g.sorted_vertices():
         p = g.point(v)
         if p in pts:
             return ("duplicate-coordinate", pts[p], v)
         pts[p] = v
     segs = [(e, g.point(e[0]), g.point(e[1])) for e in g.sorted_edges()]
     for e, a, b in segs:
-        for v in g.vertices:
+        for v in g.sorted_vertices():
             if v not in e and point_on_segment(g.point(v), a, b):
                 return ("vertex-in-edge", v, e)
     for i, (e1, a1, b1) in enumerate(segs):
@@ -130,7 +135,30 @@ def embedded_graphs(draw):
     return SimplicialGraph.build(range(n), edges, coords, check_embedding=False)
 
 
+# string labels hash differently per process, so iterating a vertex set
+# visits c/d and a/c in a different order under each PYTHONHASHSEED
+HASHED_LABELS = """
+from fractions import Fraction as F
+from treechains.simplicial import SimplicialGraph
+on = {"a": (F(0), F(0)), "b": (F(3), F(0)), "c": (F(1), F(0)), "d": (F(2), F(0))}
+dup = {"a": (F(0), F(0)), "b": (F(1), F(0)), "c": (F(0), F(0)), "d": (F(1), F(0))}
+for pts in (on, dup):
+    g = SimplicialGraph.build(pts, [("a", "b")], pts, check_embedding=False)
+    print(g.embedding_violation())
+"""
+
+
 class TestEmbeddingViolation:
+    def test_witness_does_not_depend_on_string_hashing(self):
+        src = os.path.dirname(os.path.dirname(treechains.__file__))
+        outputs = set()
+        for seed in range(1, 6):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            outputs.add(subprocess.run([sys.executable, "-c", HASHED_LABELS], env=env,
+                                       capture_output=True, text=True, check=True).stdout)
+        assert outputs == {"('vertex-in-edge', 'c', ('a', 'b'))\n"
+                           "('duplicate-coordinate', 'a', 'c')\n"}
+
     @settings(max_examples=400, deadline=None)
     @given(embedded_graphs())
     def test_integer_check_matches_fraction_reference(self, g):

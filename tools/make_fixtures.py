@@ -22,7 +22,11 @@ from treechains.diagram import (  # noqa: E402
 )
 from treechains.serialize import dump_json, instance_from_json  # noqa: E402
 from treechains.simplicial import SimplicialMapping, vkey  # noqa: E402
-from treechains.verify import generate_instance, verify_instance  # noqa: E402
+from treechains.verify import (  # noqa: E402
+    VerifyContext,
+    generate_instance,
+    verify_instance,
+)
 
 OUT = os.path.join(os.path.dirname(__file__), "..", "tests", "fixtures")
 
@@ -117,6 +121,15 @@ def inflated_radius():
     expect("inflated_radius.json", inst.to_json(), "enlargement-disjoint")
 
 
+def nested_radius():
+    inst = generate_instance(2)
+    # equal radii on levels 1 and 2 keep every disjoint pair apart, but no
+    # level-2 set has a strictly smaller radius than the set it nests in
+    m_sq = VerifyContext(inst).enlargement[0]
+    inst.enlargement = {"m_sq": m_sq, "radius_sq": [m_sq, m_sq / 4, m_sq / 4]}
+    expect("nested_radius.json", inst.to_json(), "enlargement-nested")
+
+
 def main():
     os.makedirs(OUT, exist_ok=True)
     broken_commutativity()
@@ -125,6 +138,7 @@ def main():
     proximity_edit()
     inflated_radius()
     non_planar()
+    nested_radius()
 
 
 if __name__ == "__main__":
