@@ -21,7 +21,6 @@ from .covers import (
     CoverSet,
     CoverSystem,
     EpsilonSchedule,
-    build_cover_system,
     nerve,
     sets_intersect,
 )
@@ -44,8 +43,8 @@ __all__ = [
     "lift_diagram_3", "proximity_vertices",
     "build_family_diagram", "build_tree", "map_omega", "map_s",
     "map_sigma", "map_tau",
-    "CoverSet", "CoverSystem", "EpsilonSchedule", "build_cover_system",
-    "nerve", "sets_intersect",
+    "CoverSet", "CoverSystem", "EpsilonSchedule", "nerve",
+    "sets_intersect",
     "RealizedSystem", "SegmentRegion", "enlarge_taut_family", "realize",
     "render_svg",
     "Instance", "instance_from_json", "load_instance",

@@ -13,7 +13,6 @@ import sys
 
 from . import geometry as geo
 from .covers import EpsilonSchedule, ScheduleError
-from .diagram import lift_diagram_3
 from .example1 import check_example1
 from .family import build_family_diagram
 from .serialize import (
@@ -42,12 +41,16 @@ def _parse_eps(text: str) -> EpsilonSchedule:
 
 
 def cmd_generate(args) -> int:
-    eps = _parse_eps(args.eps) if args.eps else None
-    instance = generate_instance(args.l, eps)
+    try:
+        eps = _parse_eps(args.eps) if args.eps else None
+        instance = generate_instance(args.l, eps)
+    except ValueError as exc:  # FormatError, ScheduleError: bad arguments
+        print(_schema_failure_report(str(exc)).to_text())
+        return 1
     ctx = VerifyContext(instance)
     report = verify_instance(instance, ctx=ctx)
     system, realized = ctx.system, ctx.realized
-    m_sq, enlarged = ctx.enlargement
+    m_sq, radius_sq = ctx.enlargement
     os.makedirs(args.out, exist_ok=True)
     dump_json(instance.to_json(), os.path.join(args.out, "instance.json"))
     dump_json(system_to_json(system), os.path.join(args.out, "system.json"))
@@ -55,10 +58,9 @@ def cmd_generate(args) -> int:
     dump_json({
         "schema": 1,
         "m_sq": fraction_to_json(m_sq),
-        "radius_sq": [fraction_to_json(m_sq / 4 ** n)
-                      for n in range(system.l + 1)],
+        "radius_sq": [fraction_to_json(r) for r in radius_sq],
     }, os.path.join(args.out, "enlargement.json"))
-    geo.render_svg(realized, os.path.join(args.out, "covers.svg"), enlarged)
+    geo.render_svg(realized, os.path.join(args.out, "covers.svg"), radius_sq)
     print(report.to_text())
     return 0 if report.passed else 1
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .diagram import TreeDiagram, commutativity_violation, proximity_vertices
+from .diagram import TreeDiagram
 from .simplicial import EdgePoint, GraphError, vkey
 
 
@@ -50,6 +50,11 @@ class EpsilonSchedule:
         return EpsilonSchedule.build(
             [Fraction(1, 2) + Fraction(1, 2 * (n + 2)) for n in range(l + 1)])
 
+    def check_length(self, l: int) -> None:
+        """One star radius per level of a diagram of length l."""
+        if len(self.values) != l + 1:
+            raise ScheduleError("schedule length %d != l+1 = %d" % (len(self.values), l + 1))
+
     def __len__(self):
         return len(self.values)
 
@@ -80,20 +85,15 @@ class CoverSystem:
     def __init__(self, diagram: TreeDiagram, epsilons: EpsilonSchedule,
                  phi_tables: Optional[List[Dict]] = None):
         l = diagram.length
-        if len(epsilons) != l + 1:
-            raise ScheduleError("schedule length %d != l+1 = %d" % (len(epsilons), l + 1))
+        epsilons.check_length(l)
         self.diagram = diagram
         self.epsilons = epsilons
         self.l = l
         self.deepest = diagram.levels[-1]
 
-        # towers[n]: vertex of T_l -> vertex of T_n under the g-row composition
-        towers = [None] * (l + 1)
-        towers[l] = {w: w for w in self.deepest.vertices}
-        for n in range(l - 1, -1, -1):
-            g = diagram.g_row[n].assignment
-            towers[n] = {w: g[v] for w, v in towers[n + 1].items()}
-        self.towers = towers
+        # towers[n] is the bond g_nl: vertex of T_l -> vertex of T_n
+        self._bonds: Dict[Tuple[int, int], Dict] = {}
+        towers = self.towers = [self.bond(n, l) for n in range(l + 1)]
 
         self.fibers: List[Dict] = []
         for n in range(l + 1):
@@ -144,8 +144,6 @@ class CoverSystem:
         self.adjacency = [tuple(sorted(m)) for m in meets]
         self.meets: List[int] = [sum(1 << j for j in adj) for adj in self.adjacency]
 
-        self._bonds: Dict[Tuple[int, int], Dict] = {}
-
     # -- plumbing ---------------------------------------------------------
 
     def cover_set(self, n: int, v) -> CoverSet:
@@ -155,17 +153,19 @@ class CoverSystem:
         return list(self._sets)
 
     def bond(self, n: int, j: int) -> Dict:
-        """g_{nj} as a vertex dictionary (n <= j)."""
+        """g_{nj} = g_n o ... o g_{j-1} as a vertex dictionary (n <= j), built
+        once per pair from g_{n+1,j}; g_{jj} is the identity."""
         if not 0 <= n <= j <= self.l:
             raise GraphError("need 0 <= n <= j <= l")
-        key = (n, j)
-        if key not in self._bonds:
-            out = {v: v for v in self.diagram.levels[j].vertices}
-            for m in range(j - 1, n - 1, -1):
-                g = self.diagram.g_row[m].assignment
-                out = {v: g[w] for v, w in out.items()}
-            self._bonds[key] = out
-        return self._bonds[key]
+        out = self._bonds.get((n, j))
+        if out is None:
+            if n == j:
+                out = {v: v for v in self.diagram.levels[j].vertices}
+            else:
+                g = self.diagram.g_row[n].assignment
+                out = {v: g[w] for v, w in self.bond(n + 1, j).items()}
+            self._bonds[(n, j)] = out
+        return out
 
     def apply_phi(self, a: CoverSet) -> CoverSet:
         if not 1 <= a.level <= self.l:
@@ -178,21 +178,6 @@ class CoverSystem:
         lo = bisect_left(adj, self.level_start[level] + since)
         hi = bisect_left(adj, self.level_start[level + 1], lo)
         return [self._sets[i] for i in adj[lo:hi]]
-
-
-def build_cover_system(diagram: TreeDiagram, epsilons: EpsilonSchedule,
-                       phi_tables: Optional[List[Dict]] = None) -> CoverSystem:
-    """Validate the construction preconditions and assemble the system."""
-    bad = diagram.well_formed_violation()
-    if bad is not None:
-        raise GraphError("diagram not well formed: %r" % (bad,))
-    bad = commutativity_violation(diagram)
-    if bad is not None:
-        raise GraphError("diagram not commutative at %r" % (bad,))
-    prox = proximity_vertices(diagram.f_row[0], diagram.g_row[0])
-    if prox:
-        raise GraphError("f_0, g_0 have proximity vertices: %r" % (sorted(prox, key=vkey),))
-    return CoverSystem(diagram, epsilons, phi_tables)
 
 
 # -- membership and intersection ------------------------------------------
@@ -252,12 +237,6 @@ def refinement_violation(system: CoverSystem, j: int, n: int):
     return None
 
 
-def strongly_refines(system: CoverSystem, j: int, n: int):
-    """(True, witness map U_j^w -> U_n^{g_nj(w)}) for generated systems."""
-    bad = refinement_violation(system, j, n)
-    return (bad is None, dict(system.bond(n, j)))
-
-
 def d1_violation(system: CoverSystem, n: int = 0):
     """U in level n meets V in level n+1 but phi_n(V) still meets U."""
     for v_set in system.covers[n + 1]:
@@ -304,22 +283,6 @@ def d3_violation(system: CoverSystem, n: int):
             if not sets_intersect(system, img_u, system.apply_phi(v_set)):
                 return (u_set.vertex, v_set.vertex)
     return None
-
-
-def check_D1(system: CoverSystem, n: int = 0) -> bool:
-    return d1_violation(system, n) is None
-
-
-def check_D2(system: CoverSystem, j: int, n: Optional[int] = None) -> bool:
-    return d2_violation(system, j, j if n is None else n) is None
-
-
-def check_D2prime(system: CoverSystem, j: int, n: Optional[int] = None) -> bool:
-    return d2prime_violation(system, j, j if n is None else n) is None
-
-
-def check_D3(system: CoverSystem, n: int) -> bool:
-    return d3_violation(system, n) is None
 
 
 def nerve(system: CoverSystem, n: int):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, Tuple
 
 from .simplicial import (
     EdgePoint,
@@ -103,8 +103,7 @@ def coincidence_oracle(f: SimplicialMapping, g: SimplicialMapping) -> FrozenSet[
     On each source edge both realizations are linear into a path of at most
     one target edge, so coincidences are vertex hits, a single interior
     crossing at t = 1/2, or the whole edge.  An edge on which the two
-    realizations agree identically contributes its endpoints and midpoint
-    (see :func:`coincident_edges` for the full segments).
+    realizations agree identically contributes its endpoints and midpoint.
     """
     _shared_legs(f, g)
     points = set()
@@ -119,16 +118,6 @@ def coincidence_oracle(f: SimplicialMapping, g: SimplicialMapping) -> FrozenSet[
         elif fa == fb and ga == gb and fa == ga:
             points.add(EdgePoint(a, b, HALF))
     return frozenset(points)
-
-
-def coincident_edges(f: SimplicialMapping, g: SimplicialMapping):
-    """Source edges on which |f| and |g| agree identically."""
-    _shared_legs(f, g)
-    out = []
-    for a, b in f.source.sorted_edges():
-        if f(a) == g(a) and f(b) == g(b):
-            out.append((a, b))
-    return out
 
 
 def proximity_vertices(f: SimplicialMapping, g: SimplicialMapping) -> FrozenSet:

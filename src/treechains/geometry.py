@@ -251,12 +251,6 @@ class SegmentRegion:
                 segs.append((_lerp(pa, pb, lo), _lerp(pa, pb, hi)))
         return tuple(segs)
 
-    @cached_property
-    def bbox(self) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
-        if not self.pieces:
-            raise GraphError("empty region has no bounding box")
-        return _box([p for seg in self.geometric_pieces for p in seg])
-
 
 def region_union(regions: Sequence[SegmentRegion]) -> SegmentRegion:
     if not regions:
@@ -362,13 +356,8 @@ def covers_whole_tree(regions: Sequence[SegmentRegion]) -> bool:
         all(iv == (full,) for iv in u.pieces.values())
 
 
-def set_distance_squared(r1: SegmentRegion, r2: SegmentRegion,
-                         stop_above: Optional[Fraction] = None) -> Fraction:
-    """Exact squared distance between the closures of two regions.
-
-    With ``stop_above`` set, may return early with the current minimum once it
-    is <= stop_above; the true value never exceeds the returned one.
-    """
+def set_distance_squared(r1: SegmentRegion, r2: SegmentRegion) -> Fraction:
+    """Exact squared distance between the closures of two regions."""
     if r1.is_empty() or r2.is_empty():
         raise GraphError("distance from an empty region")
     best = None
@@ -377,7 +366,7 @@ def set_distance_squared(r1: SegmentRegion, r2: SegmentRegion,
             d = segment_dist2(p1, q1, p2, q2)
             if best is None or d < best:
                 best = d
-                if best == 0 or (stop_above is not None and best <= stop_above):
+                if best == 0:
                     return best
     return best
 
@@ -394,11 +383,6 @@ def _box_gap_squared(a, b):
     dx = max(0, b[0] - a[1], a[0] - b[1])
     dy = max(0, b[2] - a[3], a[2] - b[3])
     return dx * dx + dy * dy
-
-
-def bbox_gap_squared(r1: SegmentRegion, r2: SegmentRegion) -> Fraction:
-    """Exact lower bound for the squared distance, from bounding boxes."""
-    return Fraction(_box_gap_squared(r1.bbox, r2.bbox))
 
 
 def diameter_squared(r: SegmentRegion) -> Fraction:
@@ -571,16 +555,6 @@ def compute_rho_and_mesh(realized: RealizedSystem):
 # -- enlargement of the taut family ---------------------------------------
 
 
-@dataclass(frozen=True)
-class EnlargedSet:
-    """Open neighborhood B(base, r) with r = 2^-level * m; r stored squared."""
-
-    level: int
-    vertex: object
-    base: SegmentRegion
-    radius_sq: Fraction
-
-
 def family_min_gap_squared(realized: RealizedSystem) -> Fraction:
     """Squared minimum distance over disjoint pairs of the whole family."""
     best = _min_disjoint_gap_squared(realized)
@@ -589,17 +563,12 @@ def family_min_gap_squared(realized: RealizedSystem) -> Fraction:
     return best
 
 
-def enlarge_taut_family(realized: RealizedSystem,
-                        m_sq: Optional[Fraction] = None) -> List[EnlargedSet]:
-    """Enlarge every cover set to an open planar neighborhood: margin m is one
-    third of the least gap between disjoint members, halved per level."""
-    if m_sq is None:
-        m_sq = family_min_gap_squared(realized) / 9
-    out = []
-    for a in realized.system.all_sets():
-        out.append(EnlargedSet(a.level, a.vertex, realized.region(a),
-                               m_sq / 4 ** a.level))
-    return out
+def enlarge_taut_family(realized: RealizedSystem) -> Tuple[Fraction, List[Fraction]]:
+    """(m_sq, radius_sq): every cover set of level n is enlarged to the open
+    planar neighborhood of radius r_n = 2^-n * m, where the margin m is one
+    third of the least gap between disjoint members; all values squared."""
+    m_sq = family_min_gap_squared(realized) / 9
+    return m_sq, [m_sq / 4 ** n for n in range(realized.system.l + 1)]
 
 
 def _sqrt_exact(x: Fraction) -> Optional[Fraction]:
@@ -631,9 +600,10 @@ def _floor_sum_of_roots_squared(ra2: Fraction, rb2: Fraction) -> int:
 
 
 def enlargement_disjointness_violation(realized: RealizedSystem,
-                                       enlarged: Sequence[EnlargedSet]):
+                                       radius_sq: Sequence[Fraction]):
     """Disjoint members must get enlarged sets with disjoint closures:
-    d(U, V) > r_U + r_V, compared via exact squares.
+    d(U, V) > r_U + r_V, compared via exact squares; ``radius_sq[n]`` is the
+    squared radius of every set of level n.
 
     A pair can fail only if two of its pieces have boxes at most r_U + r_V
     apart, so only those pairs, found on a grid in scaled int coordinates,
@@ -641,9 +611,8 @@ def enlargement_disjointness_violation(realized: RealizedSystem,
     witness.
     """
     system = realized.system
-    by_key = {(e.level, e.vertex): e for e in enlarged}
     sets = system.all_sets()
-    radius = [by_key[(a.level, a.vertex)].radius_sq for a in sets]
+    radius = [radius_sq[a.level] for a in sets]
     scale, pieces = realized.scaled_pieces
     # per pair of distinct radii, the largest scaled squared box gap that
     # does not yet separate the enlargements
@@ -670,10 +639,10 @@ def enlargement_disjointness_violation(realized: RealizedSystem,
 
 
 def enlargement_nesting_violation(realized: RealizedSystem,
-                                  enlarged: Sequence[EnlargedSet]):
+                                  radius_sq: Sequence[Fraction]):
     """A deeper member contained in a shallower one must keep its enlarged
     closure inside the other's enlargement: base containment plus a strictly
-    smaller radius.
+    smaller radius (``radius_sq[n]`` squared, for every set of level n).
 
     Bonds compose, and both the radius order and containment are transitive,
     so every level pair (j, n) holds exactly when the consecutive pairs
@@ -681,16 +650,15 @@ def enlargement_nesting_violation(realized: RealizedSystem,
     pairs run, to name the first failing pair in (j, n) order.
     """
     system = realized.system
-    by_key = {(e.level, e.vertex): e for e in enlarged}
 
     def violation(j, n):
         bond = system.bond(n, j)
+        if not radius_sq[j] < radius_sq[n]:
+            # one radius per level: the first set of level j is the witness
+            w = system.covers[j][0].vertex
+            return ((j, w), (n, bond[w]), "radius")
         for u_set in system.covers[j]:
             v_set = system.cover_set(n, bond[u_set.vertex])
-            eu = by_key[(j, u_set.vertex)]
-            ev = by_key[(n, v_set.vertex)]
-            if not eu.radius_sq < ev.radius_sq:
-                return ((j, u_set.vertex), (n, v_set.vertex), "radius")
             if not region_contains(realized.region(v_set), realized.region(u_set)):
                 return ((j, u_set.vertex), (n, v_set.vertex), "base")
         return None
@@ -717,18 +685,16 @@ def _fmt(x: float) -> str:
 
 
 def render_svg(realized: RealizedSystem, path: str,
-               enlarged: Optional[Sequence[EnlargedSet]] = None,
+               radius_sq: Optional[Sequence[Fraction]] = None,
                levels: Optional[Sequence[int]] = None,
                scale: float = 60.0) -> str:
     """Write a deterministic SVG: tree skeleton plus one capsule-stroked layer
-    per cover level.  Returns the SVG text."""
+    per cover level, stroked twice the level's enlargement radius wide when
+    ``radius_sq`` is given.  Returns the SVG text."""
     system = realized.system
     tree = system.deepest
     if levels is None:
         levels = list(range(system.l + 1))
-    radii = None
-    if enlarged is not None:
-        radii = {(e.level, e.vertex): sqrt(float(e.radius_sq)) for e in enlarged}
 
     xs = [float(p[0]) for p in tree.coords.values()]
     ys = [float(p[1]) for p in tree.coords.values()]
@@ -745,10 +711,10 @@ def render_svg(realized: RealizedSystem, path: str,
                                        _fmt(width + 160), _fmt(height))]
     for idx, n in enumerate(levels):
         color = _PALETTE[n % len(_PALETTE)]
-        if radii is not None:
-            width_of = lambda a: 2 * radii[(a.level, a.vertex)] * scale
+        if radius_sq is not None:
+            stroke = _fmt(2 * sqrt(float(radius_sq[n])) * scale)
         else:
-            width_of = lambda a: 0.16 * scale / (a.level + 1)
+            stroke = _fmt(0.16 * scale / (n + 1))
         lines.append('<g id="level-%d" stroke="%s" stroke-opacity="0.45" '
                      'fill="none" stroke-linecap="round">' % (n, color))
         for a in system.covers[n]:
@@ -759,7 +725,7 @@ def render_svg(realized: RealizedSystem, path: str,
                 parts.append("M %s %s L %s %s" % (_fmt(pp[0]), _fmt(pp[1]),
                                                   _fmt(qq[0]), _fmt(qq[1])))
             lines.append('<path class="link" stroke-width="%s" d="%s"/>'
-                         % (_fmt(width_of(a)), " ".join(parts)))
+                         % (stroke, " ".join(parts)))
         lines.append("</g>")
     lines.append('<g id="skeleton" stroke="#000000" stroke-width="1.5">')
     for a, b in tree.sorted_edges():

@@ -196,6 +196,8 @@ def instance_from_json(obj: dict) -> Instance:
             "m_sq": fraction_from_json(enl.get("m_sq")),
             "radius_sq": [fraction_from_json(r) for r in _field(enl, "radius_sq", list)],
         }
+        if min(enlargement["radius_sq"] + [enlargement["m_sq"]]) < 0:
+            raise FormatError("enlargement squares must not be negative")
     return Instance(diagram, epsilons, phi, enlargement)
 
 

@@ -252,25 +252,6 @@ def is_surjection(m: SimplicialMapping) -> bool:
     return set(m.assignment[v] for v in m.source.vertices) == set(m.target.vertices)
 
 
-def compose_tower(maps, i: int, j: int) -> SimplicialMapping:
-    """g_ij = g_i o ... o g_{j-1}; g_ii is the identity.
-
-    ``maps[n]`` sends level n+1 to level n.
-    """
-    if not 0 <= i <= j <= len(maps):
-        raise ValueError("need 0 <= i <= j <= l")
-    for n in range(len(maps) - 1):
-        if maps[n].source != maps[n + 1].target:
-            raise GraphError("tower is not chainable at %d" % n)
-    if i == j:
-        g = maps[i].target if i < len(maps) else maps[-1].source
-        return SimplicialMapping.identity(g)
-    out = maps[i]
-    for n in range(i + 1, j):
-        out = out.compose(maps[n])
-    return out
-
-
 @dataclass(frozen=True)
 class EdgePoint:
     """The point (1-t)a + t b of a geometric realization; a == b means the vertex a."""

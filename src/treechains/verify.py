@@ -78,10 +78,6 @@ def _metric_text(value) -> str:
     return repr(value)
 
 
-def default_schedule(l: int) -> EpsilonSchedule:
-    return EpsilonSchedule.default(l)
-
-
 def generate_instance(l: int, epsilons: Optional[EpsilonSchedule] = None) -> Instance:
     """The finite pipeline: family diagram of length l (trees with k = l+1),
     trisected so its rows are proximity-free."""
@@ -89,7 +85,8 @@ def generate_instance(l: int, epsilons: Optional[EpsilonSchedule] = None) -> Ins
         raise ValueError("l must be at least 1")
     diagram = build_family_diagram(l + 1)
     lifted = lift_diagram_3(diagram)
-    eps = epsilons if epsilons is not None else default_schedule(l)
+    eps = epsilons if epsilons is not None else EpsilonSchedule.default(l)
+    eps.check_length(l)
     return Instance(lifted, eps)
 
 
@@ -114,16 +111,13 @@ class VerifyContext:
         return geo.RealizedSystem(self.system)
 
     @cached_property
-    def enlargement(self) -> Tuple[Fraction, List[geo.EnlargedSet]]:
-        """(m_sq, enlarged sets): the instance's own margin and radii when it
-        has them, else one third of the least gap, halved per level."""
-        if self.instance.enlargement is None:
-            m_sq = geo.family_min_gap_squared(self.realized) / 9
-            return m_sq, geo.enlarge_taut_family(self.realized, m_sq)
-        radii = self.instance.enlargement["radius_sq"]
-        return self.instance.enlargement["m_sq"], [
-            geo.EnlargedSet(a.level, a.vertex, self.realized.region(a), radii[a.level])
-            for a in self.system.all_sets()]
+    def enlargement(self) -> Tuple[Fraction, List[Fraction]]:
+        """(m_sq, radius_sq), the margin and one squared radius per level:
+        the instance's own when it has them, else the taut family's."""
+        own = self.instance.enlargement
+        if own is not None:
+            return own["m_sq"], own["radius_sq"]
+        return geo.enlarge_taut_family(self.realized)
 
 
 # -- the stages: each takes the context and returns a witness, or None ------
@@ -304,17 +298,16 @@ def _enlargement_disjoint(ctx: VerifyContext):
         radii = ctx.instance.enlargement["radius_sq"]
         if len(radii) != ctx.l + 1:
             return ("bad-radii-length", len(radii))
-    m_sq, enlarged = ctx.enlargement
+    m_sq, radius_sq = ctx.enlargement
     ctx.metrics["m_sq"] = m_sq
-    return geo.enlargement_disjointness_violation(ctx.realized, enlarged)
+    return geo.enlargement_disjointness_violation(ctx.realized, radius_sq)
 
 
 def _enlargement_nested(ctx: VerifyContext):
     return geo.enlargement_nesting_violation(ctx.realized, ctx.enlargement[1])
 
 
-# verification stages, in evaluation order; a failing stage skips the rest.
-# The enlargement stages come last, so check_enlargement=False can stop there.
+# verification stages, in evaluation order; a failing stage skips the rest
 STAGES = (
     ("diagram-well-formed", _well_formed),
     ("embedding", _embedding),
@@ -339,7 +332,7 @@ STAGES = (
 CONDITIONS = ("schema",) + tuple(name for name, _ in STAGES)
 
 
-def verify_instance(instance: Instance, check_enlargement: bool = True,
+def verify_instance(instance: Instance,
                     ctx: Optional[VerifyContext] = None) -> VerificationReport:
     """Evaluate every condition on combinatorial data and the exact geometric
     oracle; any disagreement between the two routes is itself a failure.
@@ -350,8 +343,6 @@ def verify_instance(instance: Instance, check_enlargement: bool = True,
     report.results.append(ConditionResult("schema", "PASS"))
     failed = False
     for name, check in STAGES:
-        if name == "enlargement-disjoint" and not check_enlargement:
-            break
         if failed:
             report.results.append(ConditionResult(name, "SKIP"))
             continue

@@ -97,7 +97,7 @@ def test_criterion_3_trisection_removes_proximity():
 def test_criterion_4_end_to_end_pipeline():
     t0 = time.monotonic()
     for l in range(1, 9):
-        report = verify_instance(generate_instance(l), check_enlargement=False)
+        report = verify_instance(generate_instance(l))
         assert report.passed, (l, report.first_failure())
         statuses = {r.name: r.status for r in report.results}
         for cond in ("strong-refinement", "D1", "D2", "D2prime", "D3",
@@ -137,14 +137,14 @@ def test_criterion_6_enlargement():
     for l in range(1, 6):
         inst = generate_instance(l)
         realized = RealizedSystem(CoverSystem(inst.diagram, inst.epsilons))
-        enlarged = enlarge_taut_family(realized)
-        assert enlargement_disjointness_violation(realized, enlarged) is None
-        assert enlargement_nesting_violation(realized, enlarged) is None
+        _, radius_sq = enlarge_taut_family(realized)
+        assert enlargement_disjointness_violation(realized, radius_sq) is None
+        assert enlargement_nesting_violation(realized, radius_sq) is None
     # hand case: a least gap of one forces the margin m = 1/3
     from test_geometry import spaced_identity_system
     realized = spaced_identity_system()
     assert family_min_gap_squared(realized) == 1
-    assert enlarge_taut_family(realized)[0].radius_sq == Fraction(1, 9)
+    assert enlarge_taut_family(realized) == (Fraction(1, 9), [Fraction(1, 9), Fraction(1, 36)])
 
 
 def test_criterion_7_example1_table():
@@ -157,14 +157,8 @@ def test_criterion_7_example1_table():
 
 
 def test_criterion_8_negative_fixtures():
-    cases = [
-        ("eps_nondecreasing.json", "schema"),
-        ("broken_commutativity.json", "commutative"),
-        ("proximity_edit.json", "proximity-free"),
-        ("phi_equals_g.json", "D1"),
-        ("inflated_radius.json", "enlargement-disjoint"),
-    ]
-    for name, condition in cases:
+    from test_fixtures import CASES
+    for name, condition in CASES:
         with open(os.path.join(FIXTURES, name)) as fh:
             payload = json.load(fh)
         if condition == "schema":

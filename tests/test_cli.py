@@ -1,9 +1,15 @@
+import contextlib
 import functools
+import io
 import json
 import os
+import tempfile
 from collections import Counter
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import treechains.geometry as geo
 from treechains.cli import main
@@ -64,6 +70,26 @@ class TestGenerate:
         assert calls == {"system": 1, "realized": 1, "gap": 1}
         assert capsys.readouterr().out == expected
 
+    @pytest.mark.parametrize("args", [
+        ["--l", "2", "--eps", "3/4,2/3"],  # one radius short of l+1
+        ["--l", "2", "--eps", "3/4,1/2,x"],  # not a rational
+        ["--l", "0"],
+    ])
+    def test_bad_arguments_fail_at_schema(self, tmp_path, capsys, args):
+        out = tmp_path / "o"
+        assert main(["generate"] + args + ["--out", str(out)]) == 1
+        text = capsys.readouterr().out
+        assert text.startswith("schema                 FAIL")
+        assert "overall                FAIL" in text
+        assert not out.exists()
+
+
+def with_enlargement(m_sq, radius_sq):
+    """The l=1 instance as JSON text, with its own enlargement block."""
+    payload = generate_instance(1).to_json()
+    payload["enlargement"] = {"m_sq": m_sq, "radius_sq": radius_sq}
+    return json.dumps(payload)
+
 
 class TestVerify:
     def test_pass_exit_zero(self, generated, capsys):
@@ -82,6 +108,7 @@ class TestVerify:
     @pytest.mark.parametrize("payload", [
         '{"schema": 1, "epsilon": ["3/4", "1/2"], "diagram": []}',
         '{"schema": 1, "epsilon": ["3/4", "1/0"], "diagram": {}}',
+        pytest.param(with_enlargement("1/9", ["-1/9", "1/36"]), id="negative-radius"),
     ])
     def test_malformed_fails_at_schema(self, tmp_path, capsys, payload):
         bad = tmp_path / "bad.json"
@@ -89,6 +116,11 @@ class TestVerify:
         assert main(["verify", str(bad)]) == 1
         assert capsys.readouterr().out.startswith("schema                 FAIL")
 
+    def test_zero_radius_fails_at_nesting(self, tmp_path, capsys):
+        path = tmp_path / "zero.json"
+        path.write_text(with_enlargement("0/1", ["0/1", "0/1"]))
+        assert main(["verify", str(path)]) == 1
+        assert "enlargement-nested     FAIL" in capsys.readouterr().out
 
     def test_fail_witness_prints_rationals(self, capsys):
         fixture = os.path.join(os.path.dirname(__file__), "fixtures",
@@ -139,3 +171,84 @@ class TestOther:
         assert main(argv) == 1
         assert capsys.readouterr().out.startswith("schema                 FAIL")
         assert not (tmp_path / "x.svg").exists()
+
+
+def _json_paths(node, path=()):
+    """Every (path, value) below and including node, in document order."""
+    yield path, node
+    if isinstance(node, dict):
+        for key in sorted(node):
+            yield from _json_paths(node[key], path + (key,))
+    elif isinstance(node, list):
+        for i, item in enumerate(node):
+            yield from _json_paths(item, path + (i,))
+
+
+def _is_rational(value):
+    return isinstance(value, str) and value.count("/") == 1
+
+
+OTHER_TYPES = [None, True, 7, "x", [], {}]
+
+
+@st.composite
+def mutated_instances(draw):
+    """The l=1 instance, with or without its own enlargement block, after
+    one to three random edits: drop a key, give a value another JSON type,
+    put 1/0 or a negative rational in place of a rational, cut a list."""
+    payload = json.loads(draw(st.sampled_from(FUZZ_BASES)))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_json_paths(payload))
+        kind = draw(st.sampled_from(["drop", "retype", "rational", "truncate"]))
+        if kind == "drop":
+            cands = [(p, v) for p, v in paths if isinstance(v, dict) and v]
+        elif kind == "retype":
+            cands = [(p, v) for p, v in paths if p]
+        elif kind == "rational":
+            cands = [(p, v) for p, v in paths if _is_rational(v)]
+        else:
+            cands = [(p, v) for p, v in paths if isinstance(v, list) and v]
+        if not cands:
+            continue
+        path, value = draw(st.sampled_from(cands))
+        if kind == "drop":
+            del value[draw(st.sampled_from(sorted(value)))]
+            continue
+        if kind == "retype":
+            new = draw(st.sampled_from([o for o in OTHER_TYPES
+                                        if type(o) is not type(value)]))
+        elif kind == "rational":
+            new = draw(st.sampled_from(["1/0", "-" + value.lstrip("-")]))
+        else:
+            new = value[:draw(st.integers(0, len(value) - 1))]
+        parent = payload
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = new
+    return payload
+
+
+def _fuzz_bases():
+    plain = generate_instance(1)
+    own = generate_instance(1)
+    own.phi_tables = [dict(own.diagram.f_row[0].assignment)]
+    own.enlargement = {"m_sq": Fraction(1, 324),
+                       "radius_sq": [Fraction(1, 324), Fraction(1, 1296)]}
+    return [json.dumps(inst.to_json()) for inst in (plain, own)]
+
+
+FUZZ_BASES = _fuzz_bases()
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_instances())
+def test_verify_never_raises_on_mutated_instance(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "instance.json")
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["verify", path])
+    assert code in (0, 1)
+    assert "\noverall                " in "\n" + out.getvalue()

@@ -6,28 +6,26 @@ from treechains.covers import (
     CoverSystem,
     EpsilonSchedule,
     ScheduleError,
-    build_cover_system,
-    check_D1,
-    check_D2,
-    check_D2prime,
-    check_D3,
     contains_member,
     d1_violation,
+    d2_violation,
+    d2prime_violation,
+    d3_violation,
     nerve,
     nerve_isomorphic_to,
     point_in_cover_set,
     refinement_violation,
     set_contains,
     sets_intersect,
-    strongly_refines,
 )
+from treechains.serialize import Instance
 from treechains.simplicial import EdgePoint, GraphError, k_close
-from treechains.verify import generate_instance
+from treechains.verify import generate_instance, verify_instance
 
 
 def make_system(l):
     inst = generate_instance(l)
-    return build_cover_system(inst.diagram, inst.epsilons)
+    return CoverSystem(inst.diagram, inst.epsilons)
 
 
 class TestSchedule:
@@ -78,8 +76,8 @@ class TestSystem:
     def test_build_rejects_proximity_diagram(self):
         from treechains.family import build_family_diagram
         d = build_family_diagram(3)  # unsubdivided: has proximity vertices
-        with pytest.raises(GraphError):
-            build_cover_system(d, EpsilonSchedule.default(d.length))
+        report = verify_instance(Instance(d, EpsilonSchedule.default(d.length)))
+        assert report.first_failure() == "proximity-free"
 
 
 class TestIntersection:
@@ -122,9 +120,8 @@ class TestConditions:
         system = make_system(3)
         for j in range(1, system.l + 1):
             for n in range(j):
-                ok, witness = strongly_refines(system, j, n)
-                assert ok
-                for w, v in witness.items():
+                assert refinement_violation(system, j, n) is None
+                for w, v in system.bond(n, j).items():
                     assert system.fibers[j][w] <= system.fibers[n][v]
         with pytest.raises(GraphError):
             refinement_violation(system, 1, 1)
@@ -141,13 +138,12 @@ class TestConditions:
     def test_pattern_conditions_hold_on_generated(self):
         for l in (1, 2, 3):
             system = make_system(l)
-            assert check_D1(system)
             for j in range(l):
+                assert d1_violation(system, j) is None
+                assert d3_violation(system, j) is None
                 for n in range(j + 1):
-                    assert check_D2(system, j, n)
-                    assert check_D2prime(system, j, n)
-            for n in range(l):
-                assert check_D3(system, n)
+                    assert d2_violation(system, j, n) is None
+                    assert d2prime_violation(system, j, n) is None
 
     def test_d1_fails_with_refinement_witness_as_pattern(self):
         inst = generate_instance(1)

@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from test_simplicial import GRID, _ref_segment_intersection
@@ -12,7 +11,6 @@ from treechains.geometry import (
     RealizedSystem,
     SegmentRegion,
     _gt_sum_of_roots,
-    bbox_gap_squared,
     compute_rho_and_mesh,
     covers_whole_tree,
     diameter_squared,
@@ -44,6 +42,19 @@ F = Fraction
 def path_graph(n, spacing=1):
     coords = {i: (F(i * spacing), F(0)) for i in range(n)}
     return SimplicialGraph.build(range(n), [(i, i + 1) for i in range(n - 1)], coords)
+
+
+def bbox_gap_squared(r1, r2):
+    """Squared gap between the bounding boxes of two closed regions."""
+    boxes = []
+    for r in (r1, r2):
+        pts = [p for seg in r.geometric_pieces for p in seg]
+        boxes.append((min(x for x, _ in pts), max(x for x, _ in pts),
+                      min(y for _, y in pts), max(y for _, y in pts)))
+    a, b = boxes
+    dx = max(0, b[0] - a[1], a[0] - b[1])
+    dy = max(0, b[2] - a[3], a[2] - b[3])
+    return dx * dx + dy * dy
 
 
 def spaced_identity_system():
@@ -259,24 +270,24 @@ class TestEnlargement:
     def test_hand_margin_one_third(self):
         realized = spaced_identity_system()
         assert family_min_gap_squared(realized) == F(1)
-        enlarged = enlarge_taut_family(realized)
-        radii = {e.level: e.radius_sq for e in enlarged}
-        assert radii == {0: F(1, 9), 1: F(1, 36)}
-        assert enlargement_disjointness_violation(realized, enlarged) is None
-        assert enlargement_nesting_violation(realized, enlarged) is None
+        m_sq, radius_sq = enlarge_taut_family(realized)
+        assert m_sq == F(1, 9) and radius_sq == [F(1, 9), F(1, 36)]
+        assert enlargement_disjointness_violation(realized, radius_sq) is None
+        assert enlargement_nesting_violation(realized, radius_sq) is None
 
     def test_generated_pipelines(self):
         for l in (1, 2, 3):
             inst = generate_instance(l)
             realized = RealizedSystem(CoverSystem(inst.diagram, inst.epsilons))
-            enlarged = enlarge_taut_family(realized)
-            assert enlargement_disjointness_violation(realized, enlarged) is None
-            assert enlargement_nesting_violation(realized, enlarged) is None
+            _, radius_sq = enlarge_taut_family(realized)
+            assert enlargement_disjointness_violation(realized, radius_sq) is None
+            assert enlargement_nesting_violation(realized, radius_sq) is None
 
     def test_inflated_radius_detected(self):
         realized = spaced_identity_system()
-        enlarged = enlarge_taut_family(realized, m_sq=F(9))
-        assert enlargement_disjointness_violation(realized, enlarged) is not None
+        # margin m = 3, so the level-0 radius alone swallows the unit gap
+        radius_sq = [F(9), F(9, 4)]
+        assert enlargement_disjointness_violation(realized, radius_sq) is not None
 
 
 class TestRender:

@@ -8,19 +8,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_geometry import path_graph
+from test_geometry import bbox_gap_squared, path_graph
 
 import treechains.geometry as geo
 from treechains.covers import CoverSystem, sets_intersect
 from treechains.geometry import (
-    EnlargedSet,
     RealizedSystem,
     SegmentRegion,
     _floor_sum_of_roots_squared,
     _grid_pairs,
     _gt_sum_of_roots,
     _least_gap_squared,
-    bbox_gap_squared,
     compute_rho_and_mesh,
     enlarge_taut_family,
     enlargement_disjointness_violation,
@@ -129,15 +127,14 @@ def test_grid_gaps_match_all_pairs(realized):
                            for a in system.covers[n]) for n in range(system.l + 1)]
 
 
-def _ref_disjointness_violation(realized, enlarged):
+def _ref_disjointness_violation(realized, radius_sq):
     system = realized.system
-    radius = {(e.level, e.vertex): e.radius_sq for e in enlarged}
     sets = system.all_sets()
     for i, a in enumerate(sets):
         for b in sets[i + 1:]:
             if sets_intersect(system, a, b):
                 continue
-            ra2, rb2 = radius[(a.level, a.vertex)], radius[(b.level, b.vertex)]
+            ra2, rb2 = radius_sq[a.level], radius_sq[b.level]
             ra, rb = realized.closure(a), realized.closure(b)
             if _gt_sum_of_roots(bbox_gap_squared(ra, rb), ra2, rb2):
                 continue
@@ -153,24 +150,23 @@ def test_enlargement_witness_matches_all_pairs(l, factor):
     # m_sq = factor * gap^2/9; from 9/4 on, two level-0 radii reach the gap
     inst = generate_instance(l)
     realized = RealizedSystem(CoverSystem(inst.diagram, inst.epsilons))
-    m_sq = family_min_gap_squared(realized) / 9 * Fraction(factor)
-    enlarged = enlarge_taut_family(realized, m_sq)
-    expected = _ref_disjointness_violation(realized, enlarged)
+    _, radius_sq = enlarge_taut_family(realized)
+    radius_sq = [r * Fraction(factor) for r in radius_sq]
+    expected = _ref_disjointness_violation(realized, radius_sq)
     assert (expected is None) == (Fraction(factor) < Fraction(9, 4))
-    assert enlargement_disjointness_violation(realized, enlarged) == expected
+    assert enlargement_disjointness_violation(realized, radius_sq) == expected
 
 
-def _ref_nesting_violation(realized, enlarged):
+def _ref_nesting_violation(realized, radius_sq):
     # every level pair (j, n) along its composed bond, in that order
     system = realized.system
-    by_key = {(e.level, e.vertex): e for e in enlarged}
     for j in range(1, system.l + 1):
         for n in range(j):
             bond = system.bond(n, j)
             for u in system.covers[j]:
                 v = system.cover_set(n, bond[u.vertex])
                 witness = ((j, u.vertex), (n, v.vertex))
-                if not by_key[(j, u.vertex)].radius_sq < by_key[(n, v.vertex)].radius_sq:
+                if not radius_sq[j] < radius_sq[n]:
                     return witness + ("radius",)
                 if not region_contains(realized.region(v), realized.region(u)):
                     return witness + ("base",)
@@ -182,17 +178,15 @@ def test_nesting_witness_matches_all_pairs(l):
     inst = generate_instance(l)
     realized = RealizedSystem(CoverSystem(inst.diagram, inst.epsilons))
     system = realized.system
-    enlarged = enlarge_taut_family(realized)
-    assert enlargement_nesting_violation(realized, enlarged) is None
-    assert _ref_nesting_violation(realized, enlarged) is None
-    radius = {e.level: e.radius_sq for e in enlarged}
+    _, radius_sq = enlarge_taut_family(realized)
+    assert enlargement_nesting_violation(realized, radius_sq) is None
+    assert _ref_nesting_violation(realized, radius_sq) is None
     witnesses = []
     # level j's radius raised to level n's, so (j, n) and (j, j - 1) both fail
     for j in range(1, l + 1):
         for n in range(j):
-            raised = [EnlargedSet(e.level, e.vertex, e.base,
-                                  radius[n] if e.level == j else e.radius_sq)
-                      for e in enlarged]
+            raised = list(radius_sq)
+            raised[j] = radius_sq[n]
             expected = _ref_nesting_violation(realized, raised)
             assert expected[2] == "radius"
             assert enlargement_nesting_violation(realized, raised) == expected
@@ -205,9 +199,9 @@ def test_nesting_witness_matches_all_pairs(l):
         if len(inside) > 1:
             break
     realized.regions[(1, v.vertex)] = realized.region(inside[0])
-    expected = _ref_nesting_violation(realized, enlarged)
+    expected = _ref_nesting_violation(realized, radius_sq)
     assert expected is not None and expected[2] == "base"
-    assert enlargement_nesting_violation(realized, enlarged) == expected
+    assert enlargement_nesting_violation(realized, radius_sq) == expected
 
 
 def test_tampered_closure_fails_taut_like_brute_force(monkeypatch):

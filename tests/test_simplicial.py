@@ -16,7 +16,6 @@ from treechains.simplicial import (
     SimplicialGraph,
     SimplicialMapping,
     canonical_edge,
-    compose_tower,
     evaluate_realization,
     from_subdivided,
     is_surjection,
@@ -205,15 +204,6 @@ class TestMapping:
         assert validate_simplicial(tear)
         skip = SimplicialMapping(path_graph(3), path_graph(3), {0: 0, 1: 2, 2: 2})
         assert not validate_simplicial(skip)
-
-    def test_compose_tower_identity_and_chain(self):
-        g2, g1, g0 = path_graph(4), path_graph(3), path_graph(2)
-        maps = [SimplicialMapping(g1, g0, {0: 0, 1: 1, 2: 1}),
-                SimplicialMapping(g2, g1, {0: 0, 1: 1, 2: 2, 3: 2})]
-        ident = compose_tower(maps, 1, 1)
-        assert ident.assignment == {v: v for v in g1.vertices}
-        full = compose_tower(maps, 0, 2)
-        assert full.assignment == {0: 0, 1: 1, 2: 1, 3: 1}
 
     def test_realization_functoriality(self):
         rng = random.Random(11)
