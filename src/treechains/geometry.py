@@ -91,16 +91,6 @@ def segment_intersection(a: Point, b: Point, c: Point, d: Point):
     return ("overlap",)
 
 
-def segments_cross(a: Point, b: Point, c: Point, d: Point, ignore=frozenset()) -> bool:
-    """True if the closed segments share a point other than the allowed ones."""
-    hit = segment_intersection(a, b, c, d)
-    if hit is None:
-        return False
-    if hit[0] == "overlap":
-        return True
-    return hit[1] not in ignore
-
-
 def point_segment_dist2(p: Point, a: Point, b: Point) -> Fraction:
     """Exact for int and Fraction coordinates alike: the clamped parameter is
     the Fraction num/dd, never a float quotient."""
@@ -356,21 +346,6 @@ def covers_whole_tree(regions: Sequence[SegmentRegion]) -> bool:
         all(iv == (full,) for iv in u.pieces.values())
 
 
-def set_distance_squared(r1: SegmentRegion, r2: SegmentRegion) -> Fraction:
-    """Exact squared distance between the closures of two regions."""
-    if r1.is_empty() or r2.is_empty():
-        raise GraphError("distance from an empty region")
-    best = None
-    for p1, q1 in r1.geometric_pieces:
-        for p2, q2 in r2.geometric_pieces:
-            d = segment_dist2(p1, q1, p2, q2)
-            if best is None or d < best:
-                best = d
-                if best == 0:
-                    return best
-    return best
-
-
 def _box(points: Sequence[Point]):
     """Bounding box (x0, x1, y0, y1) of a nonempty point list."""
     xs = [p[0] for p in points]
@@ -383,11 +358,6 @@ def _box_gap_squared(a, b):
     dx = max(0, b[0] - a[1], a[0] - b[1])
     dy = max(0, b[2] - a[3], a[2] - b[3])
     return dx * dx + dy * dy
-
-
-def diameter_squared(r: SegmentRegion) -> Fraction:
-    """Diameter of the closed region; attained at piece endpoints."""
-    return _diameter_squared([p for seg in r.geometric_pieces for p in seg])
 
 
 def _diameter_squared(pts: Sequence[Point]):
@@ -446,17 +416,30 @@ class RealizedSystem:
     @cached_property
     def scaled_pieces(self):
         """(scale, pieces): every closed piece of every closure as one
-        (set index, p, q, box) in all_sets() order, its coordinates multiplied
-        by the lcm of all their denominators, so every one is an int."""
-        raw = [(i, seg) for i, a in enumerate(self.system.all_sets())
-               for seg in self.closure(a).geometric_pieces]
-        scale = lcm(*(c.denominator for _, seg in raw for p in seg for c in p))
-        pieces = []
-        for i, seg in raw:
-            p, q = [tuple(c.numerator * (scale // c.denominator) for c in pt)
-                    for pt in seg]
-            pieces.append((i, p, q, _box((p, q))))
-        return scale, pieces
+        (set index, p, q, box) in all_sets() order, on the same edges in the
+        same order as ``geometric_pieces``, in int coordinates.
+
+        With the deepest tree's int frame (A, B the int ends of an edge) and
+        E the lcm of the interval ends' denominators, the point at parameter
+        L/E is (A (E - L) + B L) / E, so ``scale`` is the frame's times E and
+        every coordinate is an int combination, with no Fraction in between.
+        """
+        unit, ipt = self.system.deepest.int_frame
+        closed = [self.closure(a).pieces for a in self.system.all_sets()]
+        steps = lcm(*{t.denominator for pieces in closed
+                      for intervals in pieces.values()
+                      for lo, hi, _, _ in intervals for t in (lo, hi)})
+        rank = {e: k for k, e in enumerate(self.system.deepest.sorted_edges())}
+        out = []
+        for i, pieces in enumerate(closed):
+            for e in sorted(pieces, key=rank.__getitem__):
+                (ax, ay), (bx, by) = ipt[e[0]], ipt[e[1]]
+                for lo, hi, _, _ in pieces[e]:
+                    p, q = [(ax * (steps - t) + bx * t, ay * (steps - t) + by * t)
+                            for t in (lo.numerator * (steps // lo.denominator),
+                                      hi.numerator * (steps // hi.denominator))]
+                    out.append((i, p, q, _box((p, q))))
+        return unit * steps, out
 
 
 def _grid_pairs(pieces, reach: int):
@@ -607,8 +590,8 @@ def enlargement_disjointness_violation(realized: RealizedSystem,
 
     A pair can fail only if two of its pieces have boxes at most r_U + r_V
     apart, so only those pairs, found on a grid in scaled int coordinates,
-    get an exact distance; the first failing one in all_sets() order is the
-    witness.
+    get an exact distance, the least over their int pieces divided by the
+    scale squared; the first failing one in all_sets() order is the witness.
     """
     system = realized.system
     sets = system.all_sets()
@@ -623,6 +606,9 @@ def enlargement_disjointness_violation(realized: RealizedSystem,
     limit = [[_floor_sum_of_roots_squared(ra2 * s2, rb2 * s2) for rb2 in kinds]
              for ra2 in kinds]
     meets = system.meets
+    by_set = [[] for _ in sets]
+    for piece in pieces:
+        by_set[piece[0]].append(piece)
     near = set()
     for p, q in _grid_pairs(pieces, isqrt(max(map(max, limit)))):
         a, b = pieces[p], pieces[q]
@@ -632,7 +618,8 @@ def enlargement_disjointness_violation(realized: RealizedSystem,
         near.add((i, j) if i < j else (j, i))
     for i, j in sorted(near):
         a, b = sets[i], sets[j]
-        d2 = set_distance_squared(realized.closure(a), realized.closure(b))
+        d2 = Fraction(min(segment_dist2(p[1], p[2], q[1], q[2])
+                          for p in by_set[i] for q in by_set[j]), s2)
         if not _gt_sum_of_roots(d2, radius[i], radius[j]):
             return ((a.level, a.vertex), (b.level, b.vertex), d2)
     return None

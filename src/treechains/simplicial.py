@@ -32,6 +32,10 @@ def vkey(v):
     return (1, str(v))
 
 
+def _edge_key(e):
+    return (vkey(e[0]), vkey(e[1]))
+
+
 def canonical_edge(u: Vertex, v: Vertex) -> Tuple[Vertex, Vertex]:
     if u == v:
         raise ValueError("degenerate edge {%r}" % (u,))
@@ -102,7 +106,7 @@ class SimplicialGraph:
         return sorted(self.vertices, key=vkey)
 
     def sorted_edges(self):
-        return sorted(self.edges, key=lambda e: (vkey(e[0]), vkey(e[1])))
+        return sorted(self.edges, key=_edge_key)
 
     def has_edge(self, u: Vertex, v: Vertex) -> bool:
         return u != v and canonical_edge(u, v) in self.edges
@@ -128,6 +132,15 @@ class SimplicialGraph:
             raise GraphError("graph has no planar coordinates")
         return self.coords[v]
 
+    @cached_property
+    def int_frame(self) -> Tuple[int, Dict[Vertex, Tuple[int, int]]]:
+        """(scale, points): the planar coordinates multiplied by the lcm of
+        their denominators, so every vertex has an int point; scaling by a
+        positive constant keeps every incidence."""
+        scale = lcm(*(c.denominator for v in self.vertices for c in self.point(v)))
+        return scale, {v: tuple(c.numerator * (scale // c.denominator) for c in self.point(v))
+                       for v in self.vertices}
+
     def embedding_violation(self):
         """Return a witness if the planar coordinates are not consistent.
 
@@ -135,16 +148,18 @@ class SimplicialGraph:
         only in shared endpoint coordinates, and no vertex lies in the
         interior of another edge's segment.
 
-        The coordinates are scaled once by the lcm of their denominators, so
-        every predicate runs on Python ints; scaling by a positive constant
-        keeps every incidence, hence the witness.  A witness vertex is the
-        least in ``vkey`` order among the candidates, never the first one
-        met in the vertex set, whose order depends on string hashing.
+        Every predicate runs on the int frame.  Only a vertex and an edge, or
+        two edges, whose bounding boxes touch can meet, so a uniform grid
+        (``geometry._grid_pairs`` with reach 0) gives the candidates.  Every
+        hit is collected and the least is returned, in the order of a scan
+        over ``sorted_edges()``: a ``vertex-in-edge`` hit on the first edge,
+        naming its least vertex in ``vkey`` order, before any
+        ``edges-cross`` hit, which goes by the edges' positions.  A witness
+        never depends on the order of the vertex set, which follows string
+        hashing.
         """
-        from .geometry import point_on_segment, segments_cross
-        scale = lcm(*(c.denominator for v in self.vertices for c in self.point(v)))
-        ipt = {v: tuple(c.numerator * (scale // c.denominator) for c in self.point(v))
-               for v in self.vertices}
+        from . import geometry
+        ipt = self.int_frame[1]
         if len(set(ipt.values())) < len(ipt):
             pts = {}
             for v in self.sorted_vertices():
@@ -152,19 +167,43 @@ class SimplicialGraph:
                 if p in pts:
                     return ("duplicate-coordinate", pts[p], v)
                 pts[p] = v
-        segs = [(e, ipt[e[0]], ipt[e[1]]) for e in self.sorted_edges()]
-        for e, a, b in segs:
-            on = [v for v in self.vertices
-                  if v not in e and point_on_segment(ipt[v], a, b)]
-            if on:
-                return ("vertex-in-edge", min(on, key=vkey), e)
-        for i, (e1, a1, b1) in enumerate(segs):
-            for e2, a2, b2 in segs[i + 1:]:
-                shared = set(e1) & set(e2)
-                hit = segments_cross(a1, b1, a2, b2, ignore={ipt[v] for v in shared})
-                if hit:
-                    return ("edges-cross", e1, e2)
-        return None
+        edges = list(self.edges)
+        n = len(edges)
+        items = []
+        for e in edges:
+            (ax, ay), (bx, by) = a, b = ipt[e[0]], ipt[e[1]]
+            items.append((e, a, b, (min(ax, bx), max(ax, bx), min(ay, by), max(ay, by))))
+        items += [(v, p, p, (p[0], p[0], p[1], p[1])) for v, p in ipt.items()]
+        hits = []  # (order key, witness); keys follow sorted_edges()
+        for x, y in geometry._grid_pairs(items, 0):
+            if x > y:
+                x, y = y, x
+            if x >= n:
+                continue  # two vertices: distinct after the duplicate scan
+            e, a, b, box = items[x]
+            f, c, d, other = items[y]
+            if not (box[0] <= other[1] and other[0] <= box[1]
+                    and box[2] <= other[3] and other[2] <= box[3]):
+                continue  # the boxes do not touch
+            if y >= n:  # f is a vertex at c
+                if f not in e and geometry.point_on_segment(c, a, b):
+                    hits.append(((0, _edge_key(e), vkey(f)), ("vertex-in-edge", f, e)))
+                continue
+            shared = set(e) & set(f)
+            if shared:
+                # u and w relative to the shared point: the segments meet
+                # elsewhere exactly when they leave it in the same direction
+                s = ipt[shared.pop()]
+                u = a if b == s else b
+                w = c if d == s else d
+                u, w = (u[0] - s[0], u[1] - s[1]), (w[0] - s[0], w[1] - s[1])
+                crosses = u[0] * w[1] == u[1] * w[0] and u[0] * w[0] + u[1] * w[1] > 0
+            else:
+                crosses = geometry.segment_intersection(a, b, c, d) is not None
+            if crosses:
+                e, f = sorted((e, f), key=_edge_key)
+                hits.append(((1, _edge_key(e), _edge_key(f)), ("edges-cross", e, f)))
+        return min(hits, key=lambda h: h[0])[1] if hits else None
 
 
 def k_close(g: SimplicialGraph, u: Vertex, v: Vertex, k: int) -> bool:

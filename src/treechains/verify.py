@@ -150,8 +150,14 @@ def _coincidence_free(ctx: VerifyContext):
         if free != (not oracle):
             return ("checker-oracle-disagree", n)
         if not free:
-            return ("coincidence", n, sorted(p.canonical() for p in oracle)[:3])
+            points = sorted((p.canonical() for p in oracle), key=_canonical_key)
+            return ("coincidence", n, points[:3])
     return None
+
+
+def _canonical_key(c):
+    # ("vertex", v) or ("edge", a, b, t): labels mix ints, strings and tuples
+    return (c[0],) + tuple(vkey(v) for v in c[1:3]) + c[3:]
 
 
 def _proximity_free(ctx: VerifyContext):
@@ -172,12 +178,19 @@ def _system_build(ctx: VerifyContext):
 
 
 def _strong_refinement(ctx: VerifyContext):
+    """Fiber inclusion along the composed bonds, then closure containment
+    along each bond.  Bonds compose and inclusion is transitive, so every
+    level pair (j, n) holds exactly when the consecutive pairs (j, j - 1)
+    do; only when one of those fails does the scan over all pairs run, to
+    name the first failing pair in (j, n) order."""
     system, realized = ctx.system, ctx.realized
-    for j in range(1, ctx.l + 1):
-        for n in range(j):
-            bad = cv.refinement_violation(system, j, n)
-            if bad is not None:
-                return ("fiber", j, n, bad)
+    levels = range(1, ctx.l + 1)
+    if any(cv.refinement_violation(system, j, j - 1) is not None for j in levels):
+        for j in levels:
+            for n in range(j):
+                bad = cv.refinement_violation(system, j, n)
+                if bad is not None:
+                    return ("fiber", j, n, bad)
     for n in range(ctx.l):
         bond = system.bond(n, n + 1)
         for a in system.covers[n + 1]:

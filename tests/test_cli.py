@@ -194,10 +194,30 @@ OTHER_TYPES = [None, True, 7, "x", [], {}]
 @st.composite
 def mutated_instances(draw):
     """The l=1 instance, with or without its own enlargement block, after
-    one to three random edits: drop a key, give a value another JSON type,
-    put 1/0 or a negative rational in place of a rational, cut a list."""
+    one to three random edits.  Up to two map edits come first: an f entry
+    moved to a neighbour of its value, or set to the g entry of the same
+    vertex, or the whole f-row set to the g-row (a single entry edit breaks
+    simpliciality, so only this one reaches ``coincidence-free``).  Then the
+    JSON edits: drop a key, give a value another JSON type, put 1/0 or a
+    negative rational in place of a rational, cut a list."""
     payload = json.loads(draw(st.sampled_from(FUZZ_BASES)))
-    for _ in range(draw(st.integers(1, 3))):
+    diagram = payload["diagram"]
+    f_row, g_row = diagram["f_row"][0], diagram["g_row"][0]
+    edges = diagram["levels"][0]["edges"]
+    map_edits = draw(st.integers(0, 2))
+    for _ in range(map_edits):
+        kind = draw(st.sampled_from(["neighbour", "g-entry", "g-row"]))
+        if kind == "g-row":
+            f_row[:] = json.loads(json.dumps(g_row))
+            continue
+        k = draw(st.integers(0, len(f_row) - 1))
+        v, w = f_row[k]
+        if kind == "g-entry":
+            f_row[k] = [v, next(g for u, g in g_row if u == v)]
+        else:
+            f_row[k] = [v, draw(st.sampled_from([b if a == w else a for a, b in edges
+                                                 if w in (a, b)]))]
+    for _ in range(draw(st.integers(0 if map_edits else 1, 3))):
         paths = list(_json_paths(payload))
         kind = draw(st.sampled_from(["drop", "retype", "rational", "truncate"]))
         if kind == "drop":

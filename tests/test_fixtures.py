@@ -1,6 +1,7 @@
 """Each negative fixture must fail at exactly its intended condition, with
 every earlier condition passing."""
 
+import importlib.util
 import json
 import os
 
@@ -16,6 +17,7 @@ CASES = [
     ("eps_nondecreasing.json", "schema"),
     ("non_planar.json", "embedding"),
     ("broken_commutativity.json", "commutative"),
+    ("coincidence_free.json", "coincidence-free"),
     ("proximity_edit.json", "proximity-free"),
     ("phi_equals_g.json", "D1"),
     ("inflated_radius.json", "enlargement-disjoint"),
@@ -54,3 +56,17 @@ def test_cli_exit_code_nonzero(name, condition, capsys):
 def test_fixture_corpus_complete():
     present = sorted(f for f in os.listdir(FIXTURES) if f.endswith(".json"))
     assert present == sorted(name for name, _ in CASES)
+
+
+def test_make_fixtures_regenerates_every_fixture_byte_for_byte(tmp_path, monkeypatch):
+    path = os.path.join(os.path.dirname(__file__), "..", "tools", "make_fixtures.py")
+    spec = importlib.util.spec_from_file_location("make_fixtures", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    monkeypatch.setattr(tool, "OUT", str(tmp_path))
+    tool.main()
+    made = sorted(os.listdir(tmp_path))
+    assert made == sorted(name for name, _ in CASES)
+    for name in made:
+        with open(os.path.join(FIXTURES, name), "rb") as fh:
+            assert (tmp_path / name).read_bytes() == fh.read(), name

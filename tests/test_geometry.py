@@ -13,7 +13,7 @@ from treechains.geometry import (
     _gt_sum_of_roots,
     compute_rho_and_mesh,
     covers_whole_tree,
-    diameter_squared,
+    dist2,
     enlarge_taut_family,
     enlargement_disjointness_violation,
     enlargement_nesting_violation,
@@ -30,7 +30,6 @@ from treechains.geometry import (
     render_svg,
     segment_dist2,
     segment_intersection,
-    set_distance_squared,
     star_region,
 )
 from treechains.simplicial import EdgePoint, SimplicialGraph, SimplicialMapping
@@ -42,6 +41,19 @@ F = Fraction
 def path_graph(n, spacing=1):
     coords = {i: (F(i * spacing), F(0)) for i in range(n)}
     return SimplicialGraph.build(range(n), [(i, i + 1) for i in range(n - 1)], coords)
+
+
+def set_distance_squared(r1, r2):
+    """Exact squared distance between the closures of two regions, over every
+    pair of their Fraction pieces."""
+    return min(segment_dist2(p1, q1, p2, q2)
+               for p1, q1 in r1.geometric_pieces for p2, q2 in r2.geometric_pieces)
+
+
+def diameter_squared(r):
+    """Squared diameter of the closed region, attained at piece endpoints."""
+    pts = [p for seg in r.geometric_pieces for p in seg]
+    return max((dist2(p, q) for p in pts for q in pts), default=F(0))
 
 
 def bbox_gap_squared(r1, r2):

@@ -8,9 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_geometry import bbox_gap_squared, path_graph
+from test_geometry import bbox_gap_squared, diameter_squared, path_graph, set_distance_squared
 
-import treechains.geometry as geo
 from treechains.covers import CoverSystem, sets_intersect
 from treechains.geometry import (
     RealizedSystem,
@@ -29,10 +28,9 @@ from treechains.geometry import (
     region_intersects,
     region_union,
     segment_dist2,
-    set_distance_squared,
 )
 from treechains.serialize import instance_from_json
-from treechains.verify import generate_instance, verify_instance
+from treechains.verify import VerifyContext, _strong_refinement, generate_instance, verify_instance
 
 F = Fraction
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -69,6 +67,15 @@ def realized(request):
 
 def test_fixtures_reach_system_build():
     assert IDS[6:] == ["inflated_radius.json", "nested_radius.json", "phi_equals_g.json"]
+
+
+def test_scaled_pieces_are_the_closures_pieces(realized):
+    scale, pieces = realized.scaled_pieces
+    assert all(type(c) is int for _, p, q, _ in pieces for c in p + q)
+    got = [(i, tuple((F(x, scale), F(y, scale)) for x, y in (p, q)))
+           for i, p, q, _ in pieces]
+    assert got == [(i, seg) for i, a in enumerate(realized.system.all_sets())
+                   for seg in realized.closure(a).geometric_pieces]
 
 
 def test_graph_matches_hull_definition(realized):
@@ -123,7 +130,7 @@ def test_grid_gaps_match_all_pairs(realized):
     rho_sq, mesh_sq, _ = compute_rho_and_mesh(realized)
     assert rho_sq == _ref_min_gap(realized, levels=(0,))
     system = realized.system
-    assert mesh_sq == [max(geo.diameter_squared(realized.region(a))
+    assert mesh_sq == [max(diameter_squared(realized.region(a))
                            for a in system.covers[n]) for n in range(system.l + 1)]
 
 
@@ -202,6 +209,39 @@ def test_nesting_witness_matches_all_pairs(l):
     expected = _ref_nesting_violation(realized, radius_sq)
     assert expected is not None and expected[2] == "base"
     assert enlargement_nesting_violation(realized, radius_sq) == expected
+
+
+def _ref_fiber_violation(system):
+    # fiber inclusion for every level pair (j, n), in that order
+    for j in range(1, system.l + 1):
+        for n in range(j):
+            bond = system.bond(n, j)
+            for w in system.diagram.levels[j].sorted_vertices():
+                if not system.fibers[j][w] <= system.fibers[n][bond[w]]:
+                    return ("fiber", j, n, (j, w))
+    return None
+
+
+@pytest.mark.parametrize("l", [2, 3])
+def test_refinement_witness_matches_all_pairs(l):
+    ctx = VerifyContext(generate_instance(l))
+    system = ctx.system
+    assert _strong_refinement(ctx) is None
+    deepest = system.deepest.sorted_vertices()
+    witnesses = set()
+    for n in range(l + 1):
+        for v in system.diagram.levels[n].sorted_vertices()[::3]:
+            kept = system.fibers[n][v]
+            # one vertex dropped from the fiber, or a far one added to it
+            for fiber in (kept - {min(kept, key=deepest.index)},
+                          kept | {next(w for w in reversed(deepest) if w not in kept)}):
+                system.fibers[n][v] = fiber
+                expected = _ref_fiber_violation(system)
+                assert _strong_refinement(ctx) == expected, (n, v)
+                witnesses.add(expected and expected[1:3])
+            system.fibers[n][v] = kept
+    # a deepest fiber that grows fails (l, 0) before the consecutive (l, l - 1)
+    assert (l, 0) in witnesses and (l, l - 1) in witnesses
 
 
 def test_tampered_closure_fails_taut_like_brute_force(monkeypatch):

@@ -9,6 +9,8 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import treechains
+import treechains.geometry as geo
+from treechains.family import build_tree
 from treechains.geometry import point_on_segment, segment_intersection
 from treechains.simplicial import (
     EdgePoint,
@@ -27,6 +29,7 @@ from treechains.simplicial import (
     validate_simplicial,
     vkey,
 )
+from treechains.verify import generate_instance
 
 
 def path_graph(n, spacing=1):
@@ -122,15 +125,20 @@ def reference_embedding_violation(g):
 # a coarse grid of rationals, so duplicates, collinear overlaps, vertices on
 # edges and crossings all turn up often
 GRID = sorted({Fraction(p, q) for p in range(-4, 5) for q in (1, 2, 3, 5)})
+# far from GRID: an edge out to one of these is long, so the grid's cells are
+# wide and one cell holds the boxes of many short edges
+FAR = [Fraction(-40), Fraction(121, 3), Fraction(40)]
 
 
 @st.composite
-def embedded_graphs(draw):
+def embedded_graphs(draw, far=False):
     n = draw(st.integers(2, 7))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), max_size=8, unique=True))
     coords = {v: (draw(st.sampled_from(GRID)), draw(st.sampled_from(GRID)))
               for v in range(n)}
+    if far:
+        coords[0] = (draw(st.sampled_from(FAR)), draw(st.sampled_from(GRID + FAR)))
     return SimplicialGraph.build(range(n), edges, coords, check_embedding=False)
 
 
@@ -158,12 +166,44 @@ class TestEmbeddingViolation:
         assert outputs == {"('vertex-in-edge', 'c', ('a', 'b'))\n"
                            "('duplicate-coordinate', 'a', 'c')\n"}
 
-    @settings(max_examples=400, deadline=None)
-    @given(embedded_graphs())
+    @settings(max_examples=600, deadline=None)
+    @given(st.one_of(embedded_graphs(), embedded_graphs(far=True)))
     def test_integer_check_matches_fraction_reference(self, g):
         expected = reference_embedding_violation(g)
         event(expected[0] if expected else "planar")
         assert g.embedding_violation() == expected
+
+    def test_one_edge_moves_match_fraction_reference(self):
+        tree = build_tree(9, 8)
+        vertices = tree.sorted_vertices()
+        rng = random.Random(7)
+        kinds = set()
+        for e in tree.sorted_edges():
+            for keep in e:
+                # the edge leaves its other end for a random vertex
+                target = rng.choice([v for v in vertices if v not in e])
+                if tree.has_edge(keep, target):
+                    continue
+                moved = (tree.edges - {e}) | {canonical_edge(keep, target)}
+                g = SimplicialGraph.build(tree.vertices, moved, tree.coords,
+                                          check_embedding=False)
+                expected = reference_embedding_violation(g)
+                kinds.add(expected and expected[0])
+                assert g.embedding_violation() == expected, (e, keep, target)
+        assert kinds == {None, "vertex-in-edge", "edges-cross"}
+
+    def test_candidate_pairs_stay_near_linear(self, monkeypatch):
+        # the deepest tree of the l=8 instance: an all-pairs scan makes
+        # 11,556 point_on_segment and 5,778 segment_intersection calls
+        tree = generate_instance(8).diagram.levels[-1]
+        assert (len(tree.vertices), len(tree.edges)) == (109, 108)
+        calls = []
+        for name in ("point_on_segment", "segment_intersection"):
+            original = getattr(geo, name)
+            monkeypatch.setattr(geo, name, lambda *args, _f=original, _n=name:
+                                calls.append(_n) or _f(*args))
+        assert tree.embedding_violation() is None
+        assert len(calls) <= 4 * len(tree.edges)
 
     @settings(max_examples=400, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(GRID), st.sampled_from(GRID)),

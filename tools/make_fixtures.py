@@ -70,6 +70,14 @@ def broken_commutativity():
     raise SystemExit("no commutativity mutation found")
 
 
+def f_equals_g():
+    # f = g coincides everywhere, and with l=1 there is no square to break
+    inst = generate_instance(1)
+    d = inst.diagram
+    inst.diagram = TreeDiagram(d.levels, d.g_row, d.g_row)
+    expect("coincidence_free.json", inst.to_json(), "coincidence-free")
+
+
 def phi_equals_g():
     inst = generate_instance(1)
     inst.phi_tables = [dict(inst.diagram.g_row[0].assignment)]
@@ -133,6 +141,7 @@ def nested_radius():
 def main():
     os.makedirs(OUT, exist_ok=True)
     broken_commutativity()
+    f_equals_g()
     phi_equals_g()
     eps_nondecreasing()
     proximity_edit()
