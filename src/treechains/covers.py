@@ -14,7 +14,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .diagram import TreeDiagram
 from .simplicial import EdgePoint, GraphError, vkey
@@ -183,12 +183,6 @@ class CoverSystem:
 # -- membership and intersection ------------------------------------------
 
 
-def contains_member(system: CoverSystem, w, a: CoverSet) -> bool:
-    """Vertex w of the deepest tree lies in U_n^v iff the bonding composition
-    sends w to v."""
-    return system.towers[a.level][w] == a.vertex
-
-
 def point_in_cover_set(system: CoverSystem, p: EdgePoint, a: CoverSet) -> bool:
     """Definitional membership of an arbitrary realization point: push p down
     the g-tower and test against the epsilon-star of a.vertex."""
@@ -223,6 +217,28 @@ def set_contains(system: CoverSystem, outer: CoverSet, inner: CoverSet) -> bool:
 
 
 # -- condition checkers: each returns a witness tuple or None --------------
+
+
+def first_failing_level_pair(l: int, violation: Callable) -> Optional[Tuple]:
+    """(j, n, witness) for the first level pair, in (j, n) order over
+    0 <= n < j <= l, on which ``violation(j, n)`` returns a witness; None if
+    it returns None on every pair.
+
+    For a relation along the bonds that is transitive (fiber inclusion,
+    containment, a strict radius order), bonds compose, so every pair (j, n)
+    holds exactly when the l consecutive pairs (j, j - 1) do.  Only when one
+    of those fails does the scan over all pairs run, to name the first
+    failing pair.
+    """
+    levels = range(1, l + 1)
+    if all(violation(j, j - 1) is None for j in levels):
+        return None
+    for j in levels:
+        for n in range(j):
+            bad = violation(j, n)
+            if bad is not None:
+                return (j, n, bad)
+    return None
 
 
 def refinement_violation(system: CoverSystem, j: int, n: int):

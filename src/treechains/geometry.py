@@ -13,7 +13,7 @@ from functools import cached_property
 from math import floor, isqrt, lcm, sqrt
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .covers import CoverSet, CoverSystem
+from .covers import CoverSet, CoverSystem, first_failing_level_pair
 from .simplicial import EdgePoint, GraphError, SimplicialGraph, vkey
 
 Point = Tuple[Fraction, Fraction]
@@ -105,14 +105,8 @@ def point_segment_dist2(p: Point, a: Point, b: Point) -> Fraction:
 
 
 def segment_dist2(a: Point, b: Point, c: Point, d: Point) -> Fraction:
-    # axis-aligned segments are their own bounding boxes, so the per-axis
-    # range gap gives the exact distance
-    if (a[0] == b[0] or a[1] == b[1]) and (c[0] == d[0] or c[1] == d[1]):
-        dx = max(ZERO, min(c[0], d[0]) - max(a[0], b[0]),
-                 min(a[0], b[0]) - max(c[0], d[0]))
-        dy = max(ZERO, min(c[1], d[1]) - max(a[1], b[1]),
-                 min(a[1], b[1]) - max(c[1], d[1]))
-        return dx * dx + dy * dy
+    """Exact for int and Fraction coordinates alike: zero on a hit, else the
+    least of the four point-segment distances."""
     if segment_intersection(a, b, c, d) is not None:
         return ZERO
     return min(point_segment_dist2(a, c, d), point_segment_dist2(b, c, d),
@@ -554,32 +548,12 @@ def enlarge_taut_family(realized: RealizedSystem) -> Tuple[Fraction, List[Fracti
     return m_sq, [m_sq / 4 ** n for n in range(realized.system.l + 1)]
 
 
-def _sqrt_exact(x: Fraction) -> Optional[Fraction]:
-    """sqrt(x) when rational, else None."""
-    pn, qn = isqrt(x.numerator), isqrt(x.denominator)
-    if pn * pn == x.numerator and qn * qn == x.denominator:
-        return Fraction(pn, qn)
-    return None
-
-
 def _gt_sum_of_roots(d2: Fraction, ra2: Fraction, rb2: Fraction) -> bool:
-    """Exact test d > r_a + r_b given all three values squared."""
-    root = _sqrt_exact(ra2 * rb2)
-    if root is not None:
-        return d2 > ra2 + rb2 + 2 * root
+    """Exact test d > r_a + r_b given all three values squared (all >= 0):
+    squaring twice, it holds exactly when lhs = d^2 - r_a^2 - r_b^2 > 0 and
+    lhs^2 > 4 r_a^2 r_b^2."""
     lhs = d2 - ra2 - rb2
-    if lhs <= 0:
-        return False
-    return lhs * lhs > 4 * ra2 * rb2
-
-
-def _floor_sum_of_roots_squared(ra2: Fraction, rb2: Fraction) -> int:
-    """floor((r_a + r_b)^2) given both radii squared, exact: an int g2
-    exceeds (r_a + r_b)^2 exactly when it exceeds this floor."""
-    cross = 4 * ra2 * rb2
-    # the true value lies in [k, k + 2)
-    k = floor(ra2 + rb2) + isqrt(cross.numerator * cross.denominator) // cross.denominator
-    return k if _gt_sum_of_roots(k + 1, ra2, rb2) else k + 1
+    return lhs > 0 and lhs * lhs > 4 * ra2 * rb2
 
 
 def enlargement_disjointness_violation(realized: RealizedSystem,
@@ -588,32 +562,28 @@ def enlargement_disjointness_violation(realized: RealizedSystem,
     d(U, V) > r_U + r_V, compared via exact squares; ``radius_sq[n]`` is the
     squared radius of every set of level n.
 
-    A pair can fail only if two of its pieces have boxes at most r_U + r_V
-    apart, so only those pairs, found on a grid in scaled int coordinates,
-    get an exact distance, the least over their int pieces divided by the
-    scale squared; the first failing one in all_sets() order is the witness.
+    A failing pair has two pieces with box gap <= d <= r_U + r_V <= 2 max r,
+    so only pairs with two pieces that close, found on a grid in scaled int
+    coordinates, get an exact distance, the least over their int pieces
+    divided by the scale squared; the first failing one in all_sets() order
+    is the witness.
     """
     system = realized.system
     sets = system.all_sets()
     radius = [radius_sq[a.level] for a in sets]
     scale, pieces = realized.scaled_pieces
-    # per pair of distinct radii, the largest scaled squared box gap that
-    # does not yet separate the enlargements
-    kinds = list(dict.fromkeys(radius))
-    kind_of = {r: k for k, r in enumerate(kinds)}
-    kind = [kind_of[r] for r in radius]
     s2 = scale * scale
-    limit = [[_floor_sum_of_roots_squared(ra2 * s2, rb2 * s2) for rb2 in kinds]
-             for ra2 in kinds]
+    # the largest scaled squared box gap that may not separate a pair
+    bound = floor(4 * max(radius) * s2)
     meets = system.meets
     by_set = [[] for _ in sets]
     for piece in pieces:
         by_set[piece[0]].append(piece)
     near = set()
-    for p, q in _grid_pairs(pieces, isqrt(max(map(max, limit)))):
+    for p, q in _grid_pairs(pieces, isqrt(bound)):
         a, b = pieces[p], pieces[q]
         i, j = a[0], b[0]
-        if meets[i] >> j & 1 or _box_gap_squared(a[3], b[3]) > limit[kind[i]][kind[j]]:
+        if meets[i] >> j & 1 or _box_gap_squared(a[3], b[3]) > bound:
             continue
         near.add((i, j) if i < j else (j, i))
     for i, j in sorted(near):
@@ -631,10 +601,8 @@ def enlargement_nesting_violation(realized: RealizedSystem,
     closure inside the other's enlargement: base containment plus a strictly
     smaller radius (``radius_sq[n]`` squared, for every set of level n).
 
-    Bonds compose, and both the radius order and containment are transitive,
-    so every level pair (j, n) holds exactly when the consecutive pairs
-    (j, j - 1) do.  Only when one of those fails does the scan over all
-    pairs run, to name the first failing pair in (j, n) order.
+    Both the radius order and containment are transitive, so
+    ``first_failing_level_pair`` applies.
     """
     system = realized.system
 
@@ -650,15 +618,8 @@ def enlargement_nesting_violation(realized: RealizedSystem,
                 return ((j, u_set.vertex), (n, v_set.vertex), "base")
         return None
 
-    levels = range(1, system.l + 1)
-    if all(violation(j, j - 1) is None for j in levels):
-        return None
-    for j in levels:
-        for n in range(j):
-            bad = violation(j, n)
-            if bad is not None:
-                return bad
-    return None
+    found = first_failing_level_pair(system.l, violation)
+    return None if found is None else found[2]
 
 
 # -- rendering -------------------------------------------------------------
@@ -667,14 +628,17 @@ _PALETTE = ["#d62728", "#1f77b4", "#2ca02c", "#ff7f0e", "#9467bd",
             "#8c564b", "#e377c2", "#17becf", "#bcbd22", "#7f7f7f"]
 
 
+# pixels per unit of the plane
+_SVG_SCALE = 60.0
+
+
 def _fmt(x: float) -> str:
     return ("%.3f" % x).rstrip("0").rstrip(".")
 
 
 def render_svg(realized: RealizedSystem, path: str,
                radius_sq: Optional[Sequence[Fraction]] = None,
-               levels: Optional[Sequence[int]] = None,
-               scale: float = 60.0) -> str:
+               levels: Optional[Sequence[int]] = None) -> str:
     """Write a deterministic SVG: tree skeleton plus one capsule-stroked layer
     per cover level, stroked twice the level's enlargement radius wide when
     ``radius_sq`` is given.  Returns the SVG text."""
@@ -687,11 +651,11 @@ def render_svg(realized: RealizedSystem, path: str,
     ys = [float(p[1]) for p in tree.coords.values()]
     margin = 1.0
     x0, y1 = min(xs) - margin, max(ys) + margin
-    width = (max(xs) - min(xs) + 2 * margin) * scale
-    height = (max(ys) - min(ys) + 2 * margin) * scale
+    width = (max(xs) - min(xs) + 2 * margin) * _SVG_SCALE
+    height = (max(ys) - min(ys) + 2 * margin) * _SVG_SCALE
 
     def to_px(p):
-        return ((float(p[0]) - x0) * scale, (y1 - float(p[1])) * scale)
+        return ((float(p[0]) - x0) * _SVG_SCALE, (y1 - float(p[1])) * _SVG_SCALE)
 
     lines = ['<svg xmlns="http://www.w3.org/2000/svg" width="%s" height="%s" '
              'viewBox="0 0 %s %s">' % (_fmt(width + 160), _fmt(height),
@@ -699,9 +663,9 @@ def render_svg(realized: RealizedSystem, path: str,
     for idx, n in enumerate(levels):
         color = _PALETTE[n % len(_PALETTE)]
         if radius_sq is not None:
-            stroke = _fmt(2 * sqrt(float(radius_sq[n])) * scale)
+            stroke = _fmt(2 * sqrt(float(radius_sq[n])) * _SVG_SCALE)
         else:
-            stroke = _fmt(0.16 * scale / (n + 1))
+            stroke = _fmt(0.16 * _SVG_SCALE / (n + 1))
         lines.append('<g id="level-%d" stroke="%s" stroke-opacity="0.45" '
                      'fill="none" stroke-linecap="round">' % (n, color))
         for a in system.covers[n]:

@@ -96,7 +96,7 @@ def graph_to_json(g: SimplicialGraph) -> dict:
     return out
 
 
-def graph_from_json(obj: dict, check_embedding: bool = False) -> SimplicialGraph:
+def graph_from_json(obj: dict) -> SimplicialGraph:
     vertices = [vertex_from_json(v) for v in _field(obj, "vertices", list)]
     edges = [(vertex_from_json(a), vertex_from_json(b))
              for a, b in map(_pair, _field(obj, "edges", list))]
@@ -108,7 +108,8 @@ def graph_from_json(obj: dict, check_embedding: bool = False) -> SimplicialGraph
             coords[vertex_from_json(v)] = (fraction_from_json(x), fraction_from_json(y))
         if set(coords) != set(vertices):
             raise FormatError("coordinates do not match the vertices")
-    return SimplicialGraph.build(vertices, edges, coords, check_embedding=check_embedding)
+    # a bad embedding fails the `embedding` stage, it is not a load error
+    return SimplicialGraph.build(vertices, edges, coords, False)
 
 
 def assignment_to_json(assignment: Dict) -> list:

@@ -324,11 +324,6 @@ class EdgePoint:
     def vertex(v: Vertex) -> "EdgePoint":
         return EdgePoint(v, v, Fraction(0))
 
-    def coords(self, g: SimplicialGraph) -> Point:
-        pa, pb = g.point(self.a), g.point(self.b)
-        t = self.t
-        return ((1 - t) * pa[0] + t * pb[0], (1 - t) * pa[1] + t * pb[1])
-
 
 def evaluate_realization(m: SimplicialMapping, p: EdgePoint) -> EdgePoint:
     """Image of p under the piecewise-linear realization of m."""

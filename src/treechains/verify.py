@@ -179,18 +179,13 @@ def _system_build(ctx: VerifyContext):
 
 def _strong_refinement(ctx: VerifyContext):
     """Fiber inclusion along the composed bonds, then closure containment
-    along each bond.  Bonds compose and inclusion is transitive, so every
-    level pair (j, n) holds exactly when the consecutive pairs (j, j - 1)
-    do; only when one of those fails does the scan over all pairs run, to
-    name the first failing pair in (j, n) order."""
+    along each bond.  Inclusion is transitive, so the fibers are checked
+    through ``first_failing_level_pair``."""
     system, realized = ctx.system, ctx.realized
-    levels = range(1, ctx.l + 1)
-    if any(cv.refinement_violation(system, j, j - 1) is not None for j in levels):
-        for j in levels:
-            for n in range(j):
-                bad = cv.refinement_violation(system, j, n)
-                if bad is not None:
-                    return ("fiber", j, n, bad)
+    bad = cv.first_failing_level_pair(
+        ctx.l, lambda j, n: cv.refinement_violation(system, j, n))
+    if bad is not None:
+        return ("fiber",) + bad
     for n in range(ctx.l):
         bond = system.bond(n, n + 1)
         for a in system.covers[n + 1]:
@@ -291,13 +286,10 @@ def _oracle_identity(ctx: VerifyContext):
     if bad is not None:
         a, b, ci = bad
         return ("open", a.key(), b.key(), ci, not ci)
+    # a fiber is the tower preimage of its vertex, and a deepest vertex lies
+    # in a region exactly when it is in its vertex set
     for a in system.all_sets():
-        ra = realized.region(a)
-        if a.fiber == ra.vertex_set:
-            continue  # the fiber is the tower preimage, so no vertex differs
-        wrong = [w for w in system.deepest.vertices
-                 if cv.contains_member(system, w, a) !=
-                 ra.contains_point(EdgePoint.vertex(w))]
+        wrong = a.fiber ^ realized.region(a).vertex_set
         if wrong:
             return ("member", a.key(), min(wrong, key=vkey))
     for n in range(ctx.l + 1):

@@ -6,7 +6,6 @@ from treechains.covers import (
     CoverSystem,
     EpsilonSchedule,
     ScheduleError,
-    contains_member,
     d1_violation,
     d2_violation,
     d2prime_violation,
@@ -101,8 +100,8 @@ class TestIntersection:
     def test_membership_is_tower_fiber(self):
         system = make_system(2)
         for a in system.all_sets():
-            for w in system.deepest.vertices:
-                assert contains_member(system, w, a) == (w in a.fiber)
+            tower = system.towers[a.level]
+            assert a.fiber == {w for w in system.deepest.vertices if tower[w] == a.vertex}
 
     def test_point_membership_half_open(self):
         system = make_system(1)

@@ -20,6 +20,8 @@ CASES = [
     ("coincidence_free.json", "coincidence-free"),
     ("proximity_edit.json", "proximity-free"),
     ("phi_equals_g.json", "D1"),
+    ("phi_edit_d2.json", "D2"),
+    ("phi_edit_d2prime.json", "D2prime"),
     ("inflated_radius.json", "enlargement-disjoint"),
     ("nested_radius.json", "enlargement-nested"),
 ]

@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_geometry import bbox_gap_squared, diameter_squared, path_graph, set_distance_squared
 
+import treechains.geometry as geometry
 from treechains.covers import CoverSystem, sets_intersect
 from treechains.geometry import (
     RealizedSystem,
     SegmentRegion,
-    _floor_sum_of_roots_squared,
     _grid_pairs,
     _gt_sum_of_roots,
     _least_gap_squared,
@@ -30,6 +30,7 @@ from treechains.geometry import (
     segment_dist2,
 )
 from treechains.serialize import instance_from_json
+from treechains.simplicial import EdgePoint, vkey
 from treechains.verify import VerifyContext, _strong_refinement, generate_instance, verify_instance
 
 F = Fraction
@@ -66,7 +67,8 @@ def realized(request):
 
 
 def test_fixtures_reach_system_build():
-    assert IDS[6:] == ["inflated_radius.json", "nested_radius.json", "phi_equals_g.json"]
+    assert IDS[6:] == ["inflated_radius.json", "nested_radius.json", "phi_edit_d2.json",
+                       "phi_edit_d2prime.json", "phi_equals_g.json"]
 
 
 def test_scaled_pieces_are_the_closures_pieces(realized):
@@ -279,6 +281,58 @@ def test_tampered_closure_fails_taut_like_brute_force(monkeypatch):
     assert witness == expected
 
 
+def test_opened_region_fails_oracle_identity_like_brute_force(monkeypatch):
+    built = []
+    original = RealizedSystem.__init__
+
+    def tampered(self, system):
+        original(self, system)
+        # open one deepest set's region at its own vertex v; the closures stay
+        # as built, and opening a region only removes a point
+        a = system.covers[system.l][0]
+        v = a.vertex
+        region = self.region(a)
+        self.regions[(a.level, v)] = SegmentRegion.from_pieces(region.tree, {
+            (p, q): [(lo, hi, lc and p != v, hc and q != v) for lo, hi, lc, hc in iv]
+            for (p, q), iv in region.pieces.items()})
+        built.append((self, v))
+
+    monkeypatch.setattr(RealizedSystem, "__init__", tampered)
+    report = verify_instance(generate_instance(2))
+    assert report.first_failure() == "oracle-identity"
+
+    realized, v = built[-1]
+    system = realized.system
+    expected = None
+    for a in system.all_sets():
+        tower = system.towers[a.level]
+        wrong = [w for w in system.deepest.vertices
+                 if (tower[w] == a.vertex) !=
+                 realized.region(a).contains_point(EdgePoint.vertex(w))]
+        if wrong:
+            expected = ("member", a.key(), min(wrong, key=vkey))
+            break
+    assert expected == ("member", (system.l, vkey(v)), v)
+    witness = next(r.witness for r in report.results if r.name == "oracle-identity")
+    assert witness == expected
+
+
+@pytest.mark.parametrize("l", [4, 8])
+def test_enlargement_takes_no_exact_distance(l, monkeypatch):
+    # on a generated instance the box-gap bound separates every disjoint
+    # pair, so only the two margin scans (the family's and rho's) reach an
+    # exact distance
+    calls = {"_gt_sum_of_roots": 0, "segment_dist2": 0}
+    for name in calls:
+        def counting(*args, _name=name, _original=getattr(geometry, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(geometry, name, counting)
+    assert verify_instance(generate_instance(l)).passed
+    assert calls["_gt_sum_of_roots"] == 0
+    assert calls["segment_dist2"] <= 2
+
+
 def _piece(i, p, q):
     return (i, p, q, (min(p[0], q[0]), max(p[0], q[0]), min(p[1], q[1]), max(p[1], q[1])))
 
@@ -323,10 +377,14 @@ def test_least_gap_widens_past_a_nearer_cell():
     assert _least_gap_squared(pieces, [1, 2, 4]) == 900
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.fractions(min_value=0, max_value=50, max_denominator=40),
-       st.fractions(min_value=0, max_value=50, max_denominator=40))
-def test_floor_of_sum_of_roots_squared(ra2, rb2):
-    k = _floor_sum_of_roots_squared(ra2, rb2)
-    assert not _gt_sum_of_roots(Fraction(k), ra2, rb2)
-    assert _gt_sum_of_roots(Fraction(k + 1), ra2, rb2)
+_roots = st.fractions(min_value=0, max_value=20, max_denominator=12)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_roots, _roots, st.one_of(st.just(Fraction(0)),
+                                 st.fractions(min_value=-20, max_value=20, max_denominator=12)))
+def test_gt_sum_of_roots_matches_fractions(ra, rb, delta):
+    # d = r_a + r_b + delta, clamped at 0: delta = 0 draws the ties, and the
+    # roots are rational, so every cross term 2 r_a r_b is too
+    d = max(Fraction(0), ra + rb + delta)
+    assert _gt_sum_of_roots(d * d, ra * ra, rb * rb) == (d > ra + rb)

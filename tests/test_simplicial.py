@@ -266,10 +266,6 @@ class TestEdgePoint:
         with pytest.raises(ValueError):
             EdgePoint(0, 1, Fraction(3, 2))
 
-    def test_coords(self):
-        g = path_graph(3, spacing=2)
-        assert EdgePoint(0, 1, Fraction(1, 2)).coords(g) == (Fraction(1), Fraction(0))
-
 
 class TestSubdivision:
     def test_counts(self):

@@ -84,6 +84,23 @@ def phi_equals_g():
     expect("phi_equals_g.json", inst.to_json(), "D1")
 
 
+def phi_edit(name, condition):
+    # the first single phi-table entry, moved to a neighbour of its image,
+    # whose instance fails first at condition
+    inst = generate_instance(2)
+    d = inst.diagram
+    tables = [dict(f.assignment) for f in d.f_row]
+    for n, table in enumerate(tables):
+        for v in d.levels[n + 1].sorted_vertices():
+            for w in sorted(d.levels[n].neighbors(table[v]), key=vkey):
+                inst.phi_tables = [dict(t) for t in tables]
+                inst.phi_tables[n][v] = w
+                if verify_instance(inst).first_failure() == condition:
+                    expect(name, inst.to_json(), condition)
+                    return
+    raise SystemExit("no phi edit fails at %s" % condition)
+
+
 def eps_nondecreasing():
     payload = generate_instance(1).to_json()
     payload["epsilon"] = ["3/4", "3/4"]
@@ -143,6 +160,8 @@ def main():
     broken_commutativity()
     f_equals_g()
     phi_equals_g()
+    phi_edit("phi_edit_d2.json", "D2")
+    phi_edit("phi_edit_d2prime.json", "D2prime")
     eps_nondecreasing()
     proximity_edit()
     inflated_radius()
