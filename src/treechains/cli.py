@@ -66,7 +66,11 @@ def cmd_generate(args) -> int:
 
 
 def cmd_generate_family(args) -> int:
-    d = build_family_diagram(args.k)
+    try:
+        d = build_family_diagram(args.k)
+    except ValueError as exc:  # k below 2
+        print(_schema_failure_report(str(exc)).to_text())
+        return 1
     payload = {"schema": 1, "diagram": diagram_to_json(d)}
     if args.out:
         dump_json(payload, args.out)
@@ -104,6 +108,11 @@ def cmd_render(args) -> int:
         print(failure.to_text())
         return 1
     levels = args.level if args.level else None
+    top = instance.diagram.length
+    for n in levels or ():
+        if not 0 <= n <= top:
+            print(_schema_failure_report("level %d outside 0..%d" % (n, top)).to_text())
+            return 1
     geo.render_svg(VerifyContext(instance).realized, args.out, levels=levels)
     print("wrote %s" % args.out)
     return 0

@@ -264,7 +264,13 @@ def d1_violation(system: CoverSystem, n: int = 0):
 
 
 def d2_violation(system: CoverSystem, j: int, n: int):
-    """U in level j+1 meets V in level n+1 but the phi-images are disjoint."""
+    """U in level j+1 meets V in level n+1 but the phi-images are disjoint.
+
+    Open question: the paper's definitions are not in this repository, so
+    whether D2 ranges over n <= j, as here, or only over n < j cannot be
+    checked against them (arXiv 2107.12427).  The range stays n <= j, which
+    makes D3 its j = n slice.
+    """
     if not 0 <= n <= j <= system.l - 1:
         raise GraphError("need 0 <= n <= j <= l-1")
     for u_set in system.covers[j + 1]:

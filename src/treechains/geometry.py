@@ -262,30 +262,59 @@ def region_intersects(r1: SegmentRegion, r2: SegmentRegion) -> bool:
     return False
 
 
+def _coded_intervals(regions: Sequence[SegmentRegion]):
+    """(E, coded): E the lcm of the interval ends' denominators of the listed
+    regions, and every interval of region i as (edge, start, end, i) ints.
+
+    On this discrete line 2T is the point T/E and 2T + 1 the open gap after
+    it, so (lo, hi, lc, hc) starts at 2 lo E (+1 if open) and ends at
+    2 hi E (-1 if open).  This orders ends as _startpos and _endpos do, and
+    two intervals meet exactly when the larger start is at most the smaller
+    end.
+    """
+    steps = lcm(*{t.denominator for r in regions for intervals in r.pieces.values()
+                  for lo, hi, _, _ in intervals for t in (lo, hi)})
+    coded = [(e, 2 * lo.numerator * (steps // lo.denominator) + (0 if lc else 1),
+              2 * hi.numerator * (steps // hi.denominator) - (0 if hc else 1), i)
+             for i, r in enumerate(regions) for e, intervals in r.pieces.items()
+             for lo, hi, lc, hc in intervals]
+    return steps, coded
+
+
 def later_intersecting(regions: Sequence[SegmentRegion]) -> List[List[int]]:
     """For each listed region i, the ascending indices j > i of the listed
     regions that meet it.
 
-    Two regions can meet only on an edge both have pieces on or at a vertex
-    both contain, so inverted indexes from edges and from vertices to the
-    regions give the candidates, and region_intersects decides each one.
+    Two regions meet on an edge both have pieces on or at a vertex both
+    contain.  On each edge the coded intervals (see _coded_intervals) are
+    swept by start: an open interval that ends before the current start
+    meets neither it nor any later one and is dropped, and every other open
+    interval meets it (a region's own intervals are apart, so it never
+    meets itself).  At each vertex every two regions holding it meet.
     """
     by_edge: Dict = {}
+    for e, start, end, i in _coded_intervals(regions)[1]:
+        by_edge.setdefault(e, []).append((start, end, i))
+    later = [set() for _ in regions]
+    for items in by_edge.values():
+        items.sort()
+        active: List[Tuple[int, int]] = []
+        for start, end, i in items:
+            active = [a for a in active if a[0] >= start]
+            for _, j in active:
+                if i < j:
+                    later[i].add(j)
+                else:
+                    later[j].add(i)
+            active.append((end, i))
     by_vertex: Dict = {}
     for i, r in enumerate(regions):
-        for e in r.pieces:
-            by_edge.setdefault(e, []).append(i)
         for v in r.vertex_set:
             by_vertex.setdefault(v, []).append(i)
-    out = []
-    for i, r in enumerate(regions):
-        near = set()
-        for e in r.pieces:
-            near.update(by_edge[e])
-        for v in r.vertex_set:
-            near.update(by_vertex[v])
-        out.append(sorted(j for j in near if j > i and region_intersects(r, regions[j])))
-    return out
+    for members in by_vertex.values():
+        for x, i in enumerate(members):
+            later[i].update(members[x + 1:])
+    return [sorted(js) for js in later]
 
 
 def region_intersection(r1: SegmentRegion, r2: SegmentRegion) -> SegmentRegion:
@@ -334,10 +363,25 @@ def region_contains(outer: SegmentRegion, inner: SegmentRegion) -> bool:
 
 
 def covers_whole_tree(regions: Sequence[SegmentRegion]) -> bool:
-    u = region_union(regions)
-    full = (ZERO, ONE, True, True)
-    return set(u.pieces) == set(u.tree.edges) and \
-        all(iv == (full,) for iv in u.pieces.values())
+    """Every point of every edge of the tree lies in a listed region: on each
+    edge the coded intervals (see _coded_intervals), taken by start, chain
+    from 0 to 2E, each starting at most one past the reach of those before.
+    """
+    if not regions:
+        raise GraphError("no regions to cover the tree")
+    steps, coded = _coded_intervals(regions)
+    by_edge: Dict = {e: [] for e in regions[0].tree.edges}
+    for e, start, end, _ in coded:
+        by_edge[e].append((start, end))
+    for items in by_edge.values():
+        reach = -1
+        for start, end in sorted(items):
+            if start > reach + 1:
+                return False
+            reach = max(reach, end)
+        if reach != 2 * steps:
+            return False
+    return True
 
 
 def _box(points: Sequence[Point]):

@@ -150,6 +150,25 @@ class TestOther:
         assert '<g id="level-1"' in text
         assert '<g id="level-0"' not in text
 
+    @pytest.mark.parametrize("level", ["2", "-1", "-2"])  # l = 1: levels 0..1
+    def test_render_level_outside_the_pipeline_fails(self, generated, tmp_path, capsys,
+                                                     level):
+        svg = tmp_path / "pic.svg"
+        assert main(["render", str(generated / "instance.json"),
+                     "--out", str(svg), "--level", level]) == 1
+        text = capsys.readouterr().out
+        assert text.startswith("schema                 FAIL  witness='level %s outside 0..1'" % level)
+        assert "overall                FAIL" in text
+        assert not svg.exists()
+
+    @pytest.mark.parametrize("k", ["1", "0", "-2"])
+    def test_generate_family_below_two_fails(self, tmp_path, capsys, k):
+        out = tmp_path / "fam.json"
+        assert main(["generate-family", "--k", k, "--out", str(out)]) == 1
+        text = capsys.readouterr().out
+        assert text.startswith("schema                 FAIL  witness='k must be at least 2'")
+        assert not out.exists()
+
     def test_example1(self, capsys):
         assert main(["example1"]) == 0
         assert "PASS" in capsys.readouterr().out

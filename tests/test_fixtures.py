@@ -15,10 +15,12 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 CASES = [
     ("eps_nondecreasing.json", "schema"),
+    ("g_not_simplicial.json", "diagram-well-formed"),
     ("non_planar.json", "embedding"),
     ("broken_commutativity.json", "commutative"),
     ("coincidence_free.json", "coincidence-free"),
     ("proximity_edit.json", "proximity-free"),
+    ("eps_short.json", "system-build"),
     ("phi_equals_g.json", "D1"),
     ("phi_edit_d2.json", "D2"),
     ("phi_edit_d2prime.json", "D2prime"),

@@ -6,7 +6,7 @@ import os
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from test_geometry import bbox_gap_squared, diameter_squared, path_graph, set_distance_squared
 
@@ -19,6 +19,7 @@ from treechains.geometry import (
     _gt_sum_of_roots,
     _least_gap_squared,
     compute_rho_and_mesh,
+    covers_whole_tree,
     enlarge_taut_family,
     enlargement_disjointness_violation,
     enlargement_nesting_violation,
@@ -30,7 +31,7 @@ from treechains.geometry import (
     segment_dist2,
 )
 from treechains.serialize import instance_from_json
-from treechains.simplicial import EdgePoint, vkey
+from treechains.simplicial import EdgePoint, SimplicialGraph, vkey
 from treechains.verify import VerifyContext, _strong_refinement, generate_instance, verify_instance
 
 F = Fraction
@@ -108,6 +109,88 @@ def test_region_index_finds_a_meeting_at_a_vertex_only():
     far = SegmentRegion.from_pieces(g, {(1, 2): [(F(1, 2), F(1), False, True)]})
     assert later_intersecting([left, right, far]) == [[1], [], []]
 
+
+# a small tree with a degree-3 vertex: 1 has the neighbours 0, 2 and 3
+FORK = SimplicialGraph.build(range(4), [(0, 1), (1, 2), (1, 3)],
+                             {0: (F(0), F(0)), 1: (F(1), F(0)), 2: (F(2), F(0)), 3: (F(1), F(1))})
+_ends = st.one_of(st.sampled_from([F(0), F(1)]),
+                  st.fractions(min_value=0, max_value=1, max_denominator=6))
+
+
+@st.composite
+def edge_cut(draw, flags):
+    """The cells of a cut of a whole edge at up to three rational points,
+    each with its own end flags."""
+    cuts = [F(0)] + sorted(draw(st.lists(_ends, max_size=3))) + [F(1)]
+    return [(lo, hi, draw(flags), draw(flags)) for lo, hi in zip(cuts, cuts[1:])]
+
+
+@st.composite
+def fork_intervals(draw):
+    """A random interval, a degenerate closed point, or the cells of a cut."""
+    kind = draw(st.sampled_from(["random", "point", "cut"]))
+    if kind == "point":
+        t = draw(_ends)
+        return [(t, t, True, True)]
+    if kind == "random":
+        lo, hi = sorted((draw(_ends), draw(_ends)))
+        return [(lo, hi, draw(st.booleans()), draw(st.booleans()))]
+    return draw(edge_cut(st.booleans()))
+
+
+@st.composite
+def fork_regions(draw):
+    """One to five regions on the tree, each edge's intervals dealt out to
+    random regions (empty ones are dropped).  Half the draws also cut every
+    edge with mostly closed ends, so the union often covers the tree, up to
+    a point left out between two open ends."""
+    count = draw(st.integers(1, 5))
+    whole = draw(st.booleans())
+    raw = [{} for _ in range(count)]
+    for e in sorted(FORK.edges):
+        intervals = draw(st.lists(fork_intervals(), max_size=3))
+        if whole:
+            intervals.append(draw(edge_cut(st.sampled_from([True] * 4 + [False]))))
+        for interval in intervals:
+            for piece in interval:
+                raw[draw(st.integers(0, count - 1))].setdefault(e, []).append(piece)
+    return [SegmentRegion.from_pieces(FORK, pieces) for pieces in raw]
+
+
+@settings(max_examples=300, deadline=None)
+@given(fork_regions())
+def test_later_intersecting_matches_region_intersects(regions):
+    brute = [[j for j in range(i + 1, len(regions))
+              if region_intersects(regions[i], regions[j])]
+             for i in range(len(regions))]
+    event("some regions meet" if any(brute) else "no regions meet")
+    assert later_intersecting(regions) == brute
+
+
+def covers_by_union(regions):
+    """The reference definition: the union, normalized edge by edge, is the
+    whole closed unit interval on every edge of the tree."""
+    u = region_union(regions)
+    full = (F(0), F(1), True, True)
+    return set(u.pieces) == set(u.tree.edges) and all(iv == (full,) for iv in u.pieces.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(fork_regions())
+def test_covers_whole_tree_matches_union(regions):
+    expected = covers_by_union(regions)
+    event("covers: %s" % expected)
+    assert covers_whole_tree(regions) == expected
+
+
+
+def test_covers_whole_tree_needs_the_point_between_two_open_ends():
+    half = F(1, 2)
+    left = SegmentRegion.from_pieces(FORK, {e: [(F(0), half, True, False)] for e in FORK.edges})
+    for closed, covers in ((False, False), (True, True)):
+        right = SegmentRegion.from_pieces(FORK, {e: [(half, F(1), closed, True)]
+                                                 for e in FORK.edges})
+        assert covers_whole_tree([left, right]) is covers_by_union([left, right]) is covers
 
 def _ref_min_gap(realized, levels=None):
     # all disjoint pairs, pruned only by the exact bounding-box gap

@@ -44,12 +44,13 @@ def expect(name, payload, condition):
     print("%-28s fails at %s" % (name, condition))
 
 
-def mutate_f(diagram, n, v, w):
-    assignment = dict(diagram.f_row[n].assignment)
+def mutate(diagram, row, n, v, w):
+    """The diagram with entry v of map n of the "f" or "g" row set to w."""
+    rows = {"f": list(diagram.f_row), "g": list(diagram.g_row)}
+    assignment = dict(rows[row][n].assignment)
     assignment[v] = w
-    f_row = list(diagram.f_row)
-    f_row[n] = SimplicialMapping(diagram.levels[n + 1], diagram.levels[n], assignment)
-    return TreeDiagram(diagram.levels, diagram.g_row, tuple(f_row))
+    rows[row][n] = SimplicialMapping(diagram.levels[n + 1], diagram.levels[n], assignment)
+    return TreeDiagram(diagram.levels, tuple(rows["g"]), tuple(rows["f"]))
 
 
 def broken_commutativity():
@@ -59,7 +60,7 @@ def broken_commutativity():
         for w in d.levels[1].sorted_vertices():
             if w == d.f_row[1].assignment[v]:
                 continue
-            cand = mutate_f(d, 1, v, w)
+            cand = mutate(d, "f", 1, v, w)
             if cand.well_formed_violation() is not None:
                 continue
             if commutativity_violation(cand) is None:
@@ -68,6 +69,21 @@ def broken_commutativity():
             expect("broken_commutativity.json", inst.to_json(), "commutative")
             return
     raise SystemExit("no commutativity mutation found")
+
+
+def g_not_simplicial():
+    # the first g entry moved to a vertex that leaves one of its edges
+    # spanning a non-edge
+    inst = generate_instance(1)
+    d = inst.diagram
+    for v in d.levels[1].sorted_vertices():
+        for w in d.levels[0].sorted_vertices():
+            cand = mutate(d, "g", 0, v, w)
+            if cand.g_row[0].edge_violation() is not None:
+                inst.diagram = cand
+                expect("g_not_simplicial.json", inst.to_json(), "diagram-well-formed")
+                return
+    raise SystemExit("no non-simplicial g entry found")
 
 
 def f_equals_g():
@@ -107,6 +123,14 @@ def eps_nondecreasing():
     expect("eps_nondecreasing.json", payload, "schema")
 
 
+def eps_short():
+    # the loader does not check the schedule's length, so one radius short
+    # of l + 1 passes every diagram check and fails when the system is built
+    payload = generate_instance(2).to_json()
+    payload["epsilon"] = payload["epsilon"][:-1]
+    expect("eps_short.json", payload, "system-build")
+
+
 def proximity_edit():
     inst = generate_instance(1)
     d = inst.diagram
@@ -114,7 +138,7 @@ def proximity_edit():
         for w in sorted(d.levels[0].vertices, key=vkey):
             if w == d.f_row[0].assignment[v]:
                 continue
-            cand = mutate_f(d, 0, v, w)
+            cand = mutate(d, "f", 0, v, w)
             if cand.well_formed_violation() is not None:
                 continue
             if not coincidence_free(cand.f_row[0], cand.g_row[0]):
@@ -157,12 +181,14 @@ def nested_radius():
 
 def main():
     os.makedirs(OUT, exist_ok=True)
+    g_not_simplicial()
     broken_commutativity()
     f_equals_g()
     phi_equals_g()
     phi_edit("phi_edit_d2.json", "D2")
     phi_edit("phi_edit_d2prime.json", "D2prime")
     eps_nondecreasing()
+    eps_short()
     proximity_edit()
     inflated_radius()
     non_planar()
