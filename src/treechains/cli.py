@@ -107,7 +107,8 @@ def cmd_render(args) -> int:
     if failure is not None:
         print(failure.to_text())
         return 1
-    levels = args.level if args.level else None
+    # a level given twice is drawn once, where it first appears
+    levels = list(dict.fromkeys(args.level)) if args.level else None
     top = instance.diagram.length
     for n in levels or ():
         if not 0 <= n <= top:

@@ -113,65 +113,57 @@ def segment_dist2(a: Point, b: Point, c: Point, d: Point) -> Fraction:
                point_segment_dist2(c, a, b), point_segment_dist2(d, a, b))
 
 
-# -- interval algebra with endpoint flags ---------------------------------
+# -- intervals on one integer coding -------------------------------------
 
 
-def _startpos(i: Interval):
-    return (i[0], 0 if i[2] else 1)
+def _steps(intervals: Iterable[Interval]) -> int:
+    """E: the lcm of the denominators of the intervals' ends."""
+    return lcm(*{t.denominator for lo, hi, _, _ in intervals for t in (lo, hi)})
 
 
-def _endpos(i: Interval):
-    return (i[1], 0 if i[3] else -1)
+def _code(interval: Interval, steps: int) -> Tuple[int, int]:
+    """(start, end) of an interval on the discrete line of E = ``steps``.
+
+    2T is the point T/E and 2T + 1 the open gap after it, so (lo, hi, lc, hc)
+    starts at 2 lo E (+1 if open) and ends at 2 hi E (-1 if open).  The
+    interval is empty exactly when start > end, two intervals meet exactly
+    when the larger start is at most the smaller end, and they leave no
+    point between them exactly when the later start is at most one past the
+    earlier end.  Every interval question is decided on these codes.
+    """
+    lo, hi, lc, hc = interval
+    return (2 * lo.numerator * (steps // lo.denominator) + (0 if lc else 1),
+            2 * hi.numerator * (steps // hi.denominator) - (0 if hc else 1))
 
 
-def _nonempty(i: Interval) -> bool:
-    return _startpos(i) <= _endpos(i)
+def _merge(coded: Iterable[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    """The union of coded intervals as its apart, ascending components:
+    empty ones dropped, the rest merged while no point lies between them."""
+    out: List[Tuple[int, int]] = []
+    for start, end in sorted(coded):
+        if start > end:
+            continue
+        if out and start <= out[-1][1] + 1:
+            if end > out[-1][1]:
+                out[-1] = (out[-1][0], end)
+        else:
+            out.append((start, end))
+    return out
 
 
 def normalize_intervals(intervals: Iterable[Interval]) -> Tuple[Interval, ...]:
-    items = sorted((i for i in intervals if _nonempty(i)), key=_startpos)
-    out: List[Interval] = []
-    for i in items:
-        if out:
-            last = out[-1]
-            gap = _startpos(i) > (_endpos(last)[0], _endpos(last)[1] + 1)
-            if not gap:
-                if _endpos(i) > _endpos(last):
-                    out[-1] = (last[0], i[1], last[2], i[3])
-                continue
-        out.append(i)
-    return tuple(out)
-
-
-def interval_intersection(i1: Interval, i2: Interval) -> Optional[Interval]:
-    lo, lc = max((i1[0], not i1[2]), (i2[0], not i2[2]))
-    hi, ho = min((i1[1], i1[3]), (i2[1], i2[3]))
-    cand = (lo, hi, not lc, bool(ho))
-    return cand if _nonempty(cand) else None
-
-
-def intervals_intersect(a: Sequence[Interval], b: Sequence[Interval]) -> bool:
-    return any(interval_intersection(i, j) is not None for i in a for j in b)
-
-
-def intervals_contain(cover: Sequence[Interval], target: Interval) -> bool:
-    """target covered by the (normalized) union of cover."""
-    cur = _startpos(target)
-    tend = _endpos(target)
-    for c in cover:
-        if _endpos(c) < cur:
-            continue
-        if _startpos(c) > cur:
-            return False
-        e = _endpos(c)
-        cur = (e[0], e[1] + 1)
-        if cur > tend:
-            return True
-    return cur > tend
-
-
-def _point_in_intervals(t: Fraction, intervals: Sequence[Interval]) -> bool:
-    return any(_startpos(i) <= (t, 0) <= _endpos(i) for i in intervals)
+    """The union of the intervals as its apart, ascending components, each
+    with the caller's own ends (a code names one end, so any interval with
+    that code gives it)."""
+    intervals = list(intervals)
+    steps = _steps(intervals)
+    starts, ends, coded = {}, {}, []
+    for i in intervals:
+        start, end = _code(i, steps)
+        starts[start], ends[end] = i, i
+        coded.append((start, end))
+    return tuple((starts[s][0], ends[e][1], starts[s][2], ends[e][3])
+                 for s, e in _merge(coded))
 
 
 # -- regions on an embedded tree ------------------------------------------
@@ -195,9 +187,6 @@ class SegmentRegion:
                 pieces[edge] = norm
         return SegmentRegion(tree, pieces)
 
-    def is_empty(self) -> bool:
-        return not self.pieces
-
     def sorted_edges(self):
         return sorted(self.pieces, key=lambda e: (vkey(e[0]), vkey(e[1])))
 
@@ -217,7 +206,8 @@ class SegmentRegion:
         if c[0] == "vertex":
             return c[1] in self.vertex_set
         _, a, b, t = c
-        return _point_in_intervals(t, self.pieces.get((a, b), ()))
+        return any((lo < t or lo == t and lc) and (t < hi or t == hi and hc)
+                   for lo, hi, lc, hc in self.pieces.get((a, b), ()))
 
     def closure(self) -> "SegmentRegion":
         return SegmentRegion.from_pieces(
@@ -249,35 +239,13 @@ def region_union(regions: Sequence[SegmentRegion]) -> SegmentRegion:
     return SegmentRegion.from_pieces(tree, raw)
 
 
-def region_intersects(r1: SegmentRegion, r2: SegmentRegion) -> bool:
-    if r1.tree != r2.tree:
-        raise GraphError("regions live on different trees")
-    if not r1.vertex_set.isdisjoint(r2.vertex_set):
-        return True
-    small, big = (r1, r2) if len(r1.pieces) <= len(r2.pieces) else (r2, r1)
-    for e, iv in small.pieces.items():
-        other = big.pieces.get(e)
-        if other is not None and intervals_intersect(iv, other):
-            return True
-    return False
-
-
 def _coded_intervals(regions: Sequence[SegmentRegion]):
-    """(E, coded): E the lcm of the interval ends' denominators of the listed
-    regions, and every interval of region i as (edge, start, end, i) ints.
-
-    On this discrete line 2T is the point T/E and 2T + 1 the open gap after
-    it, so (lo, hi, lc, hc) starts at 2 lo E (+1 if open) and ends at
-    2 hi E (-1 if open).  This orders ends as _startpos and _endpos do, and
-    two intervals meet exactly when the larger start is at most the smaller
-    end.
-    """
-    steps = lcm(*{t.denominator for r in regions for intervals in r.pieces.values()
-                  for lo, hi, _, _ in intervals for t in (lo, hi)})
-    coded = [(e, 2 * lo.numerator * (steps // lo.denominator) + (0 if lc else 1),
-              2 * hi.numerator * (steps // hi.denominator) - (0 if hc else 1), i)
+    """(E, coded): E = _steps of all the listed regions' intervals, and
+    every interval of region i as (edge, start, end, i), coded by _code."""
+    steps = _steps(i for r in regions for intervals in r.pieces.values() for i in intervals)
+    coded = [(e, *_code(interval, steps), i)
              for i, r in enumerate(regions) for e, intervals in r.pieces.items()
-             for lo, hi, lc, hc in intervals]
+             for interval in intervals]
     return steps, coded
 
 
@@ -286,9 +254,9 @@ def later_intersecting(regions: Sequence[SegmentRegion]) -> List[List[int]]:
     regions that meet it.
 
     Two regions meet on an edge both have pieces on or at a vertex both
-    contain.  On each edge the coded intervals (see _coded_intervals) are
-    swept by start: an open interval that ends before the current start
-    meets neither it nor any later one and is dropped, and every other open
+    contain.  On each edge the coded intervals (see _code) are swept by
+    start: an open interval that ends before the current start meets
+    neither it nor any later one and is dropped, and every other open
     interval meets it (a region's own intervals are apart, so it never
     meets itself).  At each vertex every two regions holding it meet.
     """
@@ -317,71 +285,60 @@ def later_intersecting(regions: Sequence[SegmentRegion]) -> List[List[int]]:
     return [sorted(js) for js in later]
 
 
-def region_intersection(r1: SegmentRegion, r2: SegmentRegion) -> SegmentRegion:
-    """Pointwise intersection.  A vertex shared only through different edges is
-    kept as a degenerate interval on one incident edge."""
-    if r1.tree != r2.tree:
-        raise GraphError("regions live on different trees")
-    raw: Dict = {}
-    covered = set()
-    for e, iv in r1.pieces.items():
-        other = r2.pieces.get(e)
-        if other is None:
-            continue
-        hits = [h for h in (interval_intersection(i, j) for i in iv for j in other)
-                if h is not None]
-        if hits:
-            raw[e] = hits
-            a, b = e
-            for lo, hi, lc, hc in hits:
-                if lo == 0 and lc:
-                    covered.add(a)
-                if hi == 1 and hc:
-                    covered.add(b)
-    for v in (r1.vertex_set & r2.vertex_set) - covered:
-        w = sorted(r1.tree.neighbors(v), key=vkey)[0]
-        a, b = (v, w) if (v, w) in r1.tree.edges else (w, v)
-        raw.setdefault((a, b), []).append(
-            (ZERO, ZERO, True, True) if a == v else (ONE, ONE, True, True))
-    return SegmentRegion.from_pieces(r1.tree, raw)
+def regions_share_point(regions: Sequence[SegmentRegion]) -> bool:
+    """Some point lies in every listed region: a vertex in every
+    ``vertex_set``, or a point of one edge in a coded interval (see _code)
+    of each region, so that the largest start is at most the least end."""
+    if frozenset.intersection(*(r.vertex_set for r in regions)):
+        return True
+    by_edge: Dict = {}
+    for e, start, end, i in _coded_intervals(regions)[1]:
+        by_edge.setdefault(e, [[] for _ in regions])[i].append((start, end))
+    for per_region in by_edge.values():
+        common = per_region[0]
+        for coded in per_region[1:]:
+            common = [(max(s, t), min(e, f)) for s, e in common for t, f in coded
+                      if max(s, t) <= min(e, f)]
+        if common:
+            return True
+    return False
 
 
 def region_contains(outer: SegmentRegion, inner: SegmentRegion) -> bool:
+    """Every point of inner lies in outer: on each edge, coded on one E (see
+    _code), every interval of inner lies in one merged component of outer's
+    intervals, with an end vertex that outer holds through another edge
+    added as a point."""
     if outer.tree != inner.tree:
         raise GraphError("regions live on different trees")
+    holds = outer.vertex_set
     for (a, b), intervals in inner.pieces.items():
-        cover = list(outer.pieces.get((a, b), ()))
-        # a vertex may be supplied through a different incident edge
-        if a in outer.vertex_set:
-            cover.append((ZERO, ZERO, True, True))
-        if b in outer.vertex_set:
-            cover.append((ONE, ONE, True, True))
-        cover = normalize_intervals(cover)
-        if not all(intervals_contain(cover, i) for i in intervals):
-            return False
+        cover = outer.pieces.get((a, b), ())
+        steps = _steps(cover + intervals)
+        coded = [_code(i, steps) for i in cover]
+        if a in holds:
+            coded.append((0, 0))
+        if b in holds:
+            coded.append((2 * steps, 2 * steps))
+        merged = _merge(coded)
+        for start, end in (_code(i, steps) for i in intervals):
+            if not any(s <= start and end <= e for s, e in merged):
+                return False
     return True
 
 
 def covers_whole_tree(regions: Sequence[SegmentRegion]) -> bool:
-    """Every point of every edge of the tree lies in a listed region: on each
-    edge the coded intervals (see _coded_intervals), taken by start, chain
-    from 0 to 2E, each starting at most one past the reach of those before.
-    """
+    """Every point of every edge of the tree lies in a listed region: on
+    each edge the merged coded intervals (see _code) are exactly the one
+    interval from 0 to 2E."""
     if not regions:
         raise GraphError("no regions to cover the tree")
     steps, coded = _coded_intervals(regions)
     by_edge: Dict = {e: [] for e in regions[0].tree.edges}
     for e, start, end, _ in coded:
         by_edge[e].append((start, end))
-    for items in by_edge.values():
-        reach = -1
-        for start, end in sorted(items):
-            if start > reach + 1:
-                return False
-            reach = max(reach, end)
-        if reach != 2 * steps:
-            return False
-    return True
+    whole = [(0, 2 * steps)]
+    return all(_merge(items) == whole for items in by_edge.values())
 
 
 def _box(points: Sequence[Point]):
@@ -458,25 +415,22 @@ class RealizedSystem:
         same order as ``geometric_pieces``, in int coordinates.
 
         With the deepest tree's int frame (A, B the int ends of an edge) and
-        E the lcm of the interval ends' denominators, the point at parameter
-        L/E is (A (E - L) + B L) / E, so ``scale`` is the frame's times E and
-        every coordinate is an int combination, with no Fraction in between.
+        the closures coded on one E (see _code), a closed end has the code
+        2L for the parameter L/E, at the point (A (E - L) + B L) / E, so
+        ``scale`` is the frame's times E and every coordinate is an int
+        combination, with no Fraction in between.
         """
         unit, ipt = self.system.deepest.int_frame
-        closed = [self.closure(a).pieces for a in self.system.all_sets()]
-        steps = lcm(*{t.denominator for pieces in closed
-                      for intervals in pieces.values()
-                      for lo, hi, _, _ in intervals for t in (lo, hi)})
+        steps, coded = _coded_intervals([self.closure(a) for a in self.system.all_sets()])
         rank = {e: k for k, e in enumerate(self.system.deepest.sorted_edges())}
+        # stable: a closure's intervals on one edge keep their order
+        coded.sort(key=lambda c: (c[3], rank[c[0]]))
         out = []
-        for i, pieces in enumerate(closed):
-            for e in sorted(pieces, key=rank.__getitem__):
-                (ax, ay), (bx, by) = ipt[e[0]], ipt[e[1]]
-                for lo, hi, _, _ in pieces[e]:
-                    p, q = [(ax * (steps - t) + bx * t, ay * (steps - t) + by * t)
-                            for t in (lo.numerator * (steps // lo.denominator),
-                                      hi.numerator * (steps // hi.denominator))]
-                    out.append((i, p, q, _box((p, q))))
+        for e, start, end, i in coded:
+            (ax, ay), (bx, by) = ipt[e[0]], ipt[e[1]]
+            p, q = [(ax * (steps - t) + bx * t, ay * (steps - t) + by * t)
+                    for t in (start // 2, end // 2)]
+            out.append((i, p, q, _box((p, q))))
         return unit * steps, out
 
 

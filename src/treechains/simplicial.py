@@ -105,11 +105,15 @@ class SimplicialGraph:
     def sorted_vertices(self):
         return sorted(self.vertices, key=vkey)
 
-    def sorted_edges(self):
-        return sorted(self.edges, key=_edge_key)
+    def sorted_edges(self) -> Tuple[Tuple[Vertex, Vertex], ...]:
+        return self._sorted_edges
+
+    @cached_property
+    def _sorted_edges(self) -> Tuple[Tuple[Vertex, Vertex], ...]:
+        return tuple(sorted(self.edges, key=_edge_key))
 
     def has_edge(self, u: Vertex, v: Vertex) -> bool:
-        return u != v and canonical_edge(u, v) in self.edges
+        return u != v and ((u, v) in self.edges or (v, u) in self.edges)
 
     def is_connected(self) -> bool:
         if not self.vertices:

@@ -255,18 +255,24 @@ def _taut(ctx: VerifyContext):
 
 
 def _triples(ctx: VerifyContext):
+    """No point lies in three sets of one level.  Three sets share a point
+    only if they meet pairwise, so only the triangles of the intersection
+    graph are tested.
+
+    Implied by the stages before it: a level's sets are unions of eps-stars
+    at the vertices of disjoint fibers, and with eps_0 < 1 the star of a
+    deepest vertex holds that vertex and points of its own edges only.  So
+    a vertex lies in one set of a level and a point inside an edge in at
+    most the two sets holding its ends.
+    """
     system, realized = ctx.system, ctx.realized
     for n in range(ctx.l + 1):
         for i, a in enumerate(system.covers[n]):
             near = system.neighbors(a, n, i + 1)
             for x, b in enumerate(near):
                 for c in near[x + 1:]:
-                    if not cv.sets_intersect(system, b, c):
-                        continue
-                    ab = geo.region_intersection(realized.region(a),
-                                                 realized.region(b))
-                    both = geo.region_intersection(ab, realized.region(c))
-                    if not both.is_empty():
+                    if cv.sets_intersect(system, b, c) and geo.regions_share_point(
+                            [realized.region(s) for s in (a, b, c)]):
                         return (n, a.vertex, b.vertex, c.vertex)
     return None
 

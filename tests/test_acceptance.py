@@ -8,6 +8,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from test_geometry import region_intersects
 
 from treechains.covers import CoverSystem, ScheduleError
 from treechains.diagram import (
@@ -24,7 +25,6 @@ from treechains.geometry import (
     enlargement_disjointness_violation,
     enlargement_nesting_violation,
     family_min_gap_squared,
-    region_intersects,
 )
 from treechains.serialize import FormatError, instance_from_json
 from treechains.simplicial import (

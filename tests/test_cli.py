@@ -150,6 +150,17 @@ class TestOther:
         assert '<g id="level-1"' in text
         assert '<g id="level-0"' not in text
 
+    def test_render_draws_a_repeated_level_once(self, tmp_path, capsys):
+        fixture = os.path.join(os.path.dirname(__file__), "fixtures", "phi_edit_d2.json")
+        svg = tmp_path / "pic.svg"
+        assert main(["render", fixture, "--out", str(svg),
+                     "--level", "1", "--level", "0", "--level", "1"]) == 0
+        text = svg.read_text()
+        assert text.count('id="level-1"') == 1 and text.count("cover 1 (") == 1
+        # the first appearance sets the order
+        assert text.index('id="level-1"') < text.index('id="level-0"')
+        assert text.index("cover 1 (") < text.index("cover 0 (")
+
     @pytest.mark.parametrize("level", ["2", "-1", "-2"])  # l = 1: levels 0..1
     def test_render_level_outside_the_pipeline_fails(self, generated, tmp_path, capsys,
                                                      level):

@@ -18,15 +18,12 @@ from treechains.geometry import (
     enlargement_disjointness_violation,
     enlargement_nesting_violation,
     family_min_gap_squared,
-    interval_intersection,
-    intervals_contain,
     normalize_intervals,
     point_segment_dist2,
     realize,
     region_contains,
-    region_intersection,
-    region_intersects,
     region_union,
+    regions_share_point,
     render_svg,
     segment_dist2,
     segment_intersection,
@@ -82,6 +79,95 @@ def spaced_identity_system():
     return RealizedSystem(CoverSystem(d, eps))
 
 
+# -- the exact Fraction reference for interval questions --------------------
+# Interval ends are ordered by key tuples: (lo, 0) for a closed start and
+# (lo, 1) for an open one, (hi, 0) for a closed end and (hi, -1) for an open
+# one.  Production decides the same questions on integer codes; these stay
+# apart from them, so the two can check each other.
+
+
+def _startpos(i):
+    return (i[0], 0 if i[2] else 1)
+
+
+def _endpos(i):
+    return (i[1], 0 if i[3] else -1)
+
+
+def normalize_by_keys(intervals):
+    """The union as apart, ascending intervals, merged on the key tuples."""
+    out = []
+    for i in sorted((i for i in intervals if _startpos(i) <= _endpos(i)), key=_startpos):
+        if out and _startpos(i) <= (_endpos(out[-1])[0], _endpos(out[-1])[1] + 1):
+            if _endpos(i) > _endpos(out[-1]):
+                out[-1] = (out[-1][0], i[1], out[-1][2], i[3])
+            continue
+        out.append(i)
+    return tuple(out)
+
+
+def interval_intersection(i1, i2):
+    lo, lc = max((i1[0], not i1[2]), (i2[0], not i2[2]))
+    hi, ho = min((i1[1], i1[3]), (i2[1], i2[3]))
+    cand = (lo, hi, not lc, bool(ho))
+    return cand if _startpos(cand) <= _endpos(cand) else None
+
+
+def intervals_contain(cover, target):
+    """target inside the union of the normalized intervals of cover."""
+    cur, tend = _startpos(target), _endpos(target)
+    for c in cover:
+        if _endpos(c) < cur:
+            continue
+        if _startpos(c) > cur:
+            return False
+        cur = (_endpos(c)[0], _endpos(c)[1] + 1)
+        if cur > tend:
+            return True
+    return cur > tend
+
+
+def region_intersects(r1, r2):
+    """Two regions meet: a vertex both hold, or two intervals of one edge."""
+    if not r1.vertex_set.isdisjoint(r2.vertex_set):
+        return True
+    return any(interval_intersection(i, j) is not None
+               for e, iv in r1.pieces.items() for i in iv for j in r2.pieces.get(e, ()))
+
+
+def region_contains_by_keys(outer, inner):
+    """inner inside outer, edge by edge, with an end vertex outer holds
+    through another edge added as a point."""
+    for (a, b), intervals in inner.pieces.items():
+        cover = list(outer.pieces.get((a, b), ()))
+        if a in outer.vertex_set:
+            cover.append((F(0), F(0), True, True))
+        if b in outer.vertex_set:
+            cover.append((F(1), F(1), True, True))
+        cover = normalize_by_keys(cover)
+        if not all(intervals_contain(cover, i) for i in intervals):
+            return False
+    return True
+
+
+def share_point_pointwise(regions):
+    """Some point lies in every region: a vertex, or a point inside an edge
+    at an interval end or halfway between two adjacent ends (where the
+    regions' common part, a union of intervals with those ends, must have
+    one if it is not empty)."""
+    tree = regions[0].tree
+    if any(all(v in r.vertex_set for r in regions) for v in tree.vertices):
+        return True
+    for e in tree.edges:
+        ends = sorted({F(0), F(1)} | {t for r in regions for i in r.pieces.get(e, ())
+                                      for t in i[:2]})
+        for t in ends + [(s + u) / 2 for s, u in zip(ends, ends[1:])]:
+            if 0 < t < 1 and all(any(_startpos(i) <= (t, 0) <= _endpos(i)
+                                     for i in r.pieces.get(e, ())) for r in regions):
+                return True
+    return False
+
+
 class TestIntervals:
     def test_normalize_merges_touching_closed(self):
         got = normalize_intervals([(F(0), F(1, 2), True, True),
@@ -94,18 +180,23 @@ class TestIntervals:
         assert len(got) == 2
 
     def test_intersection_flags(self):
+        g = path_graph(2)
         a = (F(0), F(1, 2), True, False)
         b = (F(1, 2), F(1), True, True)
-        assert interval_intersection(a, b) is None
         c = (F(1, 4), F(3, 4), False, False)
+        ra, rb, rc = (SegmentRegion.from_pieces(g, {(0, 1): [i]}) for i in (a, b, c))
+        assert not regions_share_point([ra, rb])
+        assert regions_share_point([ra, rc]) and regions_share_point([rb, rc])
+        assert interval_intersection(a, b) is None
         assert interval_intersection(a, c) == (F(1, 4), F(1, 2), False, False)
 
     def test_containment_needs_seamless_cover(self):
+        g = path_graph(2)
+        whole = SegmentRegion.from_pieces(g, {(0, 1): [(F(0), F(1), True, True)]})
         cover = [(F(0), F(1, 2), True, True), (F(1, 2), F(1), False, True)]
-        assert intervals_contain(normalize_intervals(cover), (F(0), F(1), True, True))
+        assert region_contains(SegmentRegion.from_pieces(g, {(0, 1): cover}), whole)
         holed = [(F(0), F(1, 2), True, False), (F(1, 2), F(1), False, True)]
-        assert not intervals_contain(normalize_intervals(holed),
-                                     (F(0), F(1), True, True))
+        assert not region_contains(SegmentRegion.from_pieces(g, {(0, 1): holed}), whole)
 
 
 class TestSegments:
@@ -199,10 +290,12 @@ class TestRegions:
         left = SegmentRegion.from_pieces(g, {(0, 1): [(F(0), F(1), True, True)]})
         right = SegmentRegion.from_pieces(g, {(1, 2): [(F(0), F(1), True, True)]})
         assert region_intersects(left, right)
-        inter = region_intersection(left, right)
-        assert not inter.is_empty()
-        assert inter.contains_point(EdgePoint.vertex(1))
-        assert not inter.contains_point(EdgePoint(0, 1, F(1, 2)))
+        assert regions_share_point([left, right])
+        # the one common point is the vertex 1, not the middle of (0, 1)
+        vertex = SegmentRegion.from_pieces(g, {(1, 2): [(F(0), F(0), True, True)]})
+        middle = SegmentRegion.from_pieces(g, {(0, 1): [(F(1, 2), F(1, 2), True, True)]})
+        assert regions_share_point([left, right, vertex])
+        assert not regions_share_point([left, right, middle])
 
     def test_containment_across_edges(self):
         g = path_graph(3)

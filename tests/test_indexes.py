@@ -4,14 +4,24 @@ routines against brute-force all-pairs scans of the definitions."""
 import json
 import os
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
-from test_geometry import bbox_gap_squared, diameter_squared, path_graph, set_distance_squared
+from test_geometry import (
+    bbox_gap_squared,
+    diameter_squared,
+    normalize_by_keys,
+    path_graph,
+    region_contains_by_keys,
+    region_intersects,
+    set_distance_squared,
+    share_point_pointwise,
+)
 
 import treechains.geometry as geometry
-from treechains.covers import CoverSystem, sets_intersect
+from treechains.covers import CoverSystem, d1_violation, sets_intersect
 from treechains.geometry import (
     RealizedSystem,
     SegmentRegion,
@@ -25,9 +35,10 @@ from treechains.geometry import (
     enlargement_nesting_violation,
     family_min_gap_squared,
     later_intersecting,
+    normalize_intervals,
     region_contains,
-    region_intersects,
     region_union,
+    regions_share_point,
     segment_dist2,
 )
 from treechains.serialize import instance_from_json
@@ -139,9 +150,9 @@ def fork_intervals(draw):
 
 
 @st.composite
-def fork_regions(draw):
-    """One to five regions on the tree, each edge's intervals dealt out to
-    random regions (empty ones are dropped).  Half the draws also cut every
+def fork_pieces(draw):
+    """The raw pieces of one to five regions on the tree, each edge's
+    intervals dealt out to random regions.  Half the draws also cut every
     edge with mostly closed ends, so the union often covers the tree, up to
     a point left out between two open ends."""
     count = draw(st.integers(1, 5))
@@ -154,17 +165,55 @@ def fork_regions(draw):
         for interval in intervals:
             for piece in interval:
                 raw[draw(st.integers(0, count - 1))].setdefault(e, []).append(piece)
-    return [SegmentRegion.from_pieces(FORK, pieces) for pieces in raw]
+    return raw
+
+
+# the regions of fork_pieces (empty ones are dropped)
+fork_regions = fork_pieces().map(
+    lambda raw: [SegmentRegion.from_pieces(FORK, pieces) for pieces in raw])
 
 
 @settings(max_examples=300, deadline=None)
-@given(fork_regions())
+@given(fork_regions)
 def test_later_intersecting_matches_region_intersects(regions):
     brute = [[j for j in range(i + 1, len(regions))
               if region_intersects(regions[i], regions[j])]
              for i in range(len(regions))]
     event("some regions meet" if any(brute) else "no regions meet")
     assert later_intersecting(regions) == brute
+
+
+@settings(max_examples=300, deadline=None)
+@given(fork_pieces())
+def test_normalize_intervals_matches_key_tuples(raw):
+    for pieces in raw:
+        for intervals in pieces.values():
+            assert normalize_intervals(intervals) == normalize_by_keys(intervals)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fork_regions)
+def test_region_contains_matches_key_tuples(regions):
+    # the closures and the union hold regions, so both answers turn up
+    pool = regions + [r.closure() for r in regions] + [region_union(regions)]
+    answers = set()
+    for outer in pool:
+        for inner in pool:
+            expected = region_contains_by_keys(outer, inner)
+            answers.add(expected)
+            assert region_contains(outer, inner) == expected
+    event("some region outside another" if False in answers else "all nested")
+
+
+@settings(max_examples=300, deadline=None)
+@given(fork_regions)
+def test_regions_share_point_matches_pointwise(regions):
+    for size in (1, 2, 3):
+        for some in combinations(regions, size):
+            expected = share_point_pointwise(some)
+            if size == 3:
+                event("three share a point: %s" % expected)
+            assert regions_share_point(some) == expected
 
 
 def covers_by_union(regions):
@@ -176,7 +225,7 @@ def covers_by_union(regions):
 
 
 @settings(max_examples=300, deadline=None)
-@given(fork_regions())
+@given(fork_regions)
 def test_covers_whole_tree_matches_union(regions):
     expected = covers_by_union(regions)
     event("covers: %s" % expected)
@@ -361,6 +410,75 @@ def test_tampered_closure_fails_taut_like_brute_force(monkeypatch):
         if expected:
             break
     witness = next(r.witness for r in report.results if r.name == "taut")
+    assert witness == expected
+
+
+def _triangle_tampers(system):
+    """(b, q) for level-0 sets a, b, c, with b and c meeting a, and q the
+    midpoint of a deepest edge from a's fiber to c's."""
+    for a in system.covers[0]:
+        near = [b for b in system.neighbors(a, 0) if b.vertex != a.vertex]
+        for b in near:
+            for c in near:
+                if c is b:
+                    continue
+                for u in sorted(a.fiber, key=vkey):
+                    for w in sorted(system.deepest.neighbors(u) & c.fiber, key=vkey):
+                        yield b, EdgePoint(u, w, F(1, 2))
+
+
+def test_grown_region_fails_triples_like_brute_force(monkeypatch):
+    # Three sets of one level share a point only on a triangle of the
+    # intersection graph, and a tree's nerve has none, so the tamper makes
+    # one: the region and the closure of b grow by q, and b joins every set
+    # whose closure holds q in the graph, so taut still agrees.  The first
+    # tamper that D1 lets through is kept.
+    built = []
+    original = RealizedSystem.__init__
+
+    def tampered(self, system):
+        original(self, system)
+        sets = system.all_sets()
+        meets = list(system.meets)
+        for b, q in _triangle_tampers(system):
+            i = system.index[(0, b.vertex)]
+            system.meets = list(meets)
+            for j, d in enumerate(sets):
+                if self.closure(d).contains_point(q):
+                    system.meets[i] |= 1 << j
+                    system.meets[j] |= 1 << i
+            system.adjacency = [tuple(j for j in range(len(sets)) if m >> j & 1)
+                                for m in system.meets]
+            if d1_violation(system, 0) is None:
+                break
+        else:
+            raise AssertionError("every tamper fails D1")
+        _, x, y, t = q.canonical()
+        point = SegmentRegion.from_pieces(system.deepest, {(x, y): [(t, t, True, True)]})
+        for grown in (self.regions, self.closures):
+            grown[(0, b.vertex)] = region_union([grown[(0, b.vertex)], point])
+        built.append(self)
+
+    monkeypatch.setattr(RealizedSystem, "__init__", tampered)
+    report = verify_instance(generate_instance(2))
+    assert report.first_failure() == "triples"
+
+    realized = built[-1]
+    system = realized.system
+    expected = None
+    for n in range(system.l + 1):
+        regions = [realized.region(d) for d in system.covers[n]]
+        meet = {(i, j) for i, j in combinations(range(len(regions)), 2)
+                if region_intersects(regions[i], regions[j])}
+        for i, j, k in combinations(range(len(regions)), 3):
+            if {(i, j), (i, k), (j, k)} <= meet and \
+                    share_point_pointwise([regions[i], regions[j], regions[k]]):
+                expected = (n,) + tuple(system.covers[n][x].vertex for x in (i, j, k))
+                break
+        if expected:
+            break
+    assert expected is not None and expected[0] == 0
+    witness = next(r.witness for r in report.results if r.name == "triples")
     assert witness == expected
 
 
