@@ -29,6 +29,7 @@ from .verify import (
     ConditionResult,
     VerificationReport,
     VerifyContext,
+    _system_build,
     generate_instance,
     oracle_trials,
     verify_instance,
@@ -45,8 +46,7 @@ def cmd_generate(args) -> int:
         eps = _parse_eps(args.eps) if args.eps else None
         instance = generate_instance(args.l, eps)
     except ValueError as exc:  # FormatError, ScheduleError: bad arguments
-        print(_schema_failure_report(str(exc)).to_text())
-        return 1
+        return _fail(_failure_report("schema", str(exc)))
     ctx = VerifyContext(instance)
     report = verify_instance(instance, ctx=ctx)
     system, realized = ctx.system, ctx.realized
@@ -69,8 +69,7 @@ def cmd_generate_family(args) -> int:
     try:
         d = build_family_diagram(args.k)
     except ValueError as exc:  # k below 2
-        print(_schema_failure_report(str(exc)).to_text())
-        return 1
+        return _fail(_failure_report("schema", str(exc)))
     payload = {"schema": 1, "diagram": diagram_to_json(d)}
     if args.out:
         dump_json(payload, args.out)
@@ -80,10 +79,22 @@ def cmd_generate_family(args) -> int:
     return 0
 
 
-def _schema_failure_report(message: str) -> VerificationReport:
+def _failure_report(stage: str, witness) -> VerificationReport:
     report = VerificationReport()
-    report.results.append(ConditionResult("schema", "FAIL", message))
+    report.results.append(ConditionResult(stage, "FAIL", witness))
     return report
+
+
+def _fail(report: VerificationReport) -> int:
+    print(report.to_text())
+    return 1
+
+
+def _build_failure(ctx: VerifyContext):
+    """None when the context's cover system and regions build, else the
+    system-build FAIL report, with the witness that verify gives it."""
+    witness = _system_build(ctx)
+    return None if witness is None else _failure_report("system-build", witness)
 
 
 def _load(path: str):
@@ -91,7 +102,7 @@ def _load(path: str):
     try:
         return load_instance(path), None
     except (FormatError, ScheduleError, KeyError, ValueError) as exc:
-        return None, _schema_failure_report(str(exc))
+        return None, _failure_report("schema", str(exc))
 
 
 def cmd_verify(args) -> int:
@@ -105,16 +116,18 @@ def cmd_verify(args) -> int:
 def cmd_render(args) -> int:
     instance, failure = _load(args.file)
     if failure is not None:
-        print(failure.to_text())
-        return 1
+        return _fail(failure)
     # a level given twice is drawn once, where it first appears
     levels = list(dict.fromkeys(args.level)) if args.level else None
     top = instance.diagram.length
     for n in levels or ():
         if not 0 <= n <= top:
-            print(_schema_failure_report("level %d outside 0..%d" % (n, top)).to_text())
-            return 1
-    geo.render_svg(VerifyContext(instance).realized, args.out, levels=levels)
+            return _fail(_failure_report("schema", "level %d outside 0..%d" % (n, top)))
+    ctx = VerifyContext(instance)
+    failure = _build_failure(ctx)
+    if failure is not None:
+        return _fail(failure)
+    geo.render_svg(ctx.realized, args.out, levels=levels)
     print("wrote %s" % args.out)
     return 0
 
@@ -130,9 +143,9 @@ def cmd_example1(args) -> int:
 
 def cmd_oracle(args) -> int:
     instance, failure = _load(args.file)
+    failure = failure or _build_failure(VerifyContext(instance))
     if failure is not None:
-        print(failure.to_text())
-        return 1
+        return _fail(failure)
     report = oracle_trials(instance, args.trials, args.seed)
     for key in ("trials", "membership_agree", "map_trials", "map_agree"):
         print("%-20s %s" % (key, report[key]))

@@ -64,12 +64,14 @@ class EpsilonSchedule:
 
 @dataclass(frozen=True)
 class CoverSet:
-    """U_n^v, stored as the fiber of v inside the vertex set of the deepest tree."""
+    """U_n^v, stored as the fiber of v inside the vertex set of the deepest
+    tree; ``index`` is its position in ``CoverSystem.all_sets()``."""
 
     level: int
     vertex: object
     fiber: FrozenSet
     epsilon: Fraction
+    index: int
 
     def key(self):
         return (self.level, vkey(self.vertex))
@@ -102,11 +104,17 @@ class CoverSystem:
                 fib[v].add(w)
             self.fibers.append({v: frozenset(ws) for v, ws in fib.items()})
 
+        # every cover set is built here, once, and numbered in all_sets() order
         self.covers: List[List[CoverSet]] = []
+        self._sets: List[CoverSet] = []
+        self.level_start = [0]
         for n in range(l + 1):
-            sets = [CoverSet(n, v, self.fibers[n][v], epsilons[n])
-                    for v in diagram.levels[n].sorted_vertices()]
+            sets = [CoverSet(n, v, self.fibers[n][v], epsilons[n], len(self._sets) + k)
+                    for k, v in enumerate(diagram.levels[n].sorted_vertices())]
             self.covers.append(sets)
+            self._sets += sets
+            self.level_start.append(len(self._sets))
+        self._by_vertex = [{a.vertex: a for a in sets} for sets in self.covers]
 
         if phi_tables is None:
             self.phi = [dict(diagram.f_row[n].assignment) for n in range(l)]
@@ -119,16 +127,15 @@ class CoverSystem:
                 if table.get(v) not in diagram.levels[n].vertices:
                     raise GraphError("pattern table %d not total at %r" % (n, v))
 
-        # the intersection graph, built once: every cover set gets an int
-        # index in all_sets() order, and two sets meet exactly when their
-        # fibers hold one deepest vertex or the two ends of one deepest edge
-        self._sets = [a for sets in self.covers for a in sets]
-        self.index: Dict[Tuple[int, object], int] = {
-            (a.level, a.vertex): i for i, a in enumerate(self._sets)}
-        self.level_start = [0]
-        for sets in self.covers:
-            self.level_start.append(self.level_start[-1] + len(sets))
-        ids = {w: [self.index[(n, towers[n][w])] for n in range(l + 1)]
+        # _images[i]: the phi-image of set i, for the sets of levels 1..l
+        self._images = [None] * self.level_start[1] + [
+            self.cover_set(a.level - 1, self.phi[a.level - 1][a.vertex])
+            for a in self._sets[self.level_start[1]:]]
+
+        # the intersection graph, built once on the sets' indices: two sets
+        # meet exactly when their fibers hold one deepest vertex or the two
+        # ends of one deepest edge
+        ids = {w: [self._by_vertex[n][towers[n][w]].index for n in range(l + 1)]
                for w in self.deepest.vertices}
         meets = [set() for _ in self._sets]
         for own in ids.values():
@@ -147,7 +154,7 @@ class CoverSystem:
     # -- plumbing ---------------------------------------------------------
 
     def cover_set(self, n: int, v) -> CoverSet:
-        return CoverSet(n, v, self.fibers[n][v], self.epsilons[n])
+        return self._by_vertex[n][v]
 
     def all_sets(self) -> List[CoverSet]:
         return list(self._sets)
@@ -170,11 +177,11 @@ class CoverSystem:
     def apply_phi(self, a: CoverSet) -> CoverSet:
         if not 1 <= a.level <= self.l:
             raise GraphError("phi is defined on levels 1..l")
-        return self.cover_set(a.level - 1, self.phi[a.level - 1][a.vertex])
+        return self._images[a.index]
 
     def neighbors(self, a: CoverSet, level: int, since: int = 0) -> List[CoverSet]:
         """The sets of covers[level][since:] that meet a, in that order."""
-        adj = self.adjacency[self.index[(a.level, a.vertex)]]
+        adj = self.adjacency[a.index]
         lo = bisect_left(adj, self.level_start[level] + since)
         hi = bisect_left(adj, self.level_start[level + 1], lo)
         return [self._sets[i] for i in adj[lo:hi]]
@@ -204,8 +211,7 @@ def sets_intersect(system: CoverSystem, a: CoverSet, b: CoverSet) -> bool:
     """Nonempty intersection: some pair of fiber vertices is 1-close in the
     deepest tree.  Symmetric; closures intersect exactly when the sets do.
     A lookup in the intersection graph of the system."""
-    return system.meets[system.index[(a.level, a.vertex)]] >> \
-        system.index[(b.level, b.vertex)] & 1 == 1
+    return system.meets[a.index] >> b.index & 1 == 1
 
 
 def set_contains(system: CoverSystem, outer: CoverSet, inner: CoverSet) -> bool:

@@ -215,30 +215,6 @@ class SegmentRegion:
             {e: [(lo, hi, True, True) for lo, hi, _, _ in iv]
              for e, iv in self.pieces.items()})
 
-    @cached_property
-    def geometric_pieces(self) -> Tuple[Tuple[Point, Point], ...]:
-        """Closed carrier segments with exact planar endpoints."""
-        segs = []
-        for a, b in self.sorted_edges():
-            pa, pb = self.tree.point(a), self.tree.point(b)
-            for lo, hi, _, _ in self.pieces[(a, b)]:
-                segs.append((_lerp(pa, pb, lo), _lerp(pa, pb, hi)))
-        return tuple(segs)
-
-
-def region_union(regions: Sequence[SegmentRegion]) -> SegmentRegion:
-    if not regions:
-        raise GraphError("empty union")
-    tree = regions[0].tree
-    raw: Dict = {}
-    for r in regions:
-        if r.tree != tree:
-            raise GraphError("regions live on different trees")
-        for e, iv in r.pieces.items():
-            raw.setdefault(e, []).extend(iv)
-    return SegmentRegion.from_pieces(tree, raw)
-
-
 def _coded_intervals(regions: Sequence[SegmentRegion]):
     """(E, coded): E = _steps of all the listed regions' intervals, and
     every interval of region i as (edge, start, end, i), coded by _code."""
@@ -368,26 +344,24 @@ def _diameter_squared(pts: Sequence[Point]):
 # -- realized cover systems -----------------------------------------------
 
 
-def star_region(tree: SimplicialGraph, v, epsilon: Fraction) -> SegmentRegion:
-    """The half-open epsilon-star of a vertex: the initial epsilon fraction of
-    every incident edge, measured in edge parameter."""
-    raw: Dict = {}
-    for w in tree.neighbors(v):
-        a, b = (v, w) if (v, w) in tree.edges else (w, v)
-        if a == v:
-            raw.setdefault((a, b), []).append((ZERO, epsilon, True, False))
-        else:
-            raw.setdefault((a, b), []).append((1 - epsilon, ONE, False, True))
-    return SegmentRegion.from_pieces(tree, raw)
-
-
 def realize(system: CoverSystem, a: CoverSet) -> SegmentRegion:
-    """The realized cover set: the union of the level's epsilon-stars at every
-    fiber vertex of the deepest tree."""
-    if system.deepest.coords is None:
+    """The realized cover set: the union of the level's half-open
+    epsilon-stars at every fiber vertex of the deepest tree.  The star of w
+    is the initial epsilon fraction, in edge parameter, of every edge at w;
+    the stars are collected edge by edge and normalized once."""
+    tree = system.deepest
+    if tree.coords is None:
         raise GraphError("the deepest tree carries no planar coordinates")
-    return region_union([star_region(system.deepest, w, a.epsilon)
-                         for w in sorted(a.fiber, key=vkey)])
+    if not a.fiber:
+        raise GraphError("empty union: the set %r has an empty fiber" % ((a.level, a.vertex),))
+    raw: Dict = {}
+    for w in sorted(a.fiber, key=vkey):
+        for u in tree.neighbors(w):
+            if (w, u) in tree.edges:
+                raw.setdefault((w, u), []).append((ZERO, a.epsilon, True, False))
+            else:
+                raw.setdefault((u, w), []).append((1 - a.epsilon, ONE, False, True))
+    return SegmentRegion.from_pieces(tree, raw)
 
 
 class RealizedSystem:
@@ -411,8 +385,8 @@ class RealizedSystem:
     @cached_property
     def scaled_pieces(self):
         """(scale, pieces): every closed piece of every closure as one
-        (set index, p, q, box) in all_sets() order, on the same edges in the
-        same order as ``geometric_pieces``, in int coordinates.
+        (set index, p, q, box) in all_sets() order, each closure's edges in
+        ``sorted_edges()`` order, in int coordinates.
 
         With the deepest tree's int frame (A, B the int ends of an edge) and
         the closures coded on one E (see _code), a closed end has the code
@@ -639,7 +613,11 @@ def render_svg(realized: RealizedSystem, path: str,
                levels: Optional[Sequence[int]] = None) -> str:
     """Write a deterministic SVG: tree skeleton plus one capsule-stroked layer
     per cover level, stroked twice the level's enlargement radius wide when
-    ``radius_sq`` is given.  Returns the SVG text."""
+    ``radius_sq`` is given.  Returns the SVG text.
+
+    Links are drawn from ``scaled_pieces`` at x / scale: every epsilon
+    exceeds 1/2, so a closure's pieces are its region's, and an int quotient
+    is the correctly rounded float of its rational."""
     system = realized.system
     tree = system.deepest
     if levels is None:
@@ -655,6 +633,12 @@ def render_svg(realized: RealizedSystem, path: str,
     def to_px(p):
         return ((float(p[0]) - x0) * _SVG_SCALE, (y1 - float(p[1])) * _SVG_SCALE)
 
+    scale, pieces = realized.scaled_pieces
+    links = [[] for _ in system.all_sets()]
+    for i, p, q, _ in pieces:
+        pp, qq = [to_px((x / scale, y / scale)) for x, y in (p, q)]
+        links[i].append("M %s %s L %s %s" % (_fmt(pp[0]), _fmt(pp[1]), _fmt(qq[0]), _fmt(qq[1])))
+
     lines = ['<svg xmlns="http://www.w3.org/2000/svg" width="%s" height="%s" '
              'viewBox="0 0 %s %s">' % (_fmt(width + 160), _fmt(height),
                                        _fmt(width + 160), _fmt(height))]
@@ -667,14 +651,8 @@ def render_svg(realized: RealizedSystem, path: str,
         lines.append('<g id="level-%d" stroke="%s" stroke-opacity="0.45" '
                      'fill="none" stroke-linecap="round">' % (n, color))
         for a in system.covers[n]:
-            r = realized.region(a)
-            parts = []
-            for p, q in r.geometric_pieces:
-                pp, qq = to_px(p), to_px(q)
-                parts.append("M %s %s L %s %s" % (_fmt(pp[0]), _fmt(pp[1]),
-                                                  _fmt(qq[0]), _fmt(qq[1])))
             lines.append('<path class="link" stroke-width="%s" d="%s"/>'
-                         % (stroke, " ".join(parts)))
+                         % (stroke, " ".join(links[a.index])))
         lines.append("</g>")
     lines.append('<g id="skeleton" stroke="#000000" stroke-width="1.5">')
     for a, b in tree.sorted_edges():

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_fixtures import CASES, FIXTURES
 
 import treechains.geometry as geo
 from treechains.cli import main
@@ -201,6 +202,48 @@ class TestOther:
         assert main(argv) == 1
         assert capsys.readouterr().out.startswith("schema                 FAIL")
         assert not (tmp_path / "x.svg").exists()
+
+
+COMMAND_ARGS = {"render": ["--out", "{out}"], "oracle": ["--trials", "50"]}
+
+
+def _run_on_fixture(command, name, svg):
+    args = [a.format(out=svg) for a in COMMAND_ARGS[command]]
+    return main([command, os.path.join(FIXTURES, name)] + args)
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+@pytest.mark.parametrize("name", [name for name, _ in CASES])
+def test_render_and_oracle_end_in_a_verdict_on_every_fixture(tmp_path, capsys, name,
+                                                             command):
+    svg = tmp_path / "x.svg"
+    code = _run_on_fixture(command, name, svg)
+    lines = capsys.readouterr().out.splitlines()
+    assert code in (0, 1)
+    if code == 1:
+        assert any(line.split()[1:2] == ["FAIL"] for line in lines)
+        assert not svg.exists()
+
+
+# fixtures whose cover system cannot be built, with the start of the error
+BUILD_ERRORS = {"eps_short.json": "schedule length 2 != l+1 = 3",
+                "g_not_simplicial.json": "empty union: "}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+@pytest.mark.parametrize("name", sorted(BUILD_ERRORS))
+def test_unbuildable_system_fails_at_system_build(tmp_path, capsys, name, command):
+    svg = tmp_path / "x.svg"
+    assert _run_on_fixture(command, name, svg) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith(
+        "system-build           FAIL  witness=('build-error', '%s" % BUILD_ERRORS[name])
+    assert lines[1] == "overall                FAIL"
+    assert not svg.exists()
+    if name == "eps_short.json":
+        # the line verify prints, where its stages reach the build
+        main(["verify", os.path.join(FIXTURES, name)])
+        assert lines[0] in capsys.readouterr().out.splitlines()
 
 
 def _json_paths(node, path=()):

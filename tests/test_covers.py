@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from treechains.covers import (
+    CoverSet,
     CoverSystem,
     EpsilonSchedule,
     ScheduleError,
@@ -19,7 +20,7 @@ from treechains.covers import (
 )
 from treechains.serialize import Instance
 from treechains.simplicial import EdgePoint, GraphError, k_close
-from treechains.verify import generate_instance, verify_instance
+from treechains.verify import VerifyContext, generate_instance, verify_instance
 
 
 def make_system(l):
@@ -112,6 +113,28 @@ class TestIntersection:
         boundary = EdgePoint(a_edge, b_edge, eps)
         assert point_in_cover_set(system, inside, a)
         assert not point_in_cover_set(system, boundary, a)
+
+
+def test_each_cover_set_is_built_once(monkeypatch):
+    built = []
+    original = CoverSet.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        original(self, *args)
+
+    monkeypatch.setattr(CoverSet, "__init__", counted)
+    ctx = VerifyContext(generate_instance(4))
+    assert verify_instance(ctx.instance, ctx=ctx).passed
+    system = ctx.system
+    sets = system.all_sets()
+    assert len(built) == len(sets) and all(b is a for b, a in zip(built, sets))
+    for i, a in enumerate(sets):
+        assert a.index == i
+        assert system.cover_set(a.level, a.vertex) is a
+        if a.level >= 1:
+            image = system.phi[a.level - 1][a.vertex]
+            assert system.apply_phi(a) is system.cover_set(a.level - 1, image)
 
 
 class TestConditions:

@@ -22,12 +22,10 @@ from treechains.geometry import (
     point_segment_dist2,
     realize,
     region_contains,
-    region_union,
     regions_share_point,
     render_svg,
     segment_dist2,
     segment_intersection,
-    star_region,
 )
 from treechains.simplicial import EdgePoint, SimplicialGraph, SimplicialMapping
 from treechains.verify import generate_instance
@@ -40,16 +38,49 @@ def path_graph(n, spacing=1):
     return SimplicialGraph.build(range(n), [(i, i + 1) for i in range(n - 1)], coords)
 
 
+def star_region(tree, v, epsilon):
+    """The half-open epsilon-star of a vertex: the initial epsilon fraction of
+    every incident edge, measured in edge parameter."""
+    raw = {}
+    for w in tree.neighbors(v):
+        if (v, w) in tree.edges:
+            raw.setdefault((v, w), []).append((F(0), epsilon, True, False))
+        else:
+            raw.setdefault((w, v), []).append((1 - epsilon, F(1), False, True))
+    return SegmentRegion.from_pieces(tree, raw)
+
+
+def region_union(regions):
+    """The union of regions of one tree, normalized edge by edge."""
+    raw = {}
+    for r in regions:
+        assert r.tree == regions[0].tree
+        for e, intervals in r.pieces.items():
+            raw.setdefault(e, []).extend(intervals)
+    return SegmentRegion.from_pieces(regions[0].tree, raw)
+
+
+def geometric_pieces(region):
+    """The closed carrier segments of a region with exact Fraction endpoints,
+    edge by edge in ``sorted_edges()`` order."""
+    segs = []
+    for a, b in region.sorted_edges():
+        (ax, ay), (bx, by) = region.tree.point(a), region.tree.point(b)
+        for lo, hi, _, _ in region.pieces[(a, b)]:
+            segs.append(tuple((ax + t * (bx - ax), ay + t * (by - ay)) for t in (lo, hi)))
+    return segs
+
+
 def set_distance_squared(r1, r2):
     """Exact squared distance between the closures of two regions, over every
     pair of their Fraction pieces."""
     return min(segment_dist2(p1, q1, p2, q2)
-               for p1, q1 in r1.geometric_pieces for p2, q2 in r2.geometric_pieces)
+               for p1, q1 in geometric_pieces(r1) for p2, q2 in geometric_pieces(r2))
 
 
 def diameter_squared(r):
     """Squared diameter of the closed region, attained at piece endpoints."""
-    pts = [p for seg in r.geometric_pieces for p in seg]
+    pts = [p for seg in geometric_pieces(r) for p in seg]
     return max((dist2(p, q) for p in pts for q in pts), default=F(0))
 
 
@@ -57,7 +88,7 @@ def bbox_gap_squared(r1, r2):
     """Squared gap between the bounding boxes of two closed regions."""
     boxes = []
     for r in (r1, r2):
-        pts = [p for seg in r.geometric_pieces for p in seg]
+        pts = [p for seg in geometric_pieces(r) for p in seg]
         boxes.append((min(x for x, _ in pts), max(x for x, _ in pts),
                       min(y for _, y in pts), max(y for _, y in pts)))
     a, b = boxes
@@ -354,8 +385,8 @@ class TestRealized:
             for b in level0[i + 1:]:
                 if sets_intersect(system, a, b):
                     continue
-                for p1, q1 in realized.closure(a).geometric_pieces:
-                    for p2, q2 in realized.closure(b).geometric_pieces:
+                for p1, q1 in geometric_pieces(realized.closure(a)):
+                    for p2, q2 in geometric_pieces(realized.closure(b)):
                         for s in range(11):
                             for t in range(11):
                                 x1 = float(p1[0]) + (float(q1[0]) - float(p1[0])) * s / 10

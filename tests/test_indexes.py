@@ -12,12 +12,15 @@ from hypothesis import strategies as st
 from test_geometry import (
     bbox_gap_squared,
     diameter_squared,
+    geometric_pieces,
     normalize_by_keys,
     path_graph,
     region_contains_by_keys,
     region_intersects,
+    region_union,
     set_distance_squared,
     share_point_pointwise,
+    star_region,
 )
 
 import treechains.geometry as geometry
@@ -37,7 +40,6 @@ from treechains.geometry import (
     later_intersecting,
     normalize_intervals,
     region_contains,
-    region_union,
     regions_share_point,
     segment_dist2,
 )
@@ -89,7 +91,14 @@ def test_scaled_pieces_are_the_closures_pieces(realized):
     got = [(i, tuple((F(x, scale), F(y, scale)) for x, y in (p, q)))
            for i, p, q, _ in pieces]
     assert got == [(i, seg) for i, a in enumerate(realized.system.all_sets())
-                   for seg in realized.closure(a).geometric_pieces]
+                   for seg in geometric_pieces(realized.closure(a))]
+
+
+def test_realize_matches_the_union_of_stars(realized):
+    system = realized.system
+    for a in system.all_sets():
+        stars = [star_region(system.deepest, w, a.epsilon) for w in sorted(a.fiber, key=vkey)]
+        assert realized.region(a).pieces == region_union(stars).pieces, a.key()
 
 
 def test_graph_matches_hull_definition(realized):
@@ -441,7 +450,7 @@ def test_grown_region_fails_triples_like_brute_force(monkeypatch):
         sets = system.all_sets()
         meets = list(system.meets)
         for b, q in _triangle_tampers(system):
-            i = system.index[(0, b.vertex)]
+            i = b.index
             system.meets = list(meets)
             for j, d in enumerate(sets):
                 if self.closure(d).contains_point(q):
