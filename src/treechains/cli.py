@@ -143,10 +143,13 @@ def cmd_example1(args) -> int:
 
 def cmd_oracle(args) -> int:
     instance, failure = _load(args.file)
-    failure = failure or _build_failure(VerifyContext(instance))
     if failure is not None:
         return _fail(failure)
-    report = oracle_trials(instance, args.trials, args.seed)
+    ctx = VerifyContext(instance)
+    failure = _build_failure(ctx)
+    if failure is not None:
+        return _fail(failure)
+    report = oracle_trials(instance, args.trials, args.seed, ctx=ctx)
     for key in ("trials", "membership_agree", "map_trials", "map_agree"):
         print("%-20s %s" % (key, report[key]))
     print("overall              %s" % ("PASS" if report["pass"] else "FAIL"))

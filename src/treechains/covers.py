@@ -14,6 +14,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .diagram import TreeDiagram
@@ -49,6 +51,13 @@ class EpsilonSchedule:
         # 1/2 + 1/(2(n+2)): strictly decreasing within (1/2, 3/4]
         return EpsilonSchedule.build(
             [Fraction(1, 2) + Fraction(1, 2 * (n + 2)) for n in range(l + 1)])
+
+    @cached_property
+    def steps(self) -> int:
+        """E: the lcm of the radii's denominators.  Every end of a realized
+        interval is 0, eps_n, 1 - eps_n or 1, so all lie on the grid of
+        multiples of 1/E."""
+        return lcm(*(v.denominator for v in self.values))
 
     def check_length(self, l: int) -> None:
         """One star radius per level of a diagram of length l."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import floor, isqrt, lcm, sqrt
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -20,7 +20,6 @@ Point = Tuple[Fraction, Fraction]
 Interval = Tuple[Fraction, Fraction, bool, bool]  # lo, hi, lo_closed, hi_closed
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 # -- exact segment primitives ---------------------------------------------
@@ -116,24 +115,34 @@ def segment_dist2(a: Point, b: Point, c: Point, d: Point) -> Fraction:
 # -- intervals on one integer coding -------------------------------------
 
 
-def _steps(intervals: Iterable[Interval]) -> int:
-    """E: the lcm of the denominators of the intervals' ends."""
-    return lcm(*{t.denominator for lo, hi, _, _ in intervals for t in (lo, hi)})
-
-
 def _code(interval: Interval, steps: int) -> Tuple[int, int]:
-    """(start, end) of an interval on the discrete line of E = ``steps``.
+    """(start, end) of a Fraction interval on the discrete line of E = ``steps``.
 
     2T is the point T/E and 2T + 1 the open gap after it, so (lo, hi, lc, hc)
     starts at 2 lo E (+1 if open) and ends at 2 hi E (-1 if open).  The
     interval is empty exactly when start > end, two intervals meet exactly
     when the larger start is at most the smaller end, and they leave no
     point between them exactly when the later start is at most one past the
-    earlier end.  Every interval question is decided on these codes.
+    earlier end.  A region stores its intervals in this form, and every
+    interval question is decided on the codes.
     """
     lo, hi, lc, hc = interval
     return (2 * lo.numerator * (steps // lo.denominator) + (0 if lc else 1),
             2 * hi.numerator * (steps // hi.denominator) - (0 if hc else 1))
+
+
+def _point_code(t, steps: int) -> int:
+    """The code of the edge parameter t on the line of E = ``steps``: 2tE
+    on the grid, else 2 floor(tE) + 1, the open gap that holds it."""
+    whole, rest = divmod(t.numerator * steps, t.denominator)
+    return 2 * whole + (1 if rest else 0)
+
+
+@lru_cache(maxsize=4096)
+def _parameter(whole: int, steps: int) -> Fraction:
+    """The edge parameter whole/E: a realized region has four ends per
+    level, so the few distinct values are made once."""
+    return Fraction(whole, steps)
 
 
 def _merge(coded: Iterable[Tuple[int, int]]) -> List[Tuple[int, int]]:
@@ -151,19 +160,23 @@ def _merge(coded: Iterable[Tuple[int, int]]) -> List[Tuple[int, int]]:
     return out
 
 
-def normalize_intervals(intervals: Iterable[Interval]) -> Tuple[Interval, ...]:
-    """The union of the intervals as its apart, ascending components, each
-    with the caller's own ends (a code names one end, so any interval with
-    that code gives it)."""
-    intervals = list(intervals)
-    steps = _steps(intervals)
-    starts, ends, coded = {}, {}, []
-    for i in intervals:
-        start, end = _code(i, steps)
-        starts[start], ends[end] = i, i
-        coded.append((start, end))
-    return tuple((starts[s][0], ends[e][1], starts[s][2], ends[e][3])
-                 for s, e in _merge(coded))
+def _rescaled(codes: Dict, k: int) -> Dict:
+    """The same intervals on the line of kE: a point code c becomes ck, an
+    open start after T (c = 2T + 1) the start after kT, and an open end
+    before H (c = 2H - 1) the end before kH."""
+    if k == 1:
+        return codes
+    return {edge: tuple((s * k if s % 2 == 0 else (s - 1) * k + 1,
+                         e * k if e % 2 == 0 else (e + 1) * k - 1) for s, e in coded)
+            for edge, coded in codes.items()}
+
+
+def _common_codes(regions: Sequence["SegmentRegion"]):
+    """(E, codes): E the lcm of the regions' own E, and every region's codes
+    on it.  Realized regions all share the schedule's E, so only regions
+    made by ``from_pieces`` get rescaled."""
+    steps = lcm(*{r.steps for r in regions})
+    return steps, [_rescaled(r.codes, steps // r.steps) for r in regions]
 
 
 # -- regions on an embedded tree ------------------------------------------
@@ -171,34 +184,56 @@ def normalize_intervals(intervals: Iterable[Interval]) -> Tuple[Interval, ...]:
 
 @dataclass(frozen=True, eq=False)
 class SegmentRegion:
-    """Finite union of parameterized sub-segments of edges, with endpoint flags."""
+    """Finite union of parameterized sub-segments of edges, stored as codes.
+
+    ``codes[edge]`` holds the region's intervals on that edge as merged,
+    apart, ascending (start, end) codes (see _code) on the line of E =
+    ``steps``.  A realized region is coded on the schedule's E; one made by
+    ``from_pieces`` on the lcm of its own ends' denominators.  ``pieces``
+    gives the same intervals back as Fractions.
+    """
 
     tree: SimplicialGraph
-    pieces: Dict[Tuple, Tuple[Interval, ...]]  # edge -> normalized intervals
+    steps: int
+    codes: Dict[Tuple, Tuple[Tuple[int, int], ...]]
 
     @staticmethod
     def from_pieces(tree: SimplicialGraph, raw: Dict) -> "SegmentRegion":
-        pieces = {}
+        """The union of the (lo, hi, lo_closed, hi_closed) Fraction intervals
+        given edge by edge, coded on the lcm of their ends' denominators."""
+        steps = lcm(*{t.denominator for intervals in raw.values()
+                      for lo, hi, _, _ in intervals for t in (lo, hi)})
+        codes = {}
         for edge, intervals in raw.items():
             if edge not in tree.edges:
                 raise GraphError("unknown edge %r" % (edge,))
-            norm = normalize_intervals(intervals)
-            if norm:
-                pieces[edge] = norm
-        return SegmentRegion(tree, pieces)
+            merged = _merge(_code(i, steps) for i in intervals)
+            if merged:
+                codes[edge] = tuple(merged)
+        return SegmentRegion(tree, steps, codes)
+
+    @property
+    def pieces(self) -> Dict[Tuple, Tuple[Interval, ...]]:
+        """edge -> the region's intervals there as (lo, hi, lo_closed,
+        hi_closed) Fractions, derived from the codes: a start 2T (+1) is
+        T/E, closed (open), and an end 2H (-1) is H/E, closed (open)."""
+        steps = self.steps
+        return {edge: tuple((_parameter(s // 2, steps), _parameter((e + 1) // 2, steps),
+                             s % 2 == 0, e % 2 == 0) for s, e in coded)
+                for edge, coded in self.codes.items()}
 
     def sorted_edges(self):
-        return sorted(self.pieces, key=lambda e: (vkey(e[0]), vkey(e[1])))
+        return sorted(self.codes, key=lambda e: (vkey(e[0]), vkey(e[1])))
 
     @cached_property
     def vertex_set(self) -> frozenset:
+        top = 2 * self.steps
         out = set()
-        for (a, b), intervals in self.pieces.items():
-            for lo, hi, lc, hc in intervals:
-                if lo == 0 and lc:
-                    out.add(a)
-                if hi == 1 and hc:
-                    out.add(b)
+        for (a, b), coded in self.codes.items():
+            if coded[0][0] == 0:
+                out.add(a)
+            if coded[-1][1] == top:
+                out.add(b)
         return frozenset(out)
 
     def contains_point(self, p: EdgePoint) -> bool:
@@ -206,23 +241,16 @@ class SegmentRegion:
         if c[0] == "vertex":
             return c[1] in self.vertex_set
         _, a, b, t = c
-        return any((lo < t or lo == t and lc) and (t < hi or t == hi and hc)
-                   for lo, hi, lc, hc in self.pieces.get((a, b), ()))
+        code = _point_code(t, self.steps)
+        return any(s <= code <= e for s, e in self.codes.get((a, b), ()))
 
     def closure(self) -> "SegmentRegion":
-        return SegmentRegion.from_pieces(
-            self.tree,
-            {e: [(lo, hi, True, True) for lo, hi, _, _ in iv]
-             for e, iv in self.pieces.items()})
-
-def _coded_intervals(regions: Sequence[SegmentRegion]):
-    """(E, coded): E = _steps of all the listed regions' intervals, and
-    every interval of region i as (edge, start, end, i), coded by _code."""
-    steps = _steps(i for r in regions for intervals in r.pieces.values() for i in intervals)
-    coded = [(e, *_code(interval, steps), i)
-             for i, r in enumerate(regions) for e, intervals in r.pieces.items()
-             for interval in intervals]
-    return steps, coded
+        """Every open end rounded to its point code, merged again."""
+        closed = {}
+        for edge, coded in self.codes.items():
+            ends = [(s - s % 2, e + e % 2) for s, e in coded]
+            closed[edge] = tuple(_merge(ends) if len(ends) > 1 else ends)
+        return SegmentRegion(self.tree, self.steps, closed)
 
 
 def later_intersecting(regions: Sequence[SegmentRegion]) -> List[List[int]]:
@@ -230,15 +258,18 @@ def later_intersecting(regions: Sequence[SegmentRegion]) -> List[List[int]]:
     regions that meet it.
 
     Two regions meet on an edge both have pieces on or at a vertex both
-    contain.  On each edge the coded intervals (see _code) are swept by
+    contain.  On each edge the codes (see _code), on one E, are swept by
     start: an open interval that ends before the current start meets
     neither it nor any later one and is dropped, and every other open
     interval meets it (a region's own intervals are apart, so it never
     meets itself).  At each vertex every two regions holding it meet.
     """
     by_edge: Dict = {}
-    for e, start, end, i in _coded_intervals(regions)[1]:
-        by_edge.setdefault(e, []).append((start, end, i))
+    for i, codes in enumerate(_common_codes(regions)[1]):
+        for e, coded in codes.items():
+            items = by_edge.setdefault(e, [])
+            for start, end in coded:
+                items.append((start, end, i))
     later = [set() for _ in regions]
     for items in by_edge.values():
         items.sort()
@@ -263,56 +294,51 @@ def later_intersecting(regions: Sequence[SegmentRegion]) -> List[List[int]]:
 
 def regions_share_point(regions: Sequence[SegmentRegion]) -> bool:
     """Some point lies in every listed region: a vertex in every
-    ``vertex_set``, or a point of one edge in a coded interval (see _code)
-    of each region, so that the largest start is at most the least end."""
+    ``vertex_set``, or a point of one edge in an interval of each, so that
+    on one E (see _code) the largest start is at most the least end."""
     if frozenset.intersection(*(r.vertex_set for r in regions)):
         return True
-    by_edge: Dict = {}
-    for e, start, end, i in _coded_intervals(regions)[1]:
-        by_edge.setdefault(e, [[] for _ in regions])[i].append((start, end))
-    for per_region in by_edge.values():
-        common = per_region[0]
-        for coded in per_region[1:]:
-            common = [(max(s, t), min(e, f)) for s, e in common for t, f in coded
-                      if max(s, t) <= min(e, f)]
+    codes = _common_codes(regions)[1]
+    for e, common in codes[0].items():
+        for other in codes[1:]:
+            common = [(max(s, t), min(d, f)) for s, d in common
+                      for t, f in other.get(e, ()) if max(s, t) <= min(d, f)]
         if common:
             return True
     return False
 
 
 def region_contains(outer: SegmentRegion, inner: SegmentRegion) -> bool:
-    """Every point of inner lies in outer: on each edge, coded on one E (see
+    """Every point of inner lies in outer: on each edge, on one E (see
     _code), every interval of inner lies in one merged component of outer's
     intervals, with an end vertex that outer holds through another edge
     added as a point."""
     if outer.tree != inner.tree:
         raise GraphError("regions live on different trees")
+    steps, (outer_codes, inner_codes) = _common_codes((outer, inner))
     holds = outer.vertex_set
-    for (a, b), intervals in inner.pieces.items():
-        cover = outer.pieces.get((a, b), ())
-        steps = _steps(cover + intervals)
-        coded = [_code(i, steps) for i in cover]
-        if a in holds:
-            coded.append((0, 0))
-        if b in holds:
-            coded.append((2 * steps, 2 * steps))
-        merged = _merge(coded)
-        for start, end in (_code(i, steps) for i in intervals):
-            if not any(s <= start and end <= e for s, e in merged):
+    for (a, b), coded in inner_codes.items():
+        cover = outer_codes.get((a, b), ())
+        ends = [(c, c) for v, c in ((a, 0), (b, 2 * steps)) if v in holds]
+        if ends:
+            cover = _merge(list(cover) + ends)
+        for start, end in coded:
+            if not any(s <= start and end <= e for s, e in cover):
                 return False
     return True
 
 
 def covers_whole_tree(regions: Sequence[SegmentRegion]) -> bool:
     """Every point of every edge of the tree lies in a listed region: on
-    each edge the merged coded intervals (see _code) are exactly the one
+    each edge the merged codes (see _code), on one E, are exactly the one
     interval from 0 to 2E."""
     if not regions:
         raise GraphError("no regions to cover the tree")
-    steps, coded = _coded_intervals(regions)
+    steps, codes = _common_codes(regions)
     by_edge: Dict = {e: [] for e in regions[0].tree.edges}
-    for e, start, end, _ in coded:
-        by_edge[e].append((start, end))
+    for per_edge in codes:
+        for e, coded in per_edge.items():
+            by_edge[e].extend(coded)
     whole = [(0, 2 * steps)]
     return all(_merge(items) == whole for items in by_edge.values())
 
@@ -348,20 +374,25 @@ def realize(system: CoverSystem, a: CoverSet) -> SegmentRegion:
     """The realized cover set: the union of the level's half-open
     epsilon-stars at every fiber vertex of the deepest tree.  The star of w
     is the initial epsilon fraction, in edge parameter, of every edge at w;
-    the stars are collected edge by edge and normalized once."""
+    on the schedule's E it is coded (0, 2 eps E - 1) on an edge that starts
+    at w and (2E - 2 eps E + 1, 2E) on one that ends there.  An edge gets
+    at most these two stars, one from each end, and the two are merged
+    once per set."""
     tree = system.deepest
     if tree.coords is None:
         raise GraphError("the deepest tree carries no planar coordinates")
     if not a.fiber:
         raise GraphError("empty union: the set %r has an empty fiber" % ((a.level, a.vertex),))
-    raw: Dict = {}
-    for w in sorted(a.fiber, key=vkey):
+    steps = system.epsilons.steps
+    width = 2 * a.epsilon.numerator * (steps // a.epsilon.denominator)
+    head, tail = (0, width - 1), (2 * steps - width + 1, 2 * steps)
+    both = tuple(_merge([head, tail]))
+    codes: Dict = {}
+    for w in a.fiber:
         for u in tree.neighbors(w):
-            if (w, u) in tree.edges:
-                raw.setdefault((w, u), []).append((ZERO, a.epsilon, True, False))
-            else:
-                raw.setdefault((u, w), []).append((1 - a.epsilon, ONE, False, True))
-    return SegmentRegion.from_pieces(tree, raw)
+            e, star = ((w, u), head) if (w, u) in tree.edges else ((u, w), tail)
+            codes[e] = both if e in codes else (star,)
+    return SegmentRegion(tree, steps, codes)
 
 
 class RealizedSystem:
@@ -389,22 +420,23 @@ class RealizedSystem:
         ``sorted_edges()`` order, in int coordinates.
 
         With the deepest tree's int frame (A, B the int ends of an edge) and
-        the closures coded on one E (see _code), a closed end has the code
+        the closures' codes on one E (see _code), a closed end has the code
         2L for the parameter L/E, at the point (A (E - L) + B L) / E, so
         ``scale`` is the frame's times E and every coordinate is an int
         combination, with no Fraction in between.
         """
-        unit, ipt = self.system.deepest.int_frame
-        steps, coded = _coded_intervals([self.closure(a) for a in self.system.all_sets()])
-        rank = {e: k for k, e in enumerate(self.system.deepest.sorted_edges())}
-        # stable: a closure's intervals on one edge keep their order
-        coded.sort(key=lambda c: (c[3], rank[c[0]]))
+        tree = self.system.deepest
+        unit, ipt = tree.int_frame
+        steps, codes = _common_codes([self.closure(a) for a in self.system.all_sets()])
+        rank = {e: k for k, e in enumerate(tree.sorted_edges())}
         out = []
-        for e, start, end, i in coded:
-            (ax, ay), (bx, by) = ipt[e[0]], ipt[e[1]]
-            p, q = [(ax * (steps - t) + bx * t, ay * (steps - t) + by * t)
-                    for t in (start // 2, end // 2)]
-            out.append((i, p, q, _box((p, q))))
+        for i, per_edge in enumerate(codes):
+            for e in sorted(per_edge, key=rank.__getitem__):
+                (ax, ay), (bx, by) = ipt[e[0]], ipt[e[1]]
+                for start, end in per_edge[e]:
+                    p, q = [(ax * (steps - t) + bx * t, ay * (steps - t) + by * t)
+                            for t in (start // 2, (end + 1) // 2)]
+                    out.append((i, p, q, _box((p, q))))
         return unit * steps, out
 
 

@@ -241,13 +241,14 @@ def regions_to_json(realized) -> dict:
     out = {"schema": SCHEMA_VERSION, "sets": []}
     for a in realized.system.all_sets():
         r = realized.region(a)
+        pieces = r.pieces
         out["sets"].append({
             "level": a.level + 1,
             "vertex": vertex_to_json(a.vertex),
             "pieces": [
                 [[vertex_to_json(e[0]), vertex_to_json(e[1])],
                  [[fraction_to_json(lo), fraction_to_json(hi), lc, hc]
-                  for lo, hi, lc, hc in r.pieces[e]]]
+                  for lo, hi, lc, hc in pieces[e]]]
                 for e in r.sorted_edges()
             ],
         })

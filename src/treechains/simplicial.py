@@ -75,6 +75,8 @@ class SimplicialGraph:
         return g
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, SimplicialGraph):
             return NotImplemented
         return self.vertices == other.vertices and self.edges == other.edges
@@ -102,8 +104,12 @@ class SimplicialGraph:
     def endpoints(self) -> frozenset:
         return frozenset(v for v in self.vertices if self.degree(v) == 1)
 
-    def sorted_vertices(self):
-        return sorted(self.vertices, key=vkey)
+    def sorted_vertices(self) -> Tuple[Vertex, ...]:
+        return self._sorted_vertices
+
+    @cached_property
+    def _sorted_vertices(self) -> Tuple[Vertex, ...]:
+        return tuple(sorted(self.vertices, key=vkey))
 
     def sorted_edges(self) -> Tuple[Tuple[Vertex, Vertex], ...]:
         return self._sorted_edges

@@ -400,11 +400,14 @@ def random_simplicial_map(rng: random.Random, source: SimplicialGraph,
     return SimplicialMapping(source, target, assign)
 
 
-def oracle_trials(instance: Instance, trials: int, seed: int) -> dict:
+def oracle_trials(instance: Instance, trials: int, seed: int,
+                  ctx: Optional[VerifyContext] = None) -> dict:
     """Randomized agreement report: membership identity on the realized system
-    and checker-vs-oracle identity on random map pairs."""
+    and checker-vs-oracle identity on random map pairs.  A given ``ctx`` (of
+    this instance) supplies the system and its realization."""
     rng = random.Random(seed)
-    ctx = VerifyContext(instance)
+    if ctx is None:
+        ctx = VerifyContext(instance)
     system, realized = ctx.system, ctx.realized
     edges = system.deepest.sorted_edges()
     sets = system.all_sets()

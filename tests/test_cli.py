@@ -191,6 +191,24 @@ class TestOther:
         out = capsys.readouterr().out
         assert "membership_agree     500" in out
 
+    def test_oracle_builds_each_structure_once(self, generated, monkeypatch, capsys):
+        calls = Counter()
+
+        def counted(name, fn):
+            @functools.wraps(fn)
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(CoverSystem, "__init__",
+                            counted("system", CoverSystem.__init__))
+        monkeypatch.setattr(geo.RealizedSystem, "__init__",
+                            counted("realized", geo.RealizedSystem.__init__))
+        assert main(["oracle", str(generated / "instance.json"), "--trials", "50"]) == 0
+        assert calls == {"system": 1, "realized": 1}
+        assert "membership_agree     50" in capsys.readouterr().out
+
     @pytest.mark.parametrize("argv", [
         ["render", "{file}", "--out", "{out}"],
         ["oracle", "{file}", "--trials", "5"],

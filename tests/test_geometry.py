@@ -18,7 +18,6 @@ from treechains.geometry import (
     enlargement_disjointness_violation,
     enlargement_nesting_violation,
     family_min_gap_squared,
-    normalize_intervals,
     point_segment_dist2,
     realize,
     region_contains,
@@ -36,6 +35,12 @@ F = Fraction
 def path_graph(n, spacing=1):
     coords = {i: (F(i * spacing), F(0)) for i in range(n)}
     return SimplicialGraph.build(range(n), [(i, i + 1) for i in range(n - 1)], coords)
+
+
+def normalize_intervals(intervals):
+    """The union of intervals on one edge, as ``from_pieces`` codes it and
+    ``pieces`` gives it back."""
+    return SegmentRegion.from_pieces(path_graph(2), {(0, 1): intervals}).pieces.get((0, 1), ())
 
 
 def star_region(tree, v, epsilon):

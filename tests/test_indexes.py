@@ -10,10 +10,13 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from test_geometry import (
+    _endpos,
+    _startpos,
     bbox_gap_squared,
     diameter_squared,
     geometric_pieces,
     normalize_by_keys,
+    normalize_intervals,
     path_graph,
     region_contains_by_keys,
     region_intersects,
@@ -24,7 +27,7 @@ from test_geometry import (
 )
 
 import treechains.geometry as geometry
-from treechains.covers import CoverSystem, d1_violation, sets_intersect
+from treechains.covers import CoverSystem, d1_violation, point_in_cover_set, sets_intersect
 from treechains.geometry import (
     RealizedSystem,
     SegmentRegion,
@@ -38,7 +41,6 @@ from treechains.geometry import (
     enlargement_nesting_violation,
     family_min_gap_squared,
     later_intersecting,
-    normalize_intervals,
     region_contains,
     regions_share_point,
     segment_dist2,
@@ -249,6 +251,103 @@ def test_covers_whole_tree_needs_the_point_between_two_open_ends():
         right = SegmentRegion.from_pieces(FORK, {e: [(half, F(1), closed, True)]
                                                  for e in FORK.edges})
         assert covers_whole_tree([left, right]) is covers_by_union([left, right]) is covers
+
+# -- regions on different grids ---------------------------------------------
+# The realized regions of generate_instance(2) are coded on the schedule's
+# E = 24; regions made by from_pieces on the same deepest tree get their own
+# E from their ends' denominators, so most pairs of the two are rescaled.
+
+_two = generate_instance(2)
+MIXED = RealizedSystem(CoverSystem(_two.diagram, _two.epsilons))
+MIXED_EDGES = MIXED.system.deepest.sorted_edges()
+_foreign_ends = st.one_of(st.sampled_from([F(0), F(1)]),
+                          st.fractions(min_value=0, max_value=1, max_denominator=12))
+
+
+@st.composite
+def foreign_region(draw, edges):
+    """A from_pieces region with one to three intervals on the given edges,
+    their ends of any denominator up to 12."""
+    raw = {}
+    for _ in range(draw(st.integers(1, 3))):
+        lo, hi = sorted((draw(_foreign_ends), draw(_foreign_ends)))
+        raw.setdefault(draw(st.sampled_from(edges)), []).append(
+            (lo, hi, draw(st.booleans()), draw(st.booleans())))
+    return SegmentRegion.from_pieces(MIXED.system.deepest, raw)
+
+
+@st.composite
+def mixed_regions(draw):
+    """One to four realized regions or closures, and one to three foreign
+    regions on their edges and one more, in a random order."""
+    sets = MIXED.system.all_sets()
+    picks = draw(st.lists(st.tuples(st.integers(0, len(sets) - 1), st.booleans()),
+                          min_size=1, max_size=4))
+    pool = [(MIXED.closure if closed else MIXED.region)(sets[i]) for i, closed in picks]
+    edges = [e for e in MIXED_EDGES if any(e in r.codes for r in pool)]
+    edges.append(draw(st.sampled_from(MIXED_EDGES)))
+    pool += draw(st.lists(foreign_region(edges), min_size=1, max_size=3))
+    return draw(st.permutations(pool))
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_regions())
+def test_regions_on_different_grids_match_key_tuples(regions):
+    event("foreign E: %s" % any(r.steps % MIXED.system.epsilons.steps for r in regions))
+    brute = [[j for j in range(i + 1, len(regions))
+              if region_intersects(regions[i], regions[j])]
+             for i in range(len(regions))]
+    assert later_intersecting(regions) == brute
+    for outer in regions:
+        for inner in regions:
+            assert region_contains(outer, inner) == region_contains_by_keys(outer, inner)
+    for size in (1, 2, 3):
+        for some in combinations(regions, size):
+            assert regions_share_point(some) == share_point_pointwise(some)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, MIXED.system.l), st.data())
+def test_covers_whole_tree_across_grids(n, data):
+    # a whole level covers the tree; dropping sets opens holes, which the
+    # foreign regions may or may not fill
+    regions = [MIXED.region(a) for a in MIXED.system.covers[n]]
+    for _ in range(data.draw(st.integers(0, 2))):
+        regions.pop(data.draw(st.integers(0, len(regions) - 1)))
+    regions += data.draw(st.lists(foreign_region(MIXED_EDGES), max_size=3))
+    expected = covers_by_union(regions)
+    event("covers: %s" % expected)
+    assert covers_whole_tree(regions) == expected
+
+
+def contains_by_keys(region, p):
+    """p in the region, on the key tuples of its Fraction pieces: a vertex
+    through the end of an edge at it, a point of an edge by its parameter."""
+    c = p.canonical()
+    if c[0] == "vertex":
+        spots = [(e, F(e.index(c[1]))) for e in region.tree.edges if c[1] in e]
+    else:
+        spots = [((c[1], c[2]), c[3])]
+    return any(_startpos(i) <= (t, 0) <= _endpos(i)
+               for e, t in spots for i in region.pieces.get(e, ()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_contains_point_off_grid_matches_key_tuples(data):
+    # the points oracle_trials draws: t = p/3000 on a deepest edge
+    sets = MIXED.system.all_sets()
+    a = sets[data.draw(st.integers(0, len(sets) - 1))]
+    edge = data.draw(st.sampled_from(MIXED_EDGES))
+    t = F(data.draw(st.integers(0, 3000)), 3000)
+    flipped = data.draw(st.booleans())
+    p = EdgePoint(edge[1], edge[0], 1 - t) if flipped else EdgePoint(*edge, t)
+    event("on the grid: %s" % ((t * MIXED.system.epsilons.steps).denominator == 1))
+    for region in (MIXED.region(a), MIXED.closure(a),
+                   data.draw(foreign_region([edge] + list(MIXED_EDGES[:3])))):
+        assert region.contains_point(p) == contains_by_keys(region, p)
+    assert MIXED.region(a).contains_point(p) == point_in_cover_set(MIXED.system, p, a)
+
 
 def _ref_min_gap(realized, levels=None):
     # all disjoint pairs, pruned only by the exact bounding-box gap

@@ -48,6 +48,12 @@ class TestGraph:
         labels = [("sub", (0, 1), "1/3"), 5, (1, 2), "x"]
         assert sorted(labels, key=vkey) == [5, "x", (1, 2), ("sub", (0, 1), "1/3")]
 
+    def test_sorted_vertices_is_one_cached_tuple(self):
+        g = generate_instance(2).diagram.levels[-1]
+        first = g.sorted_vertices()
+        assert g.sorted_vertices() is first
+        assert first == tuple(sorted(g.vertices, key=vkey))
+
     def test_edge_needs_known_endpoints(self):
         with pytest.raises(GraphError):
             SimplicialGraph.build([0, 1], [(0, 2)])

@@ -1,0 +1,78 @@
+"""Median in-process seconds of each layer of generate + verify, one JSON
+object per l.  Run from the repository root:
+
+    python3 tools/stage_seconds.py L [L ...]
+
+For each l it runs REPEATS rounds.  A round times ``generate_instance``, then
+builds every layer on its own, each on the layers before it: the cover
+system, its realization, ``scaled_pieces``, the margin scan
+(``family_min_gap_squared``) and rho/mesh (``compute_rho_and_mesh``).  Then
+it runs ``verify_instance`` on a fresh instance and keeps the seconds the
+report records per stage.  Lazy builds are charged to the stage that first
+asks for them, as in the report (``system-build`` builds the system and its
+realization, ``enlargement-disjoint`` the pieces and the margin scan).
+Every value is the median over the rounds.
+
+Only the public API is used, so the script runs unchanged against any
+checkout whose ``src`` it sits beside.
+"""
+
+import json
+import os
+import statistics
+import sys
+import time
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+
+from treechains.covers import CoverSystem  # noqa: E402
+from treechains.geometry import (  # noqa: E402
+    RealizedSystem,
+    compute_rho_and_mesh,
+    family_min_gap_squared,
+)
+from treechains.verify import generate_instance, verify_instance  # noqa: E402
+
+REPEATS = 5
+
+
+def _timed(fn):
+    t0 = time.perf_counter()
+    value = fn()
+    return value, time.perf_counter() - t0
+
+
+def one_round(l: int) -> dict:
+    inst, seconds = _timed(lambda: generate_instance(l))
+    out = {"generate_instance": seconds}
+    system, out["system"] = _timed(
+        lambda: CoverSystem(inst.diagram, inst.epsilons, inst.phi_tables))
+    realized, out["realization"] = _timed(lambda: RealizedSystem(system))
+    _, out["scaled_pieces"] = _timed(lambda: realized.scaled_pieces)
+    _, out["margin_scan"] = _timed(lambda: family_min_gap_squared(realized))
+    _, out["rho_mesh"] = _timed(lambda: compute_rho_and_mesh(realized))
+    report = verify_instance(generate_instance(l))
+    if not report.passed:
+        raise SystemExit("verify failed at l=%d: %s" % (l, report.first_failure()))
+    for r in report.results:
+        out["stage." + r.name] = r.seconds
+    return out
+
+
+def stage_seconds(l: int) -> dict:
+    rounds = [one_round(l) for _ in range(REPEATS)]
+    medians = {key: round(statistics.median(r[key] for r in rounds), 4) for key in rounds[0]}
+    return {"l": l, "repeats": REPEATS, "median_s": medians}
+
+
+def main(argv) -> int:
+    if not argv:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    for text in argv:
+        print(json.dumps(stage_seconds(int(text)), sort_keys=True), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
