@@ -149,7 +149,7 @@ def cmd_oracle(args) -> int:
     failure = _build_failure(ctx)
     if failure is not None:
         return _fail(failure)
-    report = oracle_trials(instance, args.trials, args.seed, ctx=ctx)
+    report = oracle_trials(ctx, args.trials, args.seed)
     for key in ("trials", "membership_agree", "map_trials", "map_agree"):
         print("%-20s %s" % (key, report[key]))
     print("overall              %s" % ("PASS" if report["pass"] else "FAIL"))

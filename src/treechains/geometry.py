@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import floor, isqrt, lcm, sqrt
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -138,13 +138,6 @@ def _point_code(t, steps: int) -> int:
     return 2 * whole + (1 if rest else 0)
 
 
-@lru_cache(maxsize=4096)
-def _parameter(whole: int, steps: int) -> Fraction:
-    """The edge parameter whole/E: a realized region has four ends per
-    level, so the few distinct values are made once."""
-    return Fraction(whole, steps)
-
-
 def _merge(coded: Iterable[Tuple[int, int]]) -> List[Tuple[int, int]]:
     """The union of coded intervals as its apart, ascending components:
     empty ones dropped, the rest merged while no point lies between them."""
@@ -218,7 +211,7 @@ class SegmentRegion:
         hi_closed) Fractions, derived from the codes: a start 2T (+1) is
         T/E, closed (open), and an end 2H (-1) is H/E, closed (open)."""
         steps = self.steps
-        return {edge: tuple((_parameter(s // 2, steps), _parameter((e + 1) // 2, steps),
+        return {edge: tuple((Fraction(s // 2, steps), Fraction((e + 1) // 2, steps),
                              s % 2 == 0, e % 2 == 0) for s, e in coded)
                 for edge, coded in self.codes.items()}
 

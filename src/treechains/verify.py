@@ -400,14 +400,10 @@ def random_simplicial_map(rng: random.Random, source: SimplicialGraph,
     return SimplicialMapping(source, target, assign)
 
 
-def oracle_trials(instance: Instance, trials: int, seed: int,
-                  ctx: Optional[VerifyContext] = None) -> dict:
+def oracle_trials(ctx: VerifyContext, trials: int, seed: int) -> dict:
     """Randomized agreement report: membership identity on the realized system
-    and checker-vs-oracle identity on random map pairs.  A given ``ctx`` (of
-    this instance) supplies the system and its realization."""
+    of ``ctx`` and checker-vs-oracle identity on random map pairs."""
     rng = random.Random(seed)
-    if ctx is None:
-        ctx = VerifyContext(instance)
     system, realized = ctx.system, ctx.realized
     edges = system.deepest.sorted_edges()
     sets = system.all_sets()

@@ -35,6 +35,7 @@ from treechains.simplicial import (
 )
 from treechains.verify import (
     CONDITIONS,
+    VerifyContext,
     generate_instance,
     oracle_trials,
     verify_instance,
@@ -128,7 +129,7 @@ def test_criterion_5_oracle_identity():
                                      realized.region(b)) == combinatorial
             assert region_intersects(realized.closure(a),
                                      realized.closure(b)) == combinatorial
-    report = oracle_trials(inst, trials=10000, seed=12)
+    report = oracle_trials(VerifyContext(inst), trials=10000, seed=12)
     assert report["membership_agree"] == 10000
     assert report["map_agree"] == report["map_trials"]
 
