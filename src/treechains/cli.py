@@ -98,10 +98,11 @@ def _build_failure(ctx: VerifyContext):
 
 
 def _load(path: str):
-    """(instance, None), or (None, a schema FAIL report) for a malformed file."""
+    """(instance, None), or (None, a schema FAIL report) for a file that is
+    malformed or cannot be read."""
     try:
         return load_instance(path), None
-    except (FormatError, ScheduleError, KeyError, ValueError) as exc:
+    except (FormatError, ScheduleError, KeyError, ValueError, OSError) as exc:
         return None, _failure_report("schema", str(exc))
 
 
@@ -145,6 +146,8 @@ def cmd_oracle(args) -> int:
     instance, failure = _load(args.file)
     if failure is not None:
         return _fail(failure)
+    if args.trials < 0:
+        return _fail(_failure_report("schema", "trials %d below 0" % args.trials))
     ctx = VerifyContext(instance)
     failure = _build_failure(ctx)
     if failure is not None:

@@ -312,14 +312,13 @@ def d2prime_violation(system: CoverSystem, j: int, n: int):
 
 
 def d3_violation(system: CoverSystem, n: int):
-    """U, V in level n+1 meet but their phi-images are disjoint."""
-    sets = system.covers[n + 1]
-    for i, u_set in enumerate(sets):
-        img_u = system.apply_phi(u_set)
-        for v_set in system.neighbors(u_set, n + 1, i):
-            if not sets_intersect(system, img_u, system.apply_phi(v_set)):
-                return (u_set.vertex, v_set.vertex)
-    return None
+    """U, V in level n+1 meet but their phi-images are disjoint: the j = n
+    slice of D2, with the same first witness as a scan of the later
+    partners only.  The failing relation is symmetric, so a failing partner
+    of the least failing U that came before it would fail with an earlier
+    U; every failing partner of the least failing U is later, and both
+    scans name the same first pair."""
+    return d2_violation(system, n, n)
 
 
 def nerve(system: CoverSystem, n: int):

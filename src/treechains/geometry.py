@@ -10,11 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import floor, isqrt, lcm, sqrt
+from math import floor, isqrt, sqrt
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .covers import CoverSet, CoverSystem, first_failing_level_pair
-from .simplicial import EdgePoint, GraphError, SimplicialGraph, vkey
+from .simplicial import EdgePoint, GraphError, SimplicialGraph
 
 Point = Tuple[Fraction, Fraction]
 Interval = Tuple[Fraction, Fraction, bool, bool]  # lo, hi, lo_closed, hi_closed
@@ -124,9 +124,12 @@ def _code(interval: Interval, steps: int) -> Tuple[int, int]:
     when the larger start is at most the smaller end, and they leave no
     point between them exactly when the later start is at most one past the
     earlier end.  A region stores its intervals in this form, and every
-    interval question is decided on the codes.
+    interval question is decided on the codes.  GraphError if an end is not
+    a multiple of 1/E.
     """
     lo, hi, lc, hc = interval
+    if steps % lo.denominator or steps % hi.denominator:
+        raise GraphError("interval %s..%s is off the grid of E = %d" % (lo, hi, steps))
     return (2 * lo.numerator * (steps // lo.denominator) + (0 if lc else 1),
             2 * hi.numerator * (steps // hi.denominator) - (0 if hc else 1))
 
@@ -153,23 +156,15 @@ def _merge(coded: Iterable[Tuple[int, int]]) -> List[Tuple[int, int]]:
     return out
 
 
-def _rescaled(codes: Dict, k: int) -> Dict:
-    """The same intervals on the line of kE: a point code c becomes ck, an
-    open start after T (c = 2T + 1) the start after kT, and an open end
-    before H (c = 2H - 1) the end before kH."""
-    if k == 1:
-        return codes
-    return {edge: tuple((s * k if s % 2 == 0 else (s - 1) * k + 1,
-                         e * k if e % 2 == 0 else (e + 1) * k - 1) for s, e in coded)
-            for edge, coded in codes.items()}
-
-
-def _common_codes(regions: Sequence["SegmentRegion"]):
-    """(E, codes): E the lcm of the regions' own E, and every region's codes
-    on it.  Realized regions all share the schedule's E, so only regions
-    made by ``from_pieces`` get rescaled."""
-    steps = lcm(*{r.steps for r in regions})
-    return steps, [_rescaled(r.codes, steps // r.steps) for r in regions]
+def _one_grid(regions: Sequence["SegmentRegion"]) -> int:
+    """The one E of the listed regions; GraphError unless they lie on one
+    tree and one E, so that their codes compare as they are."""
+    grids = {r.steps for r in regions}
+    if len(grids) != 1:
+        raise GraphError("regions are not on one grid: E in %s" % sorted(grids))
+    if any(r.tree != regions[0].tree for r in regions):
+        raise GraphError("regions live on different trees")
+    return grids.pop()
 
 
 # -- regions on an embedded tree ------------------------------------------
@@ -181,9 +176,10 @@ class SegmentRegion:
 
     ``codes[edge]`` holds the region's intervals on that edge as merged,
     apart, ascending (start, end) codes (see _code) on the line of E =
-    ``steps``.  A realized region is coded on the schedule's E; one made by
-    ``from_pieces`` on the lcm of its own ends' denominators.  ``pieces``
-    gives the same intervals back as Fractions.
+    ``steps``.  A realized region is coded on the schedule's E, and
+    ``from_pieces`` codes on the E its caller gives.  Regions are compared
+    only on one tree and one E (see _one_grid).  ``pieces`` gives the same
+    intervals back as Fractions.
     """
 
     tree: SimplicialGraph
@@ -191,11 +187,10 @@ class SegmentRegion:
     codes: Dict[Tuple, Tuple[Tuple[int, int], ...]]
 
     @staticmethod
-    def from_pieces(tree: SimplicialGraph, raw: Dict) -> "SegmentRegion":
+    def from_pieces(tree: SimplicialGraph, raw: Dict, steps: int) -> "SegmentRegion":
         """The union of the (lo, hi, lo_closed, hi_closed) Fraction intervals
-        given edge by edge, coded on the lcm of their ends' denominators."""
-        steps = lcm(*{t.denominator for intervals in raw.values()
-                      for lo, hi, _, _ in intervals for t in (lo, hi)})
+        given edge by edge, coded on the line of E = ``steps``; GraphError
+        if an end is not a multiple of 1/E."""
         codes = {}
         for edge, intervals in raw.items():
             if edge not in tree.edges:
@@ -216,7 +211,8 @@ class SegmentRegion:
                 for edge, coded in self.codes.items()}
 
     def sorted_edges(self):
-        return sorted(self.codes, key=lambda e: (vkey(e[0]), vkey(e[1])))
+        """The region's edges in the tree's ``sorted_edges()`` order."""
+        return sorted(self.codes, key=self.tree.edge_rank.__getitem__)
 
     @cached_property
     def vertex_set(self) -> frozenset:
@@ -257,9 +253,10 @@ def later_intersecting(regions: Sequence[SegmentRegion]) -> List[List[int]]:
     interval meets it (a region's own intervals are apart, so it never
     meets itself).  At each vertex every two regions holding it meet.
     """
+    _one_grid(regions)
     by_edge: Dict = {}
-    for i, codes in enumerate(_common_codes(regions)[1]):
-        for e, coded in codes.items():
+    for i, r in enumerate(regions):
+        for e, coded in r.codes.items():
             items = by_edge.setdefault(e, [])
             for start, end in coded:
                 items.append((start, end, i))
@@ -289,9 +286,10 @@ def regions_share_point(regions: Sequence[SegmentRegion]) -> bool:
     """Some point lies in every listed region: a vertex in every
     ``vertex_set``, or a point of one edge in an interval of each, so that
     on one E (see _code) the largest start is at most the least end."""
+    _one_grid(regions)
     if frozenset.intersection(*(r.vertex_set for r in regions)):
         return True
-    codes = _common_codes(regions)[1]
+    codes = [r.codes for r in regions]
     for e, common in codes[0].items():
         for other in codes[1:]:
             common = [(max(s, t), min(d, f)) for s, d in common
@@ -306,12 +304,10 @@ def region_contains(outer: SegmentRegion, inner: SegmentRegion) -> bool:
     _code), every interval of inner lies in one merged component of outer's
     intervals, with an end vertex that outer holds through another edge
     added as a point."""
-    if outer.tree != inner.tree:
-        raise GraphError("regions live on different trees")
-    steps, (outer_codes, inner_codes) = _common_codes((outer, inner))
+    steps = _one_grid((outer, inner))
     holds = outer.vertex_set
-    for (a, b), coded in inner_codes.items():
-        cover = outer_codes.get((a, b), ())
+    for (a, b), coded in inner.codes.items():
+        cover = outer.codes.get((a, b), ())
         ends = [(c, c) for v, c in ((a, 0), (b, 2 * steps)) if v in holds]
         if ends:
             cover = _merge(list(cover) + ends)
@@ -325,12 +321,10 @@ def covers_whole_tree(regions: Sequence[SegmentRegion]) -> bool:
     """Every point of every edge of the tree lies in a listed region: on
     each edge the merged codes (see _code), on one E, are exactly the one
     interval from 0 to 2E."""
-    if not regions:
-        raise GraphError("no regions to cover the tree")
-    steps, codes = _common_codes(regions)
+    steps = _one_grid(regions)
     by_edge: Dict = {e: [] for e in regions[0].tree.edges}
-    for per_edge in codes:
-        for e, coded in per_edge.items():
+    for r in regions:
+        for e, coded in r.codes.items():
             by_edge[e].extend(coded)
     whole = [(0, 2 * steps)]
     return all(_merge(items) == whole for items in by_edge.values())
@@ -413,20 +407,19 @@ class RealizedSystem:
         ``sorted_edges()`` order, in int coordinates.
 
         With the deepest tree's int frame (A, B the int ends of an edge) and
-        the closures' codes on one E (see _code), a closed end has the code
+        the closures' codes on one E (see _one_grid), a closed end has code
         2L for the parameter L/E, at the point (A (E - L) + B L) / E, so
         ``scale`` is the frame's times E and every coordinate is an int
         combination, with no Fraction in between.
         """
-        tree = self.system.deepest
-        unit, ipt = tree.int_frame
-        steps, codes = _common_codes([self.closure(a) for a in self.system.all_sets()])
-        rank = {e: k for k, e in enumerate(tree.sorted_edges())}
+        unit, ipt = self.system.deepest.int_frame
+        closures = [self.closure(a) for a in self.system.all_sets()]
+        steps = _one_grid(closures)
         out = []
-        for i, per_edge in enumerate(codes):
-            for e in sorted(per_edge, key=rank.__getitem__):
+        for i, closure in enumerate(closures):
+            for e in closure.sorted_edges():
                 (ax, ay), (bx, by) = ipt[e[0]], ipt[e[1]]
-                for start, end in per_edge[e]:
+                for start, end in closure.codes[e]:
                     p, q = [(ax * (steps - t) + bx * t, ay * (steps - t) + by * t)
                             for t in (start // 2, (end + 1) // 2)]
                     out.append((i, p, q, _box((p, q))))
@@ -564,6 +557,12 @@ def enlargement_disjointness_violation(realized: RealizedSystem,
     coordinates, get an exact distance, the least over their int pieces
     divided by the scale squared; the first failing one in all_sets() order
     is the witness.
+
+    With the radii of ``enlarge_taut_family`` no pair can fail once taut
+    has passed: m_sq is a ninth of the least squared gap over the same
+    disjoint pairs, which taut makes positive, and every r_n^2 <= m_sq, so
+    d^2 >= 9 m_sq > 4 m_sq >= (r_U + r_V)^2.  Only radii that an instance
+    carries itself, as tests/fixtures/inflated_radius.json does, can fail.
     """
     system = realized.system
     sets = system.all_sets()

@@ -118,6 +118,12 @@ class SimplicialGraph:
     def _sorted_edges(self) -> Tuple[Tuple[Vertex, Vertex], ...]:
         return tuple(sorted(self.edges, key=_edge_key))
 
+    @cached_property
+    def edge_rank(self) -> Dict[Tuple[Vertex, Vertex], int]:
+        """edge -> its position in ``sorted_edges()``; regions on this graph
+        list their edges in this order."""
+        return {e: k for k, e in enumerate(self.sorted_edges())}
+
     def has_edge(self, u: Vertex, v: Vertex) -> bool:
         return u != v and ((u, v) in self.edges or (v, u) in self.edges)
 

@@ -305,6 +305,10 @@ def _oracle_identity(ctx: VerifyContext):
 
 
 def _enlargement_disjoint(ctx: VerifyContext):
+    """The instance's own radii, or the taut family's.  The taut family's
+    cannot fail here (see enlargement_disjointness_violation: d^2 >= 9 m_sq
+    > 4 m_sq >= (r_U + r_V)^2 for disjoint U, V), so the stage can fail
+    only on an instance that carries its own radii."""
     if ctx.instance.enlargement is not None:
         radii = ctx.instance.enlargement["radius_sq"]
         if len(radii) != ctx.l + 1:

@@ -221,6 +221,29 @@ class TestOther:
         assert capsys.readouterr().out.startswith("schema                 FAIL")
         assert not (tmp_path / "x.svg").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "{file}"],
+        ["render", "{file}", "--out", "{out}"],
+        ["oracle", "{file}", "--trials", "5"],
+    ])
+    @pytest.mark.parametrize("missing", [True, False])
+    def test_unreadable_input_fails_without_traceback(self, tmp_path, capsys, argv, missing):
+        # a path that does not exist, or a directory
+        path = tmp_path / "absent.json" if missing else tmp_path
+        argv = [a.format(file=path, out=tmp_path / "x.svg") for a in argv]
+        assert main(argv) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("schema                 FAIL  witness=")
+        assert lines[-1] == "overall                FAIL"
+        assert not (tmp_path / "x.svg").exists()
+
+    @pytest.mark.parametrize("trials", ["-1", "-5"])
+    def test_oracle_negative_trials_fail_at_schema(self, generated, capsys, trials):
+        assert main(["oracle", str(generated / "instance.json"), "--trials", trials]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == ["schema                 FAIL  witness='trials %s below 0'" % trials,
+                         "overall                FAIL"]
+
 
 COMMAND_ARGS = {"render": ["--out", "{out}"], "oracle": ["--trials", "50"]}
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from treechains.covers import (
     sets_intersect,
 )
 from treechains.serialize import Instance
-from treechains.simplicial import EdgePoint, GraphError, k_close
+from treechains.simplicial import EdgePoint, GraphError, k_close, vkey
 from treechains.verify import VerifyContext, generate_instance, verify_instance
 
 
@@ -166,6 +167,36 @@ class TestConditions:
                 for n in range(j + 1):
                     assert d2_violation(system, j, n) is None
                     assert d2prime_violation(system, j, n) is None
+
+    def test_d3_is_the_j_equals_n_slice_of_d2(self):
+        # d3_violation as a scan of its own, over the later partners only
+        def later_partners_scan(system, n):
+            for i, u_set in enumerate(system.covers[n + 1]):
+                img_u = system.apply_phi(u_set)
+                for v_set in system.neighbors(u_set, n + 1, i):
+                    if not sets_intersect(system, img_u, system.apply_phi(v_set)):
+                        return (u_set.vertex, v_set.vertex)
+            return None
+
+        # 750 phi tables, each with one to three entries moved to a
+        # neighbour of their image
+        rng = random.Random(7)
+        answers = []
+        for l in (2, 3):
+            inst = generate_instance(l)
+            levels = inst.diagram.levels
+            for _ in range(375):
+                tables = [dict(inst.diagram.f_row[n].assignment) for n in range(l)]
+                for _ in range(rng.randint(1, 3)):
+                    n = rng.randrange(l)
+                    v = rng.choice(levels[n + 1].sorted_vertices())
+                    tables[n][v] = rng.choice(sorted(levels[n].neighbors(tables[n][v]), key=vkey))
+                system = CoverSystem(inst.diagram, inst.epsilons, tables)
+                for n in range(l):
+                    expected = later_partners_scan(system, n)
+                    answers.append(expected is None)
+                    assert d3_violation(system, n) == expected
+        assert True in answers and False in answers
 
     def test_d1_fails_with_refinement_witness_as_pattern(self):
         inst = generate_instance(1)

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
+from math import lcm
 
+import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from test_simplicial import GRID, _ref_segment_intersection
@@ -18,6 +20,7 @@ from treechains.geometry import (
     enlargement_disjointness_violation,
     enlargement_nesting_violation,
     family_min_gap_squared,
+    later_intersecting,
     point_segment_dist2,
     realize,
     region_contains,
@@ -26,7 +29,7 @@ from treechains.geometry import (
     segment_dist2,
     segment_intersection,
 )
-from treechains.simplicial import EdgePoint, SimplicialGraph, SimplicialMapping
+from treechains.simplicial import EdgePoint, GraphError, SimplicialGraph, SimplicialMapping
 from treechains.verify import generate_instance
 
 F = Fraction
@@ -37,32 +40,40 @@ def path_graph(n, spacing=1):
     return SimplicialGraph.build(range(n), [(i, i + 1) for i in range(n - 1)], coords)
 
 
+def grid_of(intervals):
+    """The least E whose grid holds every end of the intervals."""
+    return lcm(*(t.denominator for lo, hi, _, _ in intervals for t in (lo, hi)))
+
+
 def normalize_intervals(intervals):
-    """The union of intervals on one edge, as ``from_pieces`` codes it and
-    ``pieces`` gives it back."""
-    return SegmentRegion.from_pieces(path_graph(2), {(0, 1): intervals}).pieces.get((0, 1), ())
+    """The union of intervals on one edge, as ``from_pieces`` codes it on the
+    grid of their ends and ``pieces`` gives it back."""
+    region = SegmentRegion.from_pieces(path_graph(2), {(0, 1): intervals}, grid_of(intervals))
+    return region.pieces.get((0, 1), ())
 
 
-def star_region(tree, v, epsilon):
+def star_region(tree, v, epsilon, steps):
     """The half-open epsilon-star of a vertex: the initial epsilon fraction of
-    every incident edge, measured in edge parameter."""
+    every incident edge, measured in edge parameter, on the grid of E =
+    ``steps``."""
     raw = {}
     for w in tree.neighbors(v):
         if (v, w) in tree.edges:
             raw.setdefault((v, w), []).append((F(0), epsilon, True, False))
         else:
             raw.setdefault((w, v), []).append((1 - epsilon, F(1), False, True))
-    return SegmentRegion.from_pieces(tree, raw)
+    return SegmentRegion.from_pieces(tree, raw, steps)
 
 
 def region_union(regions):
-    """The union of regions of one tree, normalized edge by edge."""
+    """The union of regions of one tree and one grid, normalized edge by
+    edge."""
     raw = {}
     for r in regions:
-        assert r.tree == regions[0].tree
+        assert r.tree == regions[0].tree and r.steps == regions[0].steps
         for e, intervals in r.pieces.items():
             raw.setdefault(e, []).extend(intervals)
-    return SegmentRegion.from_pieces(regions[0].tree, raw)
+    return SegmentRegion.from_pieces(regions[0].tree, raw, regions[0].steps)
 
 
 def geometric_pieces(region):
@@ -220,7 +231,7 @@ class TestIntervals:
         a = (F(0), F(1, 2), True, False)
         b = (F(1, 2), F(1), True, True)
         c = (F(1, 4), F(3, 4), False, False)
-        ra, rb, rc = (SegmentRegion.from_pieces(g, {(0, 1): [i]}) for i in (a, b, c))
+        ra, rb, rc = (SegmentRegion.from_pieces(g, {(0, 1): [i]}, 4) for i in (a, b, c))
         assert not regions_share_point([ra, rb])
         assert regions_share_point([ra, rc]) and regions_share_point([rb, rc])
         assert interval_intersection(a, b) is None
@@ -228,11 +239,11 @@ class TestIntervals:
 
     def test_containment_needs_seamless_cover(self):
         g = path_graph(2)
-        whole = SegmentRegion.from_pieces(g, {(0, 1): [(F(0), F(1), True, True)]})
+        whole = SegmentRegion.from_pieces(g, {(0, 1): [(F(0), F(1), True, True)]}, 2)
         cover = [(F(0), F(1, 2), True, True), (F(1, 2), F(1), False, True)]
-        assert region_contains(SegmentRegion.from_pieces(g, {(0, 1): cover}), whole)
+        assert region_contains(SegmentRegion.from_pieces(g, {(0, 1): cover}, 2), whole)
         holed = [(F(0), F(1, 2), True, False), (F(1, 2), F(1), False, True)]
-        assert not region_contains(SegmentRegion.from_pieces(g, {(0, 1): holed}), whole)
+        assert not region_contains(SegmentRegion.from_pieces(g, {(0, 1): holed}, 2), whole)
 
 
 class TestSegments:
@@ -313,7 +324,7 @@ class TestExactDistances:
 class TestRegions:
     def test_star_is_half_open(self):
         g = path_graph(3)
-        star = star_region(g, 1, F(3, 4))
+        star = star_region(g, 1, F(3, 4), 4)
         assert star.contains_point(EdgePoint.vertex(1))
         assert star.contains_point(EdgePoint(1, 2, F(1, 2)))
         assert not star.contains_point(EdgePoint(1, 2, F(3, 4)))
@@ -323,33 +334,55 @@ class TestRegions:
 
     def test_intersect_via_shared_vertex_only(self):
         g = path_graph(3)
-        left = SegmentRegion.from_pieces(g, {(0, 1): [(F(0), F(1), True, True)]})
-        right = SegmentRegion.from_pieces(g, {(1, 2): [(F(0), F(1), True, True)]})
+        left = SegmentRegion.from_pieces(g, {(0, 1): [(F(0), F(1), True, True)]}, 2)
+        right = SegmentRegion.from_pieces(g, {(1, 2): [(F(0), F(1), True, True)]}, 2)
         assert region_intersects(left, right)
         assert regions_share_point([left, right])
         # the one common point is the vertex 1, not the middle of (0, 1)
-        vertex = SegmentRegion.from_pieces(g, {(1, 2): [(F(0), F(0), True, True)]})
-        middle = SegmentRegion.from_pieces(g, {(0, 1): [(F(1, 2), F(1, 2), True, True)]})
+        vertex = SegmentRegion.from_pieces(g, {(1, 2): [(F(0), F(0), True, True)]}, 2)
+        middle = SegmentRegion.from_pieces(g, {(0, 1): [(F(1, 2), F(1, 2), True, True)]}, 2)
         assert regions_share_point([left, right, vertex])
         assert not regions_share_point([left, right, middle])
 
     def test_containment_across_edges(self):
         g = path_graph(3)
-        whole = region_union([star_region(g, v, F(3, 4)) for v in g.vertices])
+        whole = region_union([star_region(g, v, F(3, 4), 4) for v in g.vertices])
         assert covers_whole_tree([whole])
-        mid = SegmentRegion.from_pieces(g, {(0, 1): [(F(1, 2), F(1), False, True)]})
+        mid = SegmentRegion.from_pieces(g, {(0, 1): [(F(1, 2), F(1), False, True)]}, 4)
         assert region_contains(whole, mid)
-        small = star_region(g, 1, F(1, 4))
+        small = star_region(g, 1, F(1, 4), 4)
         assert region_contains(whole, small)
         assert not region_contains(small, whole)
 
     def test_distance_and_diameter(self):
         g = path_graph(4, spacing=2)
-        r1 = SegmentRegion.from_pieces(g, {(0, 1): [(F(0), F(1, 2), True, True)]})
-        r2 = SegmentRegion.from_pieces(g, {(2, 3): [(F(1, 2), F(1), True, True)]})
+        r1 = SegmentRegion.from_pieces(g, {(0, 1): [(F(0), F(1, 2), True, True)]}, 2)
+        r2 = SegmentRegion.from_pieces(g, {(2, 3): [(F(1, 2), F(1), True, True)]}, 2)
         assert set_distance_squared(r1, r2) == F(16)
         assert bbox_gap_squared(r1, r2) == F(16)
         assert diameter_squared(region_union([r1, r2])) == F(36)
+
+    def test_one_tree_and_one_grid(self):
+        g = path_graph(2)
+        with pytest.raises(GraphError, match="off the grid"):
+            SegmentRegion.from_pieces(g, {(0, 1): [(F(0), F(1, 3), True, True)]}, 2)
+        half = {(0, 1): [(F(0), F(1, 2), True, True)]}
+        coarse, fine = (SegmentRegion.from_pieces(g, half, steps) for steps in (2, 4))
+        for reader in (later_intersecting, regions_share_point, covers_whole_tree,
+                       lambda pair: region_contains(*pair)):
+            with pytest.raises(GraphError, match="not on one grid"):
+                reader([coarse, fine])
+        with pytest.raises(GraphError, match="different trees"):
+            region_contains(coarse, SegmentRegion.from_pieces(path_graph(3), half, 2))
+        # a realized system whose closures are not all on one grid
+        inst = generate_instance(1)
+        realized = RealizedSystem(CoverSystem(inst.diagram, inst.epsilons))
+        a = realized.system.covers[0][0]
+        closure = realized.closure(a)
+        realized.closures[(a.level, a.vertex)] = SegmentRegion.from_pieces(
+            closure.tree, closure.pieces, 2 * closure.steps)
+        with pytest.raises(GraphError, match="not on one grid"):
+            realized.scaled_pieces
 
 
 class TestRealized:

@@ -15,6 +15,7 @@ from test_geometry import (
     bbox_gap_squared,
     diameter_squared,
     geometric_pieces,
+    grid_of,
     normalize_by_keys,
     normalize_intervals,
     path_graph,
@@ -96,10 +97,17 @@ def test_scaled_pieces_are_the_closures_pieces(realized):
                    for seg in geometric_pieces(realized.closure(a))]
 
 
+def test_every_region_is_on_the_schedule_grid(realized):
+    steps = realized.system.epsilons.steps
+    for a in realized.system.all_sets():
+        assert realized.region(a).steps == realized.closure(a).steps == steps
+
+
 def test_realize_matches_the_union_of_stars(realized):
     system = realized.system
     for a in system.all_sets():
-        stars = [star_region(system.deepest, w, a.epsilon) for w in sorted(a.fiber, key=vkey)]
+        stars = [star_region(system.deepest, w, a.epsilon, system.epsilons.steps)
+                 for w in sorted(a.fiber, key=vkey)]
         assert realized.region(a).pieces == region_union(stars).pieces, a.key()
 
 
@@ -126,9 +134,9 @@ def test_region_index_matches_all_pairs(realized):
 
 def test_region_index_finds_a_meeting_at_a_vertex_only():
     g = path_graph(3)
-    left = SegmentRegion.from_pieces(g, {(0, 1): [(F(0), F(1), True, True)]})
-    right = SegmentRegion.from_pieces(g, {(1, 2): [(F(0), F(1, 2), True, True)]})
-    far = SegmentRegion.from_pieces(g, {(1, 2): [(F(1, 2), F(1), False, True)]})
+    left = SegmentRegion.from_pieces(g, {(0, 1): [(F(0), F(1), True, True)]}, 2)
+    right = SegmentRegion.from_pieces(g, {(1, 2): [(F(0), F(1, 2), True, True)]}, 2)
+    far = SegmentRegion.from_pieces(g, {(1, 2): [(F(1, 2), F(1), False, True)]}, 2)
     assert later_intersecting([left, right, far]) == [[1], [], []]
 
 
@@ -179,9 +187,14 @@ def fork_pieces(draw):
     return raw
 
 
-# the regions of fork_pieces (empty ones are dropped)
-fork_regions = fork_pieces().map(
-    lambda raw: [SegmentRegion.from_pieces(FORK, pieces) for pieces in raw])
+def _on_one_grid(raw):
+    """The regions of one draw of fork_pieces, all coded on the grid of the
+    draw's ends."""
+    steps = grid_of([i for pieces in raw for intervals in pieces.values() for i in intervals])
+    return [SegmentRegion.from_pieces(FORK, pieces, steps) for pieces in raw]
+
+
+fork_regions = fork_pieces().map(_on_one_grid)
 
 
 @settings(max_examples=300, deadline=None)
@@ -246,39 +259,39 @@ def test_covers_whole_tree_matches_union(regions):
 
 def test_covers_whole_tree_needs_the_point_between_two_open_ends():
     half = F(1, 2)
-    left = SegmentRegion.from_pieces(FORK, {e: [(F(0), half, True, False)] for e in FORK.edges})
+    left = SegmentRegion.from_pieces(FORK, {e: [(F(0), half, True, False)] for e in FORK.edges}, 2)
     for closed, covers in ((False, False), (True, True)):
         right = SegmentRegion.from_pieces(FORK, {e: [(half, F(1), closed, True)]
-                                                 for e in FORK.edges})
+                                                 for e in FORK.edges}, 2)
         assert covers_whole_tree([left, right]) is covers_by_union([left, right]) is covers
 
-# -- regions on different grids ---------------------------------------------
+# -- realized regions beside from_pieces regions -----------------------------
 # The realized regions of generate_instance(2) are coded on the schedule's
-# E = 24; regions made by from_pieces on the same deepest tree get their own
-# E from their ends' denominators, so most pairs of the two are rescaled.
+# E = 24; regions made by from_pieces on the same deepest tree, with ends at
+# any multiple of 1/24, are coded on that one grid too.
 
 _two = generate_instance(2)
 MIXED = RealizedSystem(CoverSystem(_two.diagram, _two.epsilons))
 MIXED_EDGES = MIXED.system.deepest.sorted_edges()
-_foreign_ends = st.one_of(st.sampled_from([F(0), F(1)]),
-                          st.fractions(min_value=0, max_value=1, max_denominator=12))
+MIXED_STEPS = MIXED.system.epsilons.steps
+_grid_ends = st.integers(0, MIXED_STEPS).map(lambda k: F(k, MIXED_STEPS))
 
 
 @st.composite
-def foreign_region(draw, edges):
+def drawn_region(draw, edges):
     """A from_pieces region with one to three intervals on the given edges,
-    their ends of any denominator up to 12."""
+    their ends at any multiple of 1/24, not only at 0, eps, 1 - eps and 1."""
     raw = {}
     for _ in range(draw(st.integers(1, 3))):
-        lo, hi = sorted((draw(_foreign_ends), draw(_foreign_ends)))
+        lo, hi = sorted((draw(_grid_ends), draw(_grid_ends)))
         raw.setdefault(draw(st.sampled_from(edges)), []).append(
             (lo, hi, draw(st.booleans()), draw(st.booleans())))
-    return SegmentRegion.from_pieces(MIXED.system.deepest, raw)
+    return SegmentRegion.from_pieces(MIXED.system.deepest, raw, MIXED_STEPS)
 
 
 @st.composite
 def mixed_regions(draw):
-    """One to four realized regions or closures, and one to three foreign
+    """One to four realized regions or closures, and one to three drawn
     regions on their edges and one more, in a random order."""
     sets = MIXED.system.all_sets()
     picks = draw(st.lists(st.tuples(st.integers(0, len(sets) - 1), st.booleans()),
@@ -286,17 +299,17 @@ def mixed_regions(draw):
     pool = [(MIXED.closure if closed else MIXED.region)(sets[i]) for i, closed in picks]
     edges = [e for e in MIXED_EDGES if any(e in r.codes for r in pool)]
     edges.append(draw(st.sampled_from(MIXED_EDGES)))
-    pool += draw(st.lists(foreign_region(edges), min_size=1, max_size=3))
+    pool += draw(st.lists(drawn_region(edges), min_size=1, max_size=3))
     return draw(st.permutations(pool))
 
 
 @settings(max_examples=200, deadline=None)
 @given(mixed_regions())
-def test_regions_on_different_grids_match_key_tuples(regions):
-    event("foreign E: %s" % any(r.steps % MIXED.system.epsilons.steps for r in regions))
+def test_realized_and_from_pieces_regions_match_key_tuples(regions):
     brute = [[j for j in range(i + 1, len(regions))
               if region_intersects(regions[i], regions[j])]
              for i in range(len(regions))]
+    event("some regions meet" if any(brute) else "no regions meet")
     assert later_intersecting(regions) == brute
     for outer in regions:
         for inner in regions:
@@ -308,13 +321,13 @@ def test_regions_on_different_grids_match_key_tuples(regions):
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, MIXED.system.l), st.data())
-def test_covers_whole_tree_across_grids(n, data):
+def test_covers_whole_tree_with_from_pieces_regions(n, data):
     # a whole level covers the tree; dropping sets opens holes, which the
-    # foreign regions may or may not fill
+    # drawn regions may or may not fill
     regions = [MIXED.region(a) for a in MIXED.system.covers[n]]
     for _ in range(data.draw(st.integers(0, 2))):
         regions.pop(data.draw(st.integers(0, len(regions) - 1)))
-    regions += data.draw(st.lists(foreign_region(MIXED_EDGES), max_size=3))
+    regions += data.draw(st.lists(drawn_region(MIXED_EDGES), max_size=3))
     expected = covers_by_union(regions)
     event("covers: %s" % expected)
     assert covers_whole_tree(regions) == expected
@@ -342,9 +355,9 @@ def test_contains_point_off_grid_matches_key_tuples(data):
     t = F(data.draw(st.integers(0, 3000)), 3000)
     flipped = data.draw(st.booleans())
     p = EdgePoint(edge[1], edge[0], 1 - t) if flipped else EdgePoint(*edge, t)
-    event("on the grid: %s" % ((t * MIXED.system.epsilons.steps).denominator == 1))
+    event("on the grid: %s" % ((t * MIXED_STEPS).denominator == 1))
     for region in (MIXED.region(a), MIXED.closure(a),
-                   data.draw(foreign_region([edge] + list(MIXED_EDGES[:3])))):
+                   data.draw(drawn_region([edge] + list(MIXED_EDGES[:3])))):
         assert region.contains_point(p) == contains_by_keys(region, p)
     assert MIXED.region(a).contains_point(p) == point_in_cover_set(MIXED.system, p, a)
 
@@ -562,7 +575,8 @@ def test_grown_region_fails_triples_like_brute_force(monkeypatch):
         else:
             raise AssertionError("every tamper fails D1")
         _, x, y, t = q.canonical()
-        point = SegmentRegion.from_pieces(system.deepest, {(x, y): [(t, t, True, True)]})
+        point = SegmentRegion.from_pieces(system.deepest, {(x, y): [(t, t, True, True)]},
+                                          system.epsilons.steps)
         for grown in (self.regions, self.closures):
             grown[(0, b.vertex)] = region_union([grown[(0, b.vertex)], point])
         built.append(self)
@@ -603,7 +617,7 @@ def test_opened_region_fails_oracle_identity_like_brute_force(monkeypatch):
         region = self.region(a)
         self.regions[(a.level, v)] = SegmentRegion.from_pieces(region.tree, {
             (p, q): [(lo, hi, lc and p != v, hc and q != v) for lo, hi, lc, hc in iv]
-            for (p, q), iv in region.pieces.items()})
+            for (p, q), iv in region.pieces.items()}, region.steps)
         built.append((self, v))
 
     monkeypatch.setattr(RealizedSystem, "__init__", tampered)
