@@ -47,11 +47,14 @@ def cmd_generate(args) -> int:
         instance = generate_instance(args.l, eps)
     except ValueError as exc:  # FormatError, ScheduleError: bad arguments
         return _fail(_failure_report("schema", str(exc)))
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:  # a file in the way, no permission
+        return _fail(_failure_report("output", str(exc)))
     ctx = VerifyContext(instance)
     report = verify_instance(instance, ctx=ctx)
     system, realized = ctx.system, ctx.realized
     m_sq, radius_sq = ctx.enlargement
-    os.makedirs(args.out, exist_ok=True)
     dump_json(instance.to_json(), os.path.join(args.out, "instance.json"))
     dump_json(system_to_json(system), os.path.join(args.out, "system.json"))
     dump_json(regions_to_json(realized), os.path.join(args.out, "regions.json"))
@@ -128,7 +131,10 @@ def cmd_render(args) -> int:
     failure = _build_failure(ctx)
     if failure is not None:
         return _fail(failure)
-    geo.render_svg(ctx.realized, args.out, levels=levels)
+    try:
+        geo.render_svg(ctx.realized, args.out, levels=levels)
+    except OSError as exc:  # a missing directory, no permission
+        return _fail(_failure_report("output", str(exc)))
     print("wrote %s" % args.out)
     return 0
 

@@ -425,6 +425,25 @@ class RealizedSystem:
                     out.append((i, p, q, _box((p, q))))
         return unit * steps, out
 
+    @cached_property
+    def edge_pieces(self):
+        """The pieces of ``scaled_pieces`` as one group (edge, points,
+        pieces) per edge of the deepest tree, in ``sorted_edges()`` order:
+        the int points of the edge's ends in the same units and the pieces
+        on it, in all_sets() order."""
+        tree = self.system.deepest
+        scale, pieces = self.scaled_pieces
+        unit, ipt = tree.int_frame
+        on: Dict = {e: [] for e in tree.sorted_edges()}
+        it = iter(pieces)
+        for a in self.system.all_sets():
+            closure = self.closure(a)
+            for e in closure.sorted_edges():
+                on[e].extend(next(it) for _ in closure.codes[e])
+        grow = scale // unit
+        return [(e, tuple((x * grow, y * grow) for x, y in (ipt[e[0]], ipt[e[1]])), group)
+                for e, group in on.items()]
+
 
 def _grid_pairs(pieces, reach: int):
     """Every pair of pieces (by position) whose boxes are at most ``reach``
@@ -453,45 +472,149 @@ def _grid_pairs(pieces, reach: int):
                         yield p, q
 
 
-def _least_gap_squared(pieces, meets: Sequence[int]):
-    """Least squared distance between two pieces of sets that do not meet
-    (bit j of meets[i] set when sets i and j meet), exact, in the units of
-    the pieces; None if there is no such pair.
+# -- distances between disjoint sets, edge by edge ---------------------------
 
-    The grid finds every pair of pieces at most ``reach`` apart; once the
-    least distance among them is at most ``reach`` no farther pair can beat
-    it.  Otherwise ``reach`` doubles, up to the extent of all the pieces.
+
+class _GapScan:
+    """The pairs of pieces of two sets that do not meet (bit j of meets[i]
+    set when sets i and j meet) that may be at most sqrt(``limit``) apart,
+    as (squared box gap, a, b).
+
+    A group is (ends, points, pieces): one edge of a tree, the int points of
+    its ends and the pieces (set index, p, q, box) on it, in the same int
+    units.  Pieces are paired on one edge, on two edges at one vertex, and
+    on two edges that share no vertex and whose boxes are at most
+    sqrt(``limit``) apart, found by one grid over the edge boxes.  A piece
+    of set i is skipped at once when every set on the other edge meets it,
+    mask & ~meets[i] == 0.  At a vertex V, with u and w the other ends of
+    the two edges less V, two pieces whose nearer ends lie da and db
+    (squared) from V are at least da + db apart if u . w <= 0, else at
+    least max(da, db) (u x w)^2 / (|u|^2 |w|^2), squared; there the pieces
+    are swept by distance from V, and the sweep stops once that bound
+    passes ``limit``.  A pair is left out only when its box gap or that
+    bound passes ``limit``.  ``limit`` may shrink while the scan runs; every
+    pair at most sqrt(final limit) apart is yielded.
     """
-    if not pieces:
+
+    def __init__(self, groups, meets: Sequence[int], limit):
+        self.groups, self.meets, self.limit = groups, meets, limit
+        self.masks = [sum(1 << i for i in {pc[0] for pc in pieces})
+                      for _, _, pieces in groups]
+
+    def __iter__(self):
+        groups = self.groups
+        at: Dict = {}
+        for g, (ends, _, pieces) in enumerate(groups):
+            if pieces:
+                yield from self._pairs(g, g)
+                for k in (0, 1):
+                    at.setdefault(ends[k], []).append((g, k))
+        for sides in at.values():
+            for x, (g, k) in enumerate(sides):
+                for h, m in sides[x + 1:]:
+                    yield from self._at_vertex(g, k, h, m)
+        items = [(g, None, None, _box(points))
+                 for g, (_, points, pieces) in enumerate(groups) if pieces]
+        for x, y in _grid_pairs(items, isqrt(floor(self.limit))):
+            (g, _, _, a), (h, _, _, b) = items[x], items[y]
+            if set(groups[g][0]).isdisjoint(groups[h][0]) and \
+                    _box_gap_squared(a, b) <= self.limit:
+                yield from self._pairs(g, h)
+
+    def _free(self, g, h):
+        """The pieces of group g of a set that misses some set on group h."""
+        mask, meets = self.masks[h], self.meets
+        return [pc for pc in self.groups[g][2] if mask & ~meets[pc[0]]]
+
+    def _close(self, a, b):
+        gap = _box_gap_squared(a[3], b[3])
+        if gap <= self.limit:
+            yield gap, a, b
+
+    def _pairs(self, g, h):
+        here = self._free(g, h)
+        there = here if g == h else self._free(h, g)
+        for x, a in enumerate(here):
+            free = self.masks[h] & ~self.meets[a[0]]
+            for b in (there[x + 1:] if g == h else there):
+                if free >> b[0] & 1:
+                    yield from self._close(a, b)
+
+    def _at_vertex(self, g, k, h, m):
+        here, there = self._free(g, h), self._free(h, g)
+        if not (here and there):
+            return
+        v = self.groups[g][1][k]
+        u, w = _sub(self.groups[g][1][1 - k], v), _sub(self.groups[h][1][1 - m], v)
+        dot = _dot(u, w)
+        cross2 = (u[0] * w[1] - u[1] * w[0]) ** 2
+        norms = _dot(u, u) * _dot(w, w)
+
+        def beyond(da, db):
+            if dot <= 0:
+                return da + db > self.limit
+            return max(da, db) * cross2 > self.limit * norms
+
+        there = _by_distance(there, v)
+        for da, a in _by_distance(here, v):
+            if beyond(da, 0):
+                break
+            free = self.masks[h] & ~self.meets[a[0]]
+            for db, b in there:
+                if beyond(da, db):
+                    break
+                if free >> b[0] & 1:
+                    yield from self._close(a, b)
+
+
+def _by_distance(pieces, v):
+    """(d, piece) for the pieces of one edge that ends at v, ascending in d,
+    the squared distance from v of the piece's nearer end."""
+    return sorted(((min(dist2(pc[1], v), dist2(pc[2], v)), pc) for pc in pieces),
+                  key=lambda t: t[0])
+
+
+def _least_gap_squared(groups, meets: Sequence[int]):
+    """Least squared distance between two pieces of sets that do not meet,
+    exact, in the units of the groups (see _GapScan); None if there is no
+    such pair.
+
+    The scan starts from the squared diagonal of all the edge boxes, which
+    no pair exceeds, and shrinks to the least squared distance between the
+    ends of any pair it yields, which bounds the answer from above.  The
+    pairs it yields then get exact distances best first: in order of box
+    gap, a lower bound, and only while that gap is below the best so far.
+    """
+    if not any(pieces for _, _, pieces in groups):
         return None
-    whole = _box([pt for _, p, q, _ in pieces for pt in (p, q)])
-    extent = max(whole[1] - whole[0], whole[3] - whole[2])
-    reach = max(max(b[1] - b[0], b[3] - b[2]) for _, _, _, b in pieces) or 1
-    while True:
-        best = None
-        for p, q in _grid_pairs(pieces, reach):
-            a, b = pieces[p], pieces[q]
-            if meets[a[0]] >> b[0] & 1:
-                continue
-            if best is not None and _box_gap_squared(a[3], b[3]) >= best:
-                continue
-            d = segment_dist2(a[1], a[2], b[1], b[2])
-            if best is None or d < best:
-                best = d
-        if (best is not None and best <= reach * reach) or reach >= extent:
-            return best
-        reach *= 2
+    whole = _box([pt for _, points, _ in groups for pt in points])
+    scan = _GapScan(groups, meets, (whole[1] - whole[0]) ** 2 + (whole[3] - whole[2]) ** 2)
+    found = []
+    for gap, a, b in scan:
+        found.append((gap, a, b))
+        scan.limit = min(scan.limit, min(dist2(p, q) for p in a[1:3] for q in b[1:3]))
+    found.sort(key=lambda c: c[0])
+    best = None
+    for gap, a, b in found:
+        if best is not None and gap >= best:
+            break
+        d = segment_dist2(a[1], a[2], b[1], b[2])
+        if best is None or d < best:
+            best = d
+    return best
 
 
 def _min_disjoint_gap_squared(realized: RealizedSystem,
                               levels: Optional[Sequence[int]] = None) -> Optional[Fraction]:
     """Least squared distance between the closures of two disjoint sets (of
     the given levels, or of all), exact; None if no pair is disjoint."""
-    scale, pieces = realized.scaled_pieces
+    scale = realized.scaled_pieces[0]
+    groups = realized.edge_pieces
     if levels is not None:
         sets = realized.system.all_sets()
-        pieces = [pc for pc in pieces if sets[pc[0]].level in levels]
-    best = _least_gap_squared(pieces, realized.system.meets)
+        groups = [(e, points, [pc for pc in pieces if sets[pc[0]].level in levels])
+                  for e, points, pieces in groups]
+    best = _least_gap_squared(groups, realized.system.meets)
     return None if best is None else Fraction(best) / (scale * scale)
 
 
@@ -504,12 +627,13 @@ def compute_rho_and_mesh(realized: RealizedSystem):
     """
     system = realized.system
     rho_sq = _min_disjoint_gap_squared(realized, levels=(0,))
-    # diameters on the scaled closed pieces: a closure has the same diameter
+    # diameters on the ends of the scaled closed pieces, each point once: a
+    # closure has the same diameter
     scale, pieces = realized.scaled_pieces
-    points = [[] for _ in system.all_sets()]
+    points = [set() for _ in system.all_sets()]
     for i, p, q, _ in pieces:
-        points[i] += (p, q)
-    diameters = [_diameter_squared(pts) for pts in points]
+        points[i].update((p, q))
+    diameters = [_diameter_squared(list(pts)) for pts in points]
     starts = system.level_start
     mesh_sq = [Fraction(max(diameters[starts[n]:starts[n + 1]]), scale * scale)
                for n in range(system.l + 1)]
@@ -552,8 +676,8 @@ def enlargement_disjointness_violation(realized: RealizedSystem,
     d(U, V) > r_U + r_V, compared via exact squares; ``radius_sq[n]`` is the
     squared radius of every set of level n.
 
-    A failing pair has two pieces with box gap <= d <= r_U + r_V <= 2 max r,
-    so only pairs with two pieces that close, found on a grid in scaled int
+    A failing pair is at most r_U + r_V <= 2 max r apart, so only pairs
+    with two pieces that close, found by _GapScan edge by edge in scaled int
     coordinates, get an exact distance, the least over their int pieces
     divided by the scale squared; the first failing one in all_sets() order
     is the witness.
@@ -569,19 +693,12 @@ def enlargement_disjointness_violation(realized: RealizedSystem,
     radius = [radius_sq[a.level] for a in sets]
     scale, pieces = realized.scaled_pieces
     s2 = scale * scale
-    # the largest scaled squared box gap that may not separate a pair
-    bound = floor(4 * max(radius) * s2)
-    meets = system.meets
     by_set = [[] for _ in sets]
     for piece in pieces:
         by_set[piece[0]].append(piece)
-    near = set()
-    for p, q in _grid_pairs(pieces, isqrt(bound)):
-        a, b = pieces[p], pieces[q]
-        i, j = a[0], b[0]
-        if meets[i] >> j & 1 or _box_gap_squared(a[3], b[3]) > bound:
-            continue
-        near.add((i, j) if i < j else (j, i))
+    # a failing pair is at most 2 max r apart, scaled and squared
+    scan = _GapScan(realized.edge_pieces, system.meets, 4 * max(radius) * s2)
+    near = {(a[0], b[0]) if a[0] < b[0] else (b[0], a[0]) for _, a, b in scan}
     for i, j in sorted(near):
         a, b = sets[i], sets[j]
         d2 = Fraction(min(segment_dist2(p[1], p[2], q[1], q[2])

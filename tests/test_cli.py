@@ -84,6 +84,19 @@ class TestGenerate:
         assert "overall                FAIL" in text
         assert not out.exists()
 
+    def test_out_on_a_file_fails_before_verify(self, tmp_path, capsys, monkeypatch):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        def no_verify(*args, **kwargs):
+            raise AssertionError("verify ran before the output directory was made")
+
+        monkeypatch.setattr("treechains.cli.verify_instance", no_verify)
+        assert main(["generate", "--l", "1", "--out", str(taken)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("output                 FAIL  witness=")
+        assert lines[1:] == ["overall                FAIL"]
+        assert taken.read_text() == ""
+
 
 def with_enlargement(m_sq, radius_sq):
     """The l=1 instance as JSON text, with its own enlargement block."""
@@ -172,6 +185,14 @@ class TestOther:
         assert text.startswith("schema                 FAIL  witness='level %s outside 0..1'" % level)
         assert "overall                FAIL" in text
         assert not svg.exists()
+
+    def test_render_into_a_missing_directory_fails(self, generated, tmp_path, capsys):
+        svg = tmp_path / "missing" / "x.svg"
+        assert main(["render", str(generated / "instance.json"), "--out", str(svg)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("output                 FAIL  witness=")
+        assert lines[1:] == ["overall                FAIL"]
+        assert not svg.parent.exists()
 
     @pytest.mark.parametrize("k", ["1", "0", "-2"])
     def test_generate_family_below_two_fails(self, tmp_path, capsys, k):

@@ -2,6 +2,7 @@
 routines against brute-force all-pairs scans of the definitions."""
 
 import json
+import math
 import os
 from fractions import Fraction
 from itertools import combinations
@@ -32,6 +33,7 @@ from treechains.covers import CoverSystem, d1_violation, point_in_cover_set, set
 from treechains.geometry import (
     RealizedSystem,
     SegmentRegion,
+    _GapScan,
     _grid_pairs,
     _gt_sum_of_roots,
     _least_gap_squared,
@@ -419,6 +421,78 @@ def test_enlargement_witness_matches_all_pairs(l, factor):
     assert enlargement_disjointness_violation(realized, radius_sq) == expected
 
 
+def _piece_grid_least_gap(pieces, meets):
+    # the piece-level scan that the edge-by-edge _GapScan replaced: a grid
+    # over all pieces whose reach doubles until the best gap lies within it
+    if not pieces:
+        return None
+    whole = geometry._box([pt for _, p, q, _ in pieces for pt in (p, q)])
+    extent = max(whole[1] - whole[0], whole[3] - whole[2])
+    reach = max(max(b[1] - b[0], b[3] - b[2]) for _, _, _, b in pieces) or 1
+    while True:
+        best = None
+        for p, q in _grid_pairs(pieces, reach):
+            a, b = pieces[p], pieces[q]
+            if meets[a[0]] >> b[0] & 1:
+                continue
+            if best is not None and geometry._box_gap_squared(a[3], b[3]) >= best:
+                continue
+            d = segment_dist2(a[1], a[2], b[1], b[2])
+            if best is None or d < best:
+                best = d
+        if (best is not None and best <= reach * reach) or reach >= extent:
+            return best
+        reach *= 2
+
+
+def _piece_grid_disjointness_violation(realized, radius_sq):
+    # the check's piece-level grid that _GapScan replaced
+    system = realized.system
+    sets = system.all_sets()
+    radius = [radius_sq[a.level] for a in sets]
+    scale, pieces = realized.scaled_pieces
+    s2 = scale * scale
+    bound = math.floor(4 * max(radius) * s2)
+    by_set = [[] for _ in sets]
+    for piece in pieces:
+        by_set[piece[0]].append(piece)
+    near = set()
+    for p, q in _grid_pairs(pieces, math.isqrt(bound)):
+        a, b = pieces[p], pieces[q]
+        i, j = a[0], b[0]
+        if system.meets[i] >> j & 1 or geometry._box_gap_squared(a[3], b[3]) > bound:
+            continue
+        near.add((i, j) if i < j else (j, i))
+    for i, j in sorted(near):
+        d2 = Fraction(min(segment_dist2(p[1], p[2], q[1], q[2])
+                          for p in by_set[i] for q in by_set[j]), s2)
+        if not _gt_sum_of_roots(d2, radius[i], radius[j]):
+            return ((sets[i].level, sets[i].vertex), (sets[j].level, sets[j].vertex), d2)
+    return None
+
+
+@pytest.mark.parametrize("l", [10, 12])
+def test_edge_scan_matches_the_piece_grid(l):
+    # the all-pairs references above reach l <= 6; the piece grid reaches
+    # further, for the margin, rho and the check at four radius factors
+    inst = generate_instance(l)
+    realized = RealizedSystem(CoverSystem(inst.diagram, inst.epsilons))
+    sets, meets = realized.system.all_sets(), realized.system.meets
+    scale, pieces = realized.scaled_pieces
+    s2 = scale * scale
+    assert family_min_gap_squared(realized) == Fraction(_piece_grid_least_gap(pieces, meets), s2)
+    level0 = [pc for pc in pieces if sets[pc[0]].level == 0]
+    assert compute_rho_and_mesh(realized)[0] == \
+        Fraction(_piece_grid_least_gap(level0, meets), s2)
+    _, radius_sq = enlarge_taut_family(realized)
+    witnesses = []
+    for factor in ("1", "9/4", "3", "40"):
+        radii = [r * Fraction(factor) for r in radius_sq]
+        witnesses.append(enlargement_disjointness_violation(realized, radii))
+        assert witnesses[-1] == _piece_grid_disjointness_violation(realized, radii)
+    assert [w is None for w in witnesses] == [True, False, False, False]
+
+
 def _ref_nesting_violation(realized, radius_sq):
     # every level pair (j, n) along its composed bond, in that order
     system = realized.system
@@ -682,22 +756,121 @@ def test_grid_pairs_yield_every_near_pair_once(pieces, reach):
                 assert (p, q) in seen
 
 
+# unit steps of a grid: axis steps and diagonals, at most one diagonal per
+# unit square, so that two edges meet only at a shared end
+_STEPS = ((1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, 1), (1, -1), (-1, -1))
+_SETS = 5
+
+
+@st.composite
+def edge_groups(draw):
+    """A small planar tree in int coordinates, stretched apart on each axis,
+    with random closed pieces of five sets on its edges, as the groups
+    (ends, points, pieces) of geometry._GapScan: piece ends at multiples of
+    1/4 of an edge, so every point is an int after scaling by 4."""
+    spots, edges, diagonals = [(0, 0), (1, 0)], [(0, 1)], set()
+    for _ in range(draw(st.integers(0, 7))):
+        k = draw(st.integers(0, len(spots) - 1))
+        (x, y), (dx, dy) = spots[k], draw(st.sampled_from(_STEPS))
+        square = (min(x, x + dx), min(y, y + dy))
+        if (x + dx, y + dy) in spots or (dx and dy and square in diagonals):
+            continue
+        if dx and dy:
+            diagonals.add(square)
+        spots.append((x + dx, y + dy))
+        edges.append((k, len(spots) - 1))
+    sx, sy = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    points = [(4 * sx * x, 4 * sy * y) for x, y in spots]
+    groups = []
+    for u, w in edges:
+        (ax, ay), (bx, by) = points[u], points[w]
+        pieces = []
+        for i, s, t in draw(st.lists(st.tuples(st.integers(0, _SETS - 1), st.integers(0, 4),
+                                               st.integers(0, 4)), max_size=3)):
+            s, t = sorted((s, t))
+            pieces.append(_piece(i, ((ax * (4 - s) + bx * s) // 4, (ay * (4 - s) + by * s) // 4),
+                                 ((ax * (4 - t) + bx * t) // 4, (ay * (4 - t) + by * t) // 4)))
+        groups.append(((u, w), (points[u], points[w]), pieces))
+    return groups
+
+
+@st.composite
+def meets_tables(draw):
+    """Every set meets every other, less some pairs drawn at random."""
+    meets = [(1 << _SETS) - 1] * _SETS
+    for i, j in draw(st.lists(st.tuples(st.integers(0, _SETS - 1),
+                                        st.integers(0, _SETS - 1)), max_size=12)):
+        if i != j:
+            meets[i] &= ~(1 << j)
+            meets[j] &= ~(1 << i)
+    return meets
+
+
+def _kind(groups, a, b):
+    """Where two pieces lie: on one edge, at one vertex, or apart."""
+    ends = [g[0] for g in groups for pc in g[2] if pc is a or pc is b]
+    if ends[0] == ends[-1]:
+        return "one edge"
+    return "at a vertex" if set(ends[0]) & set(ends[-1]) else "apart"
+
+
 @settings(max_examples=300, deadline=None)
-@given(piece_lists())
-def test_least_gap_matches_all_pairs(pieces):
-    meets = [1 << i for i in range(4)]  # each set meets only itself
+@given(edge_groups(), meets_tables())
+def test_least_gap_matches_all_pairs(groups, meets):
+    pieces = [pc for _, _, group in groups for pc in group]
     brute = min((segment_dist2(a[1], a[2], b[1], b[2])
-                 for x, a in enumerate(pieces) for b in pieces[x + 1:] if a[0] != b[0]),
+                 for x, a in enumerate(pieces) for b in pieces[x + 1:]
+                 if not meets[a[0]] >> b[0] & 1),
                 default=None)
-    assert _least_gap_squared(pieces, meets) == brute
+    assert _least_gap_squared(groups, meets) == brute
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_groups(), meets_tables(), st.integers(0, 400))
+def test_gap_scan_yields_every_pair_within_its_limit(groups, meets, limit):
+    pieces = [pc for _, _, group in groups for pc in group]
+    found = [(id(a), id(b)) for _, a, b in _GapScan(groups, meets, limit)]
+    assert len(set(map(frozenset, found))) == len(found)
+    for x, a in enumerate(pieces):
+        for b in pieces[x + 1:]:
+            if meets[a[0]] >> b[0] & 1:
+                continue
+            if segment_dist2(a[1], a[2], b[1], b[2]) <= limit:
+                event("within the limit: " + _kind(groups, a, b))
+                assert (id(a), id(b)) in found or (id(b), id(a)) in found
+
+
+@pytest.mark.parametrize("kind, groups, expected", [
+    # two sets that do not meet on one edge, 2 apart
+    ("one edge", [((0, 1), ((0, 0), (8, 0)),
+                   [_piece(0, (0, 0), (2, 0)), _piece(1, (4, 0), (8, 0))])], 4),
+    # an acute corner at (0, 0): the nearer end of the piece on (0,0)-(8,8)
+    # lies 4 from the x axis, while the piece on the axis stops at x = 6
+    ("at a vertex", [((0, 1), ((0, 0), (8, 8)), [_piece(0, (4, 4), (8, 8))]),
+                     ((0, 2), ((0, 0), (8, 0)), [_piece(1, (0, 0), (6, 0))])], 16),
+    ("apart", [((0, 1), ((0, 0), (4, 0)), [_piece(0, (0, 0), (4, 0))]),
+               ((2, 3), ((7, 0), (9, 0)), [_piece(1, (7, 0), (9, 0))])], 9),
+])
+def test_least_gap_on_each_kind_of_edge_pair(kind, groups, expected):
+    meets = [1, 2]  # each set meets only itself
+    (_, a, b), = _GapScan(groups, meets, expected)
+    assert _kind(groups, a, b) == kind
+    assert _least_gap_squared(groups, meets) == expected
 
 
 def test_least_gap_widens_past_a_nearer_cell():
-    # the first grid pairs A with B and B with C; the nearest pair, A and C,
-    # lies two cells apart and shows up only once the reach has doubled
-    pieces = [_piece(0, (0, 0), (10, 0)), _piece(1, (39, 39), (40, 39)),
-              _piece(2, (40, 0), (41, 0))]
-    assert _least_gap_squared(pieces, [1, 2, 4]) == 900
+    # A = (0,0)-(4,0) and C = (8,0)-(12,0) lie 4 apart, two cells apart on a
+    # grid as wide as the longest edge box (4); B = (12,0)-(16,4) meets C at
+    # (12,0), and its piece from (15,3) lies sqrt(18) from C.  That pair
+    # bounds the least gap by 18, so the edge grid's reach is isqrt(18) = 4
+    # and its cells pair A with C
+    a, b, c = (_piece(0, (0, 0), (4, 0)), _piece(1, (15, 3), (16, 4)),
+               _piece(2, (8, 0), (12, 0)))
+    groups = [(("a0", "a1"), ((0, 0), (4, 0)), [a]), (("a1", "c0"), ((4, 0), (8, 0)), []),
+              (("c0", "c1"), ((8, 0), (12, 0)), [c]), (("c1", "b1"), ((12, 0), (16, 4)), [b])]
+    boxes = [(k, None, None, _piece(0, *points)[3]) for k, (_, points, _) in enumerate(groups)]
+    assert (0, 2) not in {tuple(sorted(pair)) for pair in _grid_pairs(boxes, 0)}
+    assert _least_gap_squared(groups, [1, 2, 4]) == 16
 
 
 _roots = st.fractions(min_value=0, max_value=20, max_denominator=12)

@@ -6,7 +6,9 @@ object per l.  Run from the repository root:
 For each l it runs REPEATS rounds.  A round times ``generate_instance``, then
 builds every layer on its own, each on the layers before it: the cover
 system, its realization, ``scaled_pieces``, the margin scan
-(``family_min_gap_squared``) and rho/mesh (``compute_rho_and_mesh``).  Then
+(``family_min_gap_squared``), rho/mesh (``compute_rho_and_mesh``) and the
+disjointness check of the enlarged family on the taut radii
+(``enlargement_disjointness_violation``, as ``disjoint_check``).  Then
 it runs ``verify_instance`` on a fresh instance and keeps the seconds the
 report records per stage.  Lazy builds are charged to the stage that first
 asks for them, as in the report (``system-build`` builds the system and its
@@ -29,6 +31,8 @@ from treechains.covers import CoverSystem  # noqa: E402
 from treechains.geometry import (  # noqa: E402
     RealizedSystem,
     compute_rho_and_mesh,
+    enlarge_taut_family,
+    enlargement_disjointness_violation,
     family_min_gap_squared,
 )
 from treechains.verify import generate_instance, verify_instance  # noqa: E402
@@ -51,6 +55,9 @@ def one_round(l: int) -> dict:
     _, out["scaled_pieces"] = _timed(lambda: realized.scaled_pieces)
     _, out["margin_scan"] = _timed(lambda: family_min_gap_squared(realized))
     _, out["rho_mesh"] = _timed(lambda: compute_rho_and_mesh(realized))
+    _, radius_sq = enlarge_taut_family(realized)
+    _, out["disjoint_check"] = _timed(
+        lambda: enlargement_disjointness_violation(realized, radius_sq))
     report = verify_instance(generate_instance(l))
     if not report.passed:
         raise SystemExit("verify failed at l=%d: %s" % (l, report.first_failure()))
