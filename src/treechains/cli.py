@@ -75,7 +75,10 @@ def cmd_generate_family(args) -> int:
         return _fail(_failure_report("schema", str(exc)))
     payload = {"schema": 1, "diagram": diagram_to_json(d)}
     if args.out:
-        dump_json(payload, args.out)
+        try:
+            dump_json(payload, args.out)
+        except OSError as exc:  # a missing directory, a directory in the way
+            return _fail(_failure_report("output", str(exc)))
     else:
         json.dump(payload, sys.stdout, indent=1, sort_keys=True)
         print()

@@ -7,10 +7,12 @@ squared values and never rooted inside a comparison.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import floor, isqrt, sqrt
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .covers import CoverSet, CoverSystem, first_failing_level_pair
@@ -402,9 +404,12 @@ class RealizedSystem:
 
     @cached_property
     def scaled_pieces(self):
-        """(scale, pieces): every closed piece of every closure as one
-        (set index, p, q, box) in all_sets() order, each closure's edges in
-        ``sorted_edges()`` order, in int coordinates.
+        """(scale, by_set, by_edge): every closed piece of every closure as
+        one (set index, p, q, box) in int coordinates, built once.
+        ``by_set[i]`` lists set i's, its closure's edges in ``sorted_edges()``
+        order; ``by_edge`` holds one group (edge, points, pieces) per edge of
+        the deepest tree in that order, with its ends' int points and the
+        same tuples on it, in all_sets() order.
 
         With the deepest tree's int frame (A, B the int ends of an edge) and
         the closures' codes on one E (see _one_grid), a closed end has code
@@ -412,37 +417,24 @@ class RealizedSystem:
         ``scale`` is the frame's times E and every coordinate is an int
         combination, with no Fraction in between.
         """
-        unit, ipt = self.system.deepest.int_frame
+        tree = self.system.deepest
+        unit, ipt = tree.int_frame
         closures = [self.closure(a) for a in self.system.all_sets()]
         steps = _one_grid(closures)
-        out = []
+        on: Dict = {e: [] for e in tree.sorted_edges()}
+        by_set: List[List] = [[] for _ in closures]
         for i, closure in enumerate(closures):
             for e in closure.sorted_edges():
                 (ax, ay), (bx, by) = ipt[e[0]], ipt[e[1]]
                 for start, end in closure.codes[e]:
                     p, q = [(ax * (steps - t) + bx * t, ay * (steps - t) + by * t)
                             for t in (start // 2, (end + 1) // 2)]
-                    out.append((i, p, q, _box((p, q))))
-        return unit * steps, out
-
-    @cached_property
-    def edge_pieces(self):
-        """The pieces of ``scaled_pieces`` as one group (edge, points,
-        pieces) per edge of the deepest tree, in ``sorted_edges()`` order:
-        the int points of the edge's ends in the same units and the pieces
-        on it, in all_sets() order."""
-        tree = self.system.deepest
-        scale, pieces = self.scaled_pieces
-        unit, ipt = tree.int_frame
-        on: Dict = {e: [] for e in tree.sorted_edges()}
-        it = iter(pieces)
-        for a in self.system.all_sets():
-            closure = self.closure(a)
-            for e in closure.sorted_edges():
-                on[e].extend(next(it) for _ in closure.codes[e])
-        grow = scale // unit
-        return [(e, tuple((x * grow, y * grow) for x, y in (ipt[e[0]], ipt[e[1]])), group)
-                for e, group in on.items()]
+                    piece = (i, p, q, _box((p, q)))
+                    by_set[i].append(piece)
+                    on[e].append(piece)
+        by_edge = [(e, tuple((x * steps, y * steps) for x, y in (ipt[e[0]], ipt[e[1]])), group)
+                   for e, group in on.items()]
+        return unit * steps, by_set, by_edge
 
 
 def _grid_pairs(pieces, reach: int):
@@ -604,18 +596,21 @@ def _least_gap_squared(groups, meets: Sequence[int]):
     return best
 
 
-def _min_disjoint_gap_squared(realized: RealizedSystem,
-                              levels: Optional[Sequence[int]] = None) -> Optional[Fraction]:
-    """Least squared distance between the closures of two disjoint sets (of
-    the given levels, or of all), exact; None if no pair is disjoint."""
+def _min_disjoint_gap_squared(realized: RealizedSystem, groups) -> Optional[Fraction]:
+    """Least squared distance between pieces of two disjoint sets in the
+    edge groups ``groups`` of ``scaled_pieces``, exact; None if none."""
     scale = realized.scaled_pieces[0]
-    groups = realized.edge_pieces
-    if levels is not None:
-        sets = realized.system.all_sets()
-        groups = [(e, points, [pc for pc in pieces if sets[pc[0]].level in levels])
-                  for e, points, pieces in groups]
     best = _least_gap_squared(groups, realized.system.meets)
     return None if best is None else Fraction(best) / (scale * scale)
+
+
+def rho_squared(realized: RealizedSystem) -> Optional[Fraction]:
+    """Squared rho, over the disjoint pairs of the coarsest cover; None if
+    none.  Level 0 is the leading run of each edge group (all_sets() order)."""
+    first = realized.system.level_start[1]
+    return _min_disjoint_gap_squared(realized, [
+        (e, points, pieces[:bisect_left(pieces, first, key=itemgetter(0))])
+        for e, points, pieces in realized.scaled_pieces[2]])
 
 
 def compute_rho_and_mesh(realized: RealizedSystem):
@@ -626,14 +621,12 @@ def compute_rho_and_mesh(realized: RealizedSystem):
     promise it.
     """
     system = realized.system
-    rho_sq = _min_disjoint_gap_squared(realized, levels=(0,))
+    rho_sq = rho_squared(realized)
     # diameters on the ends of the scaled closed pieces, each point once: a
     # closure has the same diameter
-    scale, pieces = realized.scaled_pieces
-    points = [set() for _ in system.all_sets()]
-    for i, p, q, _ in pieces:
-        points[i].update((p, q))
-    diameters = [_diameter_squared(list(pts)) for pts in points]
+    scale, by_set, _ = realized.scaled_pieces
+    diameters = [_diameter_squared(list({pt for pc in pieces for pt in pc[1:3]}))
+                 for pieces in by_set]
     starts = system.level_start
     mesh_sq = [Fraction(max(diameters[starts[n]:starts[n + 1]]), scale * scale)
                for n in range(system.l + 1)]
@@ -648,7 +641,7 @@ def compute_rho_and_mesh(realized: RealizedSystem):
 
 def family_min_gap_squared(realized: RealizedSystem) -> Fraction:
     """Squared minimum distance over disjoint pairs of the whole family."""
-    best = _min_disjoint_gap_squared(realized)
+    best = _min_disjoint_gap_squared(realized, realized.scaled_pieces[2])
     if best is None:
         raise GraphError("the family has no disjoint pair; enlargement margin undefined")
     return best
@@ -676,11 +669,12 @@ def enlargement_disjointness_violation(realized: RealizedSystem,
     d(U, V) > r_U + r_V, compared via exact squares; ``radius_sq[n]`` is the
     squared radius of every set of level n.
 
-    A failing pair is at most r_U + r_V <= 2 max r apart, so only pairs
-    with two pieces that close, found by _GapScan edge by edge in scaled int
-    coordinates, get an exact distance, the least over their int pieces
-    divided by the scale squared; the first failing one in all_sets() order
-    is the witness.
+    _GapScan yields every piece pair at most sqrt(limit) apart, in scaled
+    int coordinates, and limit = (2 max r)^2 >= (r_U + r_V)^2.  So the
+    closest piece pair of a failing set pair is yielded, and the least
+    ``segment_dist2`` over the yielded pairs is exact for it; any other pair
+    gets a minimum over fewer pairs, no smaller, and still passes.  The
+    first failing pair in all_sets() order is the witness.
 
     With the radii of ``enlarge_taut_family`` no pair can fail once taut
     has passed: m_sq is a ninth of the least squared gap over the same
@@ -691,19 +685,18 @@ def enlargement_disjointness_violation(realized: RealizedSystem,
     system = realized.system
     sets = system.all_sets()
     radius = [radius_sq[a.level] for a in sets]
-    scale, pieces = realized.scaled_pieces
+    scale, _, by_edge = realized.scaled_pieces
     s2 = scale * scale
-    by_set = [[] for _ in sets]
-    for piece in pieces:
-        by_set[piece[0]].append(piece)
-    # a failing pair is at most 2 max r apart, scaled and squared
-    scan = _GapScan(realized.edge_pieces, system.meets, 4 * max(radius) * s2)
-    near = {(a[0], b[0]) if a[0] < b[0] else (b[0], a[0]) for _, a, b in scan}
-    for i, j in sorted(near):
-        a, b = sets[i], sets[j]
-        d2 = Fraction(min(segment_dist2(p[1], p[2], q[1], q[2])
-                          for p in by_set[i] for q in by_set[j]), s2)
+    near: Dict = {}
+    for _, a, b in _GapScan(by_edge, system.meets, 4 * max(radius) * s2):
+        pair = (a[0], b[0]) if a[0] < b[0] else (b[0], a[0])
+        d = segment_dist2(a[1], a[2], b[1], b[2])
+        if pair not in near or d < near[pair]:
+            near[pair] = d
+    for (i, j), d in sorted(near.items()):
+        d2 = Fraction(d, s2)
         if not _gt_sum_of_roots(d2, radius[i], radius[j]):
+            a, b = sets[i], sets[j]
             return ((a.level, a.vertex), (b.level, b.vertex), d2)
     return None
 
@@ -756,9 +749,9 @@ def render_svg(realized: RealizedSystem, path: str,
     per cover level, stroked twice the level's enlargement radius wide when
     ``radius_sq`` is given.  Returns the SVG text.
 
-    Links are drawn from ``scaled_pieces`` at x / scale: every epsilon
-    exceeds 1/2, so a closure's pieces are its region's, and an int quotient
-    is the correctly rounded float of its rational."""
+    A set's links are its pieces in ``scaled_pieces``, drawn at x / scale:
+    every epsilon exceeds 1/2, so a closure's pieces are its region's, and
+    an int quotient is the correctly rounded float of its rational."""
     system = realized.system
     tree = system.deepest
     if levels is None:
@@ -774,11 +767,11 @@ def render_svg(realized: RealizedSystem, path: str,
     def to_px(p):
         return ((float(p[0]) - x0) * _SVG_SCALE, (y1 - float(p[1])) * _SVG_SCALE)
 
-    scale, pieces = realized.scaled_pieces
-    links = [[] for _ in system.all_sets()]
-    for i, p, q, _ in pieces:
-        pp, qq = [to_px((x / scale, y / scale)) for x, y in (p, q)]
-        links[i].append("M %s %s L %s %s" % (_fmt(pp[0]), _fmt(pp[1]), _fmt(qq[0]), _fmt(qq[1])))
+    scale, by_set, _ = realized.scaled_pieces
+
+    def link(piece):
+        pp, qq = [to_px((x / scale, y / scale)) for x, y in piece[1:3]]
+        return "M %s %s L %s %s" % (_fmt(pp[0]), _fmt(pp[1]), _fmt(qq[0]), _fmt(qq[1]))
 
     lines = ['<svg xmlns="http://www.w3.org/2000/svg" width="%s" height="%s" '
              'viewBox="0 0 %s %s">' % (_fmt(width + 160), _fmt(height),
@@ -793,7 +786,7 @@ def render_svg(realized: RealizedSystem, path: str,
                      'fill="none" stroke-linecap="round">' % (n, color))
         for a in system.covers[n]:
             lines.append('<path class="link" stroke-width="%s" d="%s"/>'
-                         % (stroke, " ".join(links[a.index])))
+                         % (stroke, " ".join(map(link, by_set[a.index]))))
         lines.append("</g>")
     lines.append('<g id="skeleton" stroke="#000000" stroke-width="1.5">')
     for a, b in tree.sorted_edges():

@@ -202,6 +202,15 @@ class TestOther:
         assert text.startswith("schema                 FAIL  witness='k must be at least 2'")
         assert not out.exists()
 
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    def test_generate_family_to_a_bad_path_fails(self, tmp_path, capsys, where):
+        out = tmp_path / "missing" / "x.json" if where == "missing" else tmp_path
+        assert main(["generate-family", "--k", "2", "--out", str(out)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("output                 FAIL  witness=")
+        assert lines[1:] == ["overall                FAIL"]
+        assert not (tmp_path / "missing").exists()
+
     def test_example1(self, capsys):
         assert main(["example1"]) == 0
         assert "PASS" in capsys.readouterr().out

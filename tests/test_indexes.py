@@ -29,7 +29,13 @@ from test_geometry import (
 )
 
 import treechains.geometry as geometry
-from treechains.covers import CoverSystem, d1_violation, point_in_cover_set, sets_intersect
+from treechains.covers import (
+    CoverSystem,
+    d1_violation,
+    nerve,
+    point_in_cover_set,
+    sets_intersect,
+)
 from treechains.geometry import (
     RealizedSystem,
     SegmentRegion,
@@ -50,9 +56,16 @@ from treechains.geometry import (
 )
 from treechains.serialize import instance_from_json
 from treechains.simplicial import EdgePoint, SimplicialGraph, vkey
-from treechains.verify import VerifyContext, _strong_refinement, generate_instance, verify_instance
+from treechains.verify import (
+    STAGES,
+    VerifyContext,
+    _strong_refinement,
+    generate_instance,
+    verify_instance,
+)
 
 F = Fraction
+STAGE = dict(STAGES)
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
@@ -91,12 +104,27 @@ def test_fixtures_reach_system_build():
 
 
 def test_scaled_pieces_are_the_closures_pieces(realized):
-    scale, pieces = realized.scaled_pieces
+    scale, by_set, by_edge = realized.scaled_pieces
+    pieces = [pc for own in by_set for pc in own]
     assert all(type(c) is int for _, p, q, _ in pieces for c in p + q)
+    assert all(pc[0] == i for i, own in enumerate(by_set) for pc in own)
     got = [(i, tuple((F(x, scale), F(y, scale)) for x, y in (p, q)))
            for i, p, q, _ in pieces]
-    assert got == [(i, seg) for i, a in enumerate(realized.system.all_sets())
+    sets = realized.system.all_sets()
+    assert got == [(i, seg) for i, a in enumerate(sets)
                    for seg in geometric_pieces(realized.closure(a))]
+    # by_edge holds the very same tuples, grouped by the edge each lies on,
+    # in all_sets() order, with the edge's ends in the same units
+    on = [e for a in sets for e in realized.closure(a).sorted_edges()
+          for _ in realized.closure(a).pieces[e]]
+    tree = realized.system.deepest
+    assert [e for e, _, _ in by_edge] == list(tree.sorted_edges())
+    for e, points, group in by_edge:
+        expected = [pc for pc, edge in zip(pieces, on) if edge == e]
+        assert len(group) == len(expected)
+        assert all(pc is want for pc, want in zip(group, expected))
+        assert tuple((F(x, scale), F(y, scale)) for x, y in points) == \
+            (tree.point(e[0]), tree.point(e[1]))
 
 
 def test_every_region_is_on_the_schedule_grid(realized):
@@ -450,7 +478,8 @@ def _piece_grid_disjointness_violation(realized, radius_sq):
     system = realized.system
     sets = system.all_sets()
     radius = [radius_sq[a.level] for a in sets]
-    scale, pieces = realized.scaled_pieces
+    scale, by_set, _ = realized.scaled_pieces
+    pieces = [pc for own in by_set for pc in own]
     s2 = scale * scale
     bound = math.floor(4 * max(radius) * s2)
     by_set = [[] for _ in sets]
@@ -478,7 +507,8 @@ def test_edge_scan_matches_the_piece_grid(l):
     inst = generate_instance(l)
     realized = RealizedSystem(CoverSystem(inst.diagram, inst.epsilons))
     sets, meets = realized.system.all_sets(), realized.system.meets
-    scale, pieces = realized.scaled_pieces
+    scale, by_set, _ = realized.scaled_pieces
+    pieces = [pc for own in by_set for pc in own]
     s2 = scale * scale
     assert family_min_gap_squared(realized) == Fraction(_piece_grid_least_gap(pieces, meets), s2)
     level0 = [pc for pc in pieces if sets[pc[0]].level == 0]
@@ -606,6 +636,25 @@ def test_tampered_closure_fails_taut_like_brute_force(monkeypatch):
             break
     witness = next(r.witness for r in report.results if r.name == "taut")
     assert witness == expected
+
+
+def test_extra_meeting_pair_fails_nerve():
+    # taut compares the intersection graph with the regions, so a tampered
+    # graph never reaches nerve in a report; the stage is run on its own.
+    # One extra meeting pair of level 1 gives its nerve an edge that T_1
+    # lacks, and closes a cycle
+    ctx = VerifyContext(generate_instance(2))
+    system = ctx.system
+    assert STAGE["nerve"](ctx) is None
+    sets = system.covers[1]
+    a, b = next((a, b) for x, a in enumerate(sets) for b in sets[x + 1:]
+                if not sets_intersect(system, a, b))
+    for i, j in ((a.index, b.index), (b.index, a.index)):
+        system.adjacency[i] = tuple(sorted(system.adjacency[i] + (j,)))
+        system.meets[i] |= 1 << j
+    assert nerve(system, 0).edges == system.diagram.levels[0].edges
+    assert not nerve(system, 1).is_tree()
+    assert STAGE["nerve"](ctx) == ("not-isomorphic", 1)
 
 
 def _triangle_tampers(system):

@@ -4,19 +4,28 @@ object per l.  Run from the repository root:
     python3 tools/stage_seconds.py L [L ...]
 
 For each l it runs REPEATS rounds.  A round times ``generate_instance``, then
-builds every layer on its own, each on the layers before it: the cover
-system, its realization, ``scaled_pieces``, the margin scan
-(``family_min_gap_squared``), rho/mesh (``compute_rho_and_mesh``) and the
-disjointness check of the enlarged family on the taut radii
-(``enlargement_disjointness_violation``, as ``disjoint_check``).  Then
-it runs ``verify_instance`` on a fresh instance and keeps the seconds the
-report records per stage.  Lazy builds are charged to the stage that first
-asks for them, as in the report (``system-build`` builds the system and its
-realization, ``enlargement-disjoint`` the pieces and the margin scan).
+builds every layer on its own, each on the layers before it.  The keys:
+
+- ``generate_instance``: the family diagram and its trisection lift;
+- ``system``: the ``CoverSystem``;
+- ``realization``: the ``RealizedSystem``, every region and closure;
+- ``scaled_pieces``: the one build of the closures' integer pieces, per
+  set and per deepest edge;
+- ``margin_scan``: ``family_min_gap_squared``, the least gap over all
+  disjoint pairs;
+- ``rho_scan``: ``rho_squared``, the same scan over level 0 alone;
+- ``rho_mesh``: ``compute_rho_and_mesh``, rho again plus every diameter;
+- ``disjoint_check``: ``enlargement_disjointness_violation`` on the taut
+  radii;
+- ``stage.<name>``: the seconds the report of ``verify_instance`` records
+  for each stage, on a fresh instance.  Lazy builds are charged to the
+  stage that first asks for them (``system-build`` builds the system and
+  its realization, ``enlargement-disjoint`` the pieces and the margin
+  scan).
+
 Every value is the median over the rounds.
 
-Only the public API is used, so the script runs unchanged against any
-checkout whose ``src`` it sits beside.
+Only the public API is used, from the ``src`` the script sits beside.
 """
 
 import json
@@ -34,6 +43,7 @@ from treechains.geometry import (  # noqa: E402
     enlarge_taut_family,
     enlargement_disjointness_violation,
     family_min_gap_squared,
+    rho_squared,
 )
 from treechains.verify import generate_instance, verify_instance  # noqa: E402
 
@@ -54,6 +64,7 @@ def one_round(l: int) -> dict:
     realized, out["realization"] = _timed(lambda: RealizedSystem(system))
     _, out["scaled_pieces"] = _timed(lambda: realized.scaled_pieces)
     _, out["margin_scan"] = _timed(lambda: family_min_gap_squared(realized))
+    _, out["rho_scan"] = _timed(lambda: rho_squared(realized))
     _, out["rho_mesh"] = _timed(lambda: compute_rho_and_mesh(realized))
     _, radius_sq = enlarge_taut_family(realized)
     _, out["disjoint_check"] = _timed(
