@@ -55,15 +55,18 @@ def cmd_generate(args) -> int:
     report = verify_instance(instance, ctx=ctx)
     system, realized = ctx.system, ctx.realized
     m_sq, radius_sq = ctx.enlargement
-    dump_json(instance.to_json(), os.path.join(args.out, "instance.json"))
-    dump_json(system_to_json(system), os.path.join(args.out, "system.json"))
-    dump_json(regions_to_json(realized), os.path.join(args.out, "regions.json"))
-    dump_json({
-        "schema": 1,
-        "m_sq": fraction_to_json(m_sq),
-        "radius_sq": [fraction_to_json(r) for r in radius_sq],
-    }, os.path.join(args.out, "enlargement.json"))
-    geo.render_svg(realized, os.path.join(args.out, "covers.svg"), radius_sq)
+    try:
+        dump_json(instance.to_json(), os.path.join(args.out, "instance.json"))
+        dump_json(system_to_json(system), os.path.join(args.out, "system.json"))
+        dump_json(regions_to_json(realized), os.path.join(args.out, "regions.json"))
+        dump_json({
+            "schema": 1,
+            "m_sq": fraction_to_json(m_sq),
+            "radius_sq": [fraction_to_json(r) for r in radius_sq],
+        }, os.path.join(args.out, "enlargement.json"))
+        geo.render_svg(realized, os.path.join(args.out, "covers.svg"), radius_sq)
+    except OSError as exc:  # a directory in the way, no permission
+        return _fail(_failure_report("output", str(exc)))
     print(report.to_text())
     return 0 if report.passed else 1
 

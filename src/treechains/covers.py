@@ -239,11 +239,10 @@ def first_failing_level_pair(l: int, violation: Callable) -> Optional[Tuple]:
     0 <= n < j <= l, on which ``violation(j, n)`` returns a witness; None if
     it returns None on every pair.
 
-    For a relation along the bonds that is transitive (fiber inclusion,
-    containment, a strict radius order), bonds compose, so every pair (j, n)
-    holds exactly when the l consecutive pairs (j, j - 1) do.  Only when one
-    of those fails does the scan over all pairs run, to name the first
-    failing pair.
+    Its one user is strong-refinement's fiber inclusion.  That relation is
+    transitive and bonds compose, so every pair (j, n) holds exactly when
+    the l consecutive pairs (j, j - 1) do.  Only when one of those fails
+    does the scan over all pairs run, to name the first failing pair.
     """
     levels = range(1, l + 1)
     if all(violation(j, j - 1) is None for j in levels):
@@ -268,7 +267,7 @@ def refinement_violation(system: CoverSystem, j: int, n: int):
     return None
 
 
-def d1_violation(system: CoverSystem, n: int = 0):
+def d1_violation(system: CoverSystem, n: int):
     """U in level n meets V in level n+1 but phi_n(V) still meets U."""
     for v_set in system.covers[n + 1]:
         img = system.apply_phi(v_set)

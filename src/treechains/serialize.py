@@ -26,8 +26,13 @@ def fraction_to_json(x: Fraction) -> str:
     return "%d/%d" % (x.numerator, x.denominator)
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; true and false are not, though Python's bool is an int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def fraction_from_json(s) -> Fraction:
-    if isinstance(s, int):
+    if _is_int(s):
         return Fraction(s)
     if isinstance(s, str) and "/" in s:
         num, den = s.split("/", 1)
@@ -75,10 +80,10 @@ def vertex_from_json(obj):
             if obj[2] not in ("1/3", "2/3"):
                 raise FormatError("bad subdivision tag %r" % (obj[2],))
             return ("sub", (vertex_from_json(a), vertex_from_json(b)), obj[2])
-        if len(obj) == 2 and all(isinstance(x, int) for x in obj):
+        if len(obj) == 2 and all(map(_is_int, obj)):
             return (obj[0], obj[1])
         raise FormatError("unsupported vertex encoding %r" % (obj,))
-    if isinstance(obj, (int, str)):
+    if _is_int(obj) or isinstance(obj, str):
         return obj
     raise FormatError("unsupported vertex encoding %r" % (obj,))
 
@@ -182,7 +187,7 @@ class Instance:
 def instance_from_json(obj: dict) -> Instance:
     if not isinstance(obj, dict):
         raise FormatError("an instance must be a JSON object")
-    if obj.get("schema") != SCHEMA_VERSION:
+    if not _is_int(obj.get("schema")) or obj["schema"] != SCHEMA_VERSION:
         raise FormatError("unsupported schema %r" % (obj.get("schema"),))
     epsilons = EpsilonSchedule.build(
         [fraction_from_json(e) for e in _field(obj, "epsilon", list)])

@@ -429,17 +429,15 @@ def from_subdivided(p3: EdgePoint) -> EdgePoint:
     return EdgePoint(a, b, (1 - t) * px[2] + t * py[2])
 
 
-def lift_map_3(m: SimplicialMapping,
-               source3: Optional[SimplicialGraph] = None,
-               target3: Optional[SimplicialGraph] = None) -> SimplicialMapping:
-    """The induced map between trisection subdivisions.
+def lift_map_3(m: SimplicialMapping, source3: SimplicialGraph,
+               target3: SimplicialGraph) -> SimplicialMapping:
+    """The induced map between the trisection subdivisions ``source3`` and
+    ``target3`` of m's source and target.
 
     Each subdivision vertex is sent to the image of its point under the
     realization of m, which is again a vertex of the subdivided target.
     """
     m.require_valid()
-    g3 = source3 if source3 is not None else subdivide3(m.source)
-    h3 = target3 if target3 is not None else subdivide3(m.target)
     assign = {}
     for v in m.source.vertices:
         assign[v] = m.assignment[v]
@@ -451,4 +449,4 @@ def lift_map_3(m: SimplicialMapping,
                 assign[w] = fa
             else:
                 assign[w] = subdivision_vertex(m.target, (fa, fb), t)
-    return SimplicialMapping(g3, h3, assign)
+    return SimplicialMapping(source3, target3, assign)

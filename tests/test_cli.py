@@ -97,12 +97,33 @@ class TestGenerate:
         assert lines[1:] == ["overall                FAIL"]
         assert taken.read_text() == ""
 
+    @pytest.mark.parametrize("name", ["instance.json", "covers.svg"])  # first, last
+    def test_unwritable_output_file_fails(self, tmp_path, capsys, name):
+        (tmp_path / name).mkdir()
+        assert main(["generate", "--l", "1", "--out", str(tmp_path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("output                 FAIL  witness=")
+        assert lines[1:] == ["overall                FAIL"]
+
 
 def with_enlargement(m_sq, radius_sq):
     """The l=1 instance as JSON text, with its own enlargement block."""
     payload = generate_instance(1).to_json()
     payload["enlargement"] = {"m_sq": m_sq, "radius_sq": radius_sq}
     return json.dumps(payload)
+
+
+def with_l2(schema=False, fraction=False, vertex=False):
+    """The l=2 instance as JSON text with true for an int: for the schema
+    number, for every coordinate 1/1, or for the side of every [1, level]
+    vertex.  Each verifies PASS if true is read as 1."""
+    payload = generate_instance(2).to_json()
+    if schema:
+        payload["schema"] = True
+    text = json.dumps(payload)
+    if fraction:
+        text = text.replace('"1/1"', "true")
+    return text.replace("[1, ", "[true, ") if vertex else text
 
 
 class TestVerify:
@@ -123,6 +144,10 @@ class TestVerify:
         '{"schema": 1, "epsilon": ["3/4", "1/2"], "diagram": []}',
         '{"schema": 1, "epsilon": ["3/4", "1/0"], "diagram": {}}',
         pytest.param(with_enlargement("1/9", ["-1/9", "1/36"]), id="negative-radius"),
+        # JSON booleans where an int belongs; Python reads true as 1
+        pytest.param(with_l2(schema=True), id="bool-schema"),
+        pytest.param(with_l2(fraction=True), id="bool-fraction"),
+        pytest.param(with_l2(vertex=True), id="bool-vertex"),
     ])
     def test_malformed_fails_at_schema(self, tmp_path, capsys, payload):
         bad = tmp_path / "bad.json"

@@ -202,7 +202,7 @@ class TestConditions:
         inst = generate_instance(1)
         system = CoverSystem(inst.diagram, inst.epsilons,
                              [dict(inst.diagram.g_row[0].assignment)])
-        assert d1_violation(system) is not None
+        assert d1_violation(system, 0) is not None
 
 
 class TestNerve:

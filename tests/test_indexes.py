@@ -542,7 +542,8 @@ def _ref_nesting_violation(realized, radius_sq):
 @pytest.mark.parametrize("l", [2, 3])
 def test_nesting_witness_matches_all_pairs(l):
     inst = generate_instance(l)
-    realized = RealizedSystem(CoverSystem(inst.diagram, inst.epsilons))
+    ctx = VerifyContext(inst)
+    realized = ctx.realized
     system = realized.system
     _, radius_sq = enlarge_taut_family(realized)
     assert enlargement_nesting_violation(realized, radius_sq) is None
@@ -565,9 +566,25 @@ def test_nesting_witness_matches_all_pairs(l):
         if len(inside) > 1:
             break
     realized.regions[(1, v.vertex)] = realized.region(inside[0])
-    expected = _ref_nesting_violation(realized, radius_sq)
-    assert expected is not None and expected[2] == "base"
-    assert enlargement_nesting_violation(realized, radius_sq) == expected
+    assert _ref_nesting_violation(realized, radius_sq)[2] == "base"
+    # strong-refinement, which runs first, already fails on the bond (2, 1)
+    report = verify_instance(inst, ctx)
+    assert report.first_failure() == "strong-refinement"
+    witness = next(r.witness for r in report.results if r.status == "FAIL")
+    assert witness[:2] == ("closure", 1) and bond[witness[2]] == v.vertex
+
+
+def test_nesting_reads_no_region(monkeypatch):
+    realized = VerifyContext(generate_instance(3)).realized
+    _, radius_sq = enlarge_taut_family(realized)
+
+    def no_containment(*args):
+        raise AssertionError("region_contains called")
+
+    monkeypatch.setattr(geometry, "region_contains", no_containment)
+    assert enlargement_nesting_violation(realized, radius_sq) is None
+    raised = radius_sq[:2] + [radius_sq[0]] + radius_sq[3:]
+    assert enlargement_nesting_violation(realized, raised)[2] == "radius"
 
 
 def _ref_fiber_violation(system):

@@ -297,7 +297,7 @@ class TestSubdivision:
         g = path_graph(5)
         h = path_graph(4)
         f = SimplicialMapping(g, h, {0: 0, 1: 1, 2: 2, 3: 3, 4: 2}).require_valid()
-        f3 = lift_map_3(f)
+        f3 = lift_map_3(f, subdivide3(g), subdivide3(h))
         assert validate_simplicial(f3)
         rng = random.Random(23)
         for _ in range(300):

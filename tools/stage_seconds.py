@@ -3,10 +3,12 @@ object per l.  Run from the repository root:
 
     python3 tools/stage_seconds.py L [L ...]
 
-For each l it runs REPEATS rounds.  A round times ``generate_instance``, then
-builds every layer on its own, each on the layers before it.  The keys:
+For each l it runs REPEATS rounds.  A round builds every layer of
+``generate_instance`` and of verify on its own, each on the layers before
+it.  The keys:
 
-- ``generate_instance``: the family diagram and its trisection lift;
+- ``family``: ``build_family_diagram(l + 1)``, the family diagram;
+- ``lift``: ``lift_diagram_3``, its trisection lift;
 - ``system``: the ``CoverSystem``;
 - ``realization``: the ``RealizedSystem``, every region and closure;
 - ``scaled_pieces``: the one build of the closures' integer pieces, per
@@ -36,7 +38,9 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from treechains.covers import CoverSystem  # noqa: E402
+from treechains.covers import CoverSystem, EpsilonSchedule  # noqa: E402
+from treechains.diagram import lift_diagram_3  # noqa: E402
+from treechains.family import build_family_diagram  # noqa: E402
 from treechains.geometry import (  # noqa: E402
     RealizedSystem,
     compute_rho_and_mesh,
@@ -45,6 +49,7 @@ from treechains.geometry import (  # noqa: E402
     family_min_gap_squared,
     rho_squared,
 )
+from treechains.serialize import Instance  # noqa: E402
 from treechains.verify import generate_instance, verify_instance  # noqa: E402
 
 REPEATS = 5
@@ -57,8 +62,10 @@ def _timed(fn):
 
 
 def one_round(l: int) -> dict:
-    inst, seconds = _timed(lambda: generate_instance(l))
-    out = {"generate_instance": seconds}
+    out = {}
+    diagram, out["family"] = _timed(lambda: build_family_diagram(l + 1))
+    lifted, out["lift"] = _timed(lambda: lift_diagram_3(diagram))
+    inst = Instance(lifted, EpsilonSchedule.default(l))  # as generate_instance(l)
     system, out["system"] = _timed(
         lambda: CoverSystem(inst.diagram, inst.epsilons, inst.phi_tables))
     realized, out["realization"] = _timed(lambda: RealizedSystem(system))
