@@ -7,7 +7,6 @@ Every command exits 0 exactly when its check passes.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -19,11 +18,12 @@ from .serialize import (
     FormatError,
     diagram_to_json,
     dump_json,
+    enlargement_to_json,
     fraction_from_json,
-    fraction_to_json,
     load_instance,
     regions_to_json,
     system_to_json,
+    write_json,
 )
 from .verify import (
     ConditionResult,
@@ -59,11 +59,8 @@ def cmd_generate(args) -> int:
         dump_json(instance.to_json(), os.path.join(args.out, "instance.json"))
         dump_json(system_to_json(system), os.path.join(args.out, "system.json"))
         dump_json(regions_to_json(realized), os.path.join(args.out, "regions.json"))
-        dump_json({
-            "schema": 1,
-            "m_sq": fraction_to_json(m_sq),
-            "radius_sq": [fraction_to_json(r) for r in radius_sq],
-        }, os.path.join(args.out, "enlargement.json"))
+        dump_json({"schema": 1, **enlargement_to_json(m_sq, radius_sq)},
+                  os.path.join(args.out, "enlargement.json"))
         geo.render_svg(realized, os.path.join(args.out, "covers.svg"), radius_sq)
     except OSError as exc:  # a directory in the way, no permission
         return _fail(_failure_report("output", str(exc)))
@@ -83,7 +80,7 @@ def cmd_generate_family(args) -> int:
         except OSError as exc:  # a missing directory, a directory in the way
             return _fail(_failure_report("output", str(exc)))
     else:
-        json.dump(payload, sys.stdout, indent=1, sort_keys=True)
+        write_json(payload, sys.stdout)
         print()
     return 0
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Dict, List, Optional
 
 from .covers import CoverSystem, EpsilonSchedule
@@ -65,7 +66,7 @@ def vertex_to_json(v):
         if len(v) == 3 and v[0] == "sub":
             (a, b), t = v[1], v[2]
             return ["sub", [vertex_to_json(a), vertex_to_json(b)], t]
-        if len(v) == 2 and all(isinstance(x, int) for x in v):
+        if len(v) == 2 and isinstance(v[0], int) and isinstance(v[1], int):
             return [v[0], v[1]]
         raise FormatError("unsupported vertex label %r" % (v,))
     if isinstance(v, (int, str)):
@@ -161,11 +162,14 @@ def instance_to_json(diagram: TreeDiagram, epsilons: EpsilonSchedule,
     if phi_tables is not None:
         out["phi"] = [assignment_to_json(t) for t in phi_tables]
     if enlargement is not None:
-        out["enlargement"] = {
-            "m_sq": fraction_to_json(enlargement["m_sq"]),
-            "radius_sq": [fraction_to_json(r) for r in enlargement["radius_sq"]],
-        }
+        out["enlargement"] = enlargement_to_json(enlargement["m_sq"],
+                                                 enlargement["radius_sq"])
     return out
+
+
+def enlargement_to_json(m_sq: Fraction, radius_sq: List[Fraction]) -> dict:
+    return {"m_sq": fraction_to_json(m_sq),
+            "radius_sq": [fraction_to_json(r) for r in radius_sq]}
 
 
 class Instance:
@@ -212,9 +216,57 @@ def load_instance(path: str) -> Instance:
         return instance_from_json(json.load(fh))
 
 
+# the JSON text of each scalar, by exact type: a bool is not written as an int
+_SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__,
+                bool: lambda b: "true" if b else "false"}
+
+
+def write_json(obj, fh) -> None:
+    """Write obj to fh as json.dump(obj, fh, indent=1, sort_keys=True) would,
+    without the stdlib's pure-Python indented encoder.  Only dicts with str
+    keys, lists, str, int and bool are JSON here; anything else raises
+    TypeError.  Pieces go straight to fh, so no document is ever held whole."""
+    write = fh.write
+    breaks = ["\n"]  # breaks[d]: a newline and the indent of depth d
+
+    def emit(o, depth, lead):  # lead, then o, whose items sit at depth + 1
+        text = _SCALAR_TEXT.get(type(o))
+        if text is not None:
+            write(lead + text(o))
+            return
+        kind = type(o)
+        if kind is not list and kind is not dict:
+            raise TypeError("cannot write a %s as JSON" % kind.__name__)
+        if not o:
+            write(lead + ("[]" if kind is list else "{}"))
+            return
+        if len(breaks) == depth + 1:
+            breaks.append(breaks[-1] + " ")
+        inner, sep = breaks[depth + 1], "," + breaks[depth + 1]
+        if kind is list:
+            texts = [_SCALAR_TEXT.get(type(x)) for x in o]
+            if None not in texts:
+                write(lead + "[" + inner + sep.join([t(x) for t, x in zip(texts, o)])
+                      + breaks[depth] + "]")
+                return
+            first = lead + "[" + inner
+            for x in o:
+                emit(x, depth + 1, first)
+                first = sep
+            write(breaks[depth] + "]")
+        else:  # encode_basestring_ascii raises TypeError on a key that is no str
+            first = lead + "{" + inner
+            for key in sorted(o):
+                emit(o[key], depth + 1, first + encode_basestring_ascii(key) + ": ")
+                first = sep
+            write(breaks[depth] + "}")
+
+    emit(obj, 0, "")
+
+
 def dump_json(obj: dict, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
+        write_json(obj, fh)
         fh.write("\n")
 
 

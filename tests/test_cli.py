@@ -175,11 +175,14 @@ MALFORMED = '{"schema": 1, "epsilon": ["3/4", "1/0"], "diagram": {}}'
 
 
 class TestOther:
-    def test_generate_family(self, tmp_path):
+    def test_generate_family(self, tmp_path, capsys):
         out = tmp_path / "fam.json"
         assert main(["generate-family", "--k", "3", "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert len(payload["diagram"]["levels"]) == 3
+        capsys.readouterr()
+        assert main(["generate-family", "--k", "3"]) == 0  # the same bytes on stdout
+        assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
 
     def test_render(self, generated, tmp_path, capsys):
         svg = tmp_path / "pic.svg"

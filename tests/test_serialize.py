@@ -1,8 +1,13 @@
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import treechains.serialize as serialize
+from treechains.cli import main
 from treechains.covers import CoverSystem
 from treechains.geometry import RealizedSystem
 from treechains.serialize import (
@@ -16,6 +21,7 @@ from treechains.serialize import (
     system_to_json,
     vertex_from_json,
     vertex_to_json,
+    write_json,
 )
 from treechains.verify import generate_instance
 
@@ -88,3 +94,65 @@ class TestDerivedDumps:
         sys_json = system_to_json(system)
         deepest = sys_json["levels"][-1]["sets"]
         assert all(len(s["fiber"]) == 1 for s in deepest)
+
+
+# strings with quotes, backslashes, control and non-ASCII characters; ints past
+# 64 bits either side of zero; bools, which JSON writes apart from ints
+TEXT = st.text(st.sampled_from('"\\/\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600') | st.characters())
+SCALARS = (TEXT | st.integers() | st.integers(2 ** 64, 2 ** 200)
+           | st.integers(-2 ** 200, -2 ** 64) | st.booleans())
+PAYLOADS = st.recursive(
+    SCALARS, lambda kids: st.lists(kids, max_size=4) | st.dictionaries(TEXT, kids, max_size=4),
+    max_leaves=30)
+
+
+@st.composite
+def deep_payloads(draw):
+    """A payload under 71 to 120 more levels of lists and dicts."""
+    obj, key, scalar = draw(PAYLOADS), draw(TEXT), draw(SCALARS)
+    for kind in draw(st.lists(st.sampled_from("lds"), min_size=71, max_size=120)):
+        obj = [obj] if kind == "l" else {key: obj} if kind == "d" else [scalar, obj]
+    return obj
+
+
+def _written(obj) -> str:
+    buf = io.StringIO()
+    write_json(obj, buf)
+    return buf.getvalue()
+
+
+class TestWriter:
+    @settings(max_examples=150, deadline=None)
+    @given(PAYLOADS | deep_payloads())
+    def test_text_is_the_stdlib_indent_1_text(self, obj):
+        assert _written(obj) == json.dumps(obj, indent=1, sort_keys=True)
+
+    @pytest.mark.parametrize("obj", [1.5, None, (1, 2), {1: "a"}, [[], 2.0],
+                                     {"a": {"b": None}}, {"a": 1, 2: "b"}])
+    def test_other_types_raise(self, obj):
+        with pytest.raises(TypeError):
+            _written(obj)
+
+    def test_generate_streams_its_files(self, tmp_path, monkeypatch, capsys):
+        """At l = 8 no single write exceeds 64 KiB: no document is built whole."""
+        sizes = []
+
+        class Recording:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, text):
+                sizes.append(len(text))
+                return self.fh.write(text)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        monkeypatch.setattr(serialize, "open", lambda *a, **k: Recording(open(*a, **k)),
+                            raising=False)
+        assert main(["generate", "--l", "8", "--out", str(tmp_path)]) == 0
+        assert sum(sizes) == sum(p.stat().st_size for p in tmp_path.glob("*.json"))
+        assert max(sizes) <= 64 * 1024

@@ -19,6 +19,10 @@ it.  The keys:
 - ``rho_mesh``: ``compute_rho_and_mesh``, rho again plus every diameter;
 - ``disjoint_check``: ``enlargement_disjointness_violation`` on the taut
   radii;
+- ``json_objects``: the four JSON payloads of ``generate`` (instance,
+  system, regions, enlargement), built as Python objects;
+- ``json_write``: ``dump_json`` of those four payloads into a temporary
+  directory, the encoding and the file writes;
 - ``stage.<name>``: the seconds the report of ``verify_instance`` records
   for each stage, on a fresh instance.  Lazy builds are charged to the
   stage that first asks for them (``system-build`` builds the system and
@@ -34,6 +38,7 @@ import json
 import os
 import statistics
 import sys
+import tempfile
 import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -49,7 +54,13 @@ from treechains.geometry import (  # noqa: E402
     family_min_gap_squared,
     rho_squared,
 )
-from treechains.serialize import Instance  # noqa: E402
+from treechains.serialize import (  # noqa: E402
+    Instance,
+    dump_json,
+    enlargement_to_json,
+    regions_to_json,
+    system_to_json,
+)
 from treechains.verify import generate_instance, verify_instance  # noqa: E402
 
 REPEATS = 5
@@ -73,9 +84,18 @@ def one_round(l: int) -> dict:
     _, out["margin_scan"] = _timed(lambda: family_min_gap_squared(realized))
     _, out["rho_scan"] = _timed(lambda: rho_squared(realized))
     _, out["rho_mesh"] = _timed(lambda: compute_rho_and_mesh(realized))
-    _, radius_sq = enlarge_taut_family(realized)
+    m_sq, radius_sq = enlarge_taut_family(realized)
     _, out["disjoint_check"] = _timed(
         lambda: enlargement_disjointness_violation(realized, radius_sq))
+    payloads, out["json_objects"] = _timed(lambda: {  # as cli.cmd_generate writes them
+        "instance.json": inst.to_json(),
+        "system.json": system_to_json(system),
+        "regions.json": regions_to_json(realized),
+        "enlargement.json": {"schema": 1, **enlargement_to_json(m_sq, radius_sq)},
+    })
+    with tempfile.TemporaryDirectory() as tmp:
+        _, out["json_write"] = _timed(lambda: [dump_json(obj, os.path.join(tmp, name))
+                                               for name, obj in payloads.items()])
     report = verify_instance(generate_instance(l))
     if not report.passed:
         raise SystemExit("verify failed at l=%d: %s" % (l, report.first_failure()))
