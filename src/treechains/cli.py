@@ -16,6 +16,7 @@ from .example1 import check_example1
 from .family import build_family_diagram
 from .serialize import (
     FormatError,
+    LabelTable,
     diagram_to_json,
     dump_json,
     enlargement_to_json,
@@ -73,7 +74,7 @@ def cmd_generate_family(args) -> int:
         d = build_family_diagram(args.k)
     except ValueError as exc:  # k below 2
         return _fail(_failure_report("schema", str(exc)))
-    payload = {"schema": 1, "diagram": diagram_to_json(d)}
+    payload = {"schema": 1, "diagram": diagram_to_json(d, LabelTable())}
     if args.out:
         try:
             dump_json(payload, args.out)

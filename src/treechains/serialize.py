@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from math import gcd
 from typing import Dict, List, Optional
 
 from .covers import CoverSystem, EpsilonSchedule
@@ -61,17 +62,29 @@ def _pair(obj) -> list:
     return obj
 
 
-def vertex_to_json(v):
-    if isinstance(v, tuple):
-        if len(v) == 3 and v[0] == "sub":
+class LabelTable(dict):
+    """label -> (vkey, JSON form) for one document: each label is ordered and
+    converted once.  A document shares the JSON lists of its labels, so none
+    of them may be changed in place."""
+
+    def __missing__(self, v):
+        if isinstance(v, tuple) and len(v) == 3 and v[0] == "sub":
             (a, b), t = v[1], v[2]
-            return ["sub", [vertex_to_json(a), vertex_to_json(b)], t]
-        if len(v) == 2 and isinstance(v[0], int) and isinstance(v[1], int):
-            return [v[0], v[1]]
-        raise FormatError("unsupported vertex label %r" % (v,))
-    if isinstance(v, (int, str)):
-        return v
-    raise FormatError("unsupported vertex label %r" % (v,))
+            js = ["sub", [self.json(a), self.json(b)], t]
+        elif isinstance(v, tuple) and len(v) == 2 and all(isinstance(x, int) for x in v):
+            js = [v[0], v[1]]
+        elif isinstance(v, (int, str)):
+            js = v
+        else:
+            raise FormatError("unsupported vertex label %r" % (v,))
+        self[v] = (vkey(v), js)
+        return self[v]
+
+    def json(self, v):
+        return self[v][1]
+
+    def sorted(self, labels):
+        return sorted(labels, key=lambda v: self[v][0])
 
 
 def vertex_from_json(obj):
@@ -89,21 +102,31 @@ def vertex_from_json(obj):
     raise FormatError("unsupported vertex encoding %r" % (obj,))
 
 
-def graph_to_json(g: SimplicialGraph) -> dict:
+def graph_to_json(g: SimplicialGraph, labels: LabelTable) -> dict:
+    js = labels.json
     out = {
-        "vertices": [vertex_to_json(v) for v in g.sorted_vertices()],
-        "edges": [[vertex_to_json(a), vertex_to_json(b)] for a, b in g.sorted_edges()],
+        "vertices": [js(v) for v in g.sorted_vertices()],
+        "edges": [[js(a), js(b)] for a, b in g.sorted_edges()],
     }
     if g.coords is not None:
         out["coords"] = [
-            [vertex_to_json(v), [fraction_to_json(g.coords[v][0]),
-                                 fraction_to_json(g.coords[v][1])]]
+            [js(v), [fraction_to_json(g.coords[v][0]), fraction_to_json(g.coords[v][1])]]
             for v in g.sorted_vertices()]
     return out
 
 
+def _no_repeats(keys, what: str) -> None:
+    """FormatError naming the first key listed twice in keys."""
+    seen = set()
+    for k in keys:
+        if k in seen:
+            raise FormatError("%s: %r is listed twice" % (what, k))
+        seen.add(k)
+
+
 def graph_from_json(obj: dict) -> SimplicialGraph:
     vertices = [vertex_from_json(v) for v in _field(obj, "vertices", list)]
+    _no_repeats(vertices, "vertices")
     edges = [(vertex_from_json(a), vertex_from_json(b))
              for a, b in map(_pair, _field(obj, "edges", list))]
     coords = None
@@ -112,28 +135,36 @@ def graph_from_json(obj: dict) -> SimplicialGraph:
         for v, xy in map(_pair, _field(obj, "coords", list)):
             x, y = _pair(xy)
             coords[vertex_from_json(v)] = (fraction_from_json(x), fraction_from_json(y))
+        if len(coords) < len(obj["coords"]):  # a vertex given two points
+            _no_repeats((vertex_from_json(v) for v, _ in obj["coords"]), "coords")
         if set(coords) != set(vertices):
             raise FormatError("coordinates do not match the vertices")
     # a bad embedding fails the `embedding` stage, it is not a load error
-    return SimplicialGraph.build(vertices, edges, coords, False)
+    g = SimplicialGraph.build(vertices, edges, coords, False)
+    if len(g.edges) < len(edges):  # an edge listed twice, in either orientation
+        _no_repeats((e if e in g.edges else e[::-1] for e in edges), "edges")
+    return g
 
 
-def assignment_to_json(assignment: Dict) -> list:
-    return [[vertex_to_json(v), vertex_to_json(w)]
-            for v, w in sorted(assignment.items(), key=lambda kv: vkey(kv[0]))]
+def assignment_to_json(assignment: Dict, labels: LabelTable) -> list:
+    js = labels.json
+    return [[js(v), js(assignment[v])] for v in labels.sorted(assignment)]
 
 
 def assignment_from_json(obj: list) -> Dict:
     if not isinstance(obj, list):
         raise FormatError("an assignment must be a list of pairs")
-    return {vertex_from_json(v): vertex_from_json(w) for v, w in map(_pair, obj)}
+    out = {vertex_from_json(v): vertex_from_json(w) for v, w in map(_pair, obj)}
+    if len(out) < len(obj):  # a vertex given two images
+        _no_repeats((vertex_from_json(v) for v, _ in obj), "assignment")
+    return out
 
 
-def diagram_to_json(d: TreeDiagram) -> dict:
+def diagram_to_json(d: TreeDiagram, labels: LabelTable) -> dict:
     return {
-        "levels": [graph_to_json(g) for g in d.levels],
-        "g_row": [assignment_to_json(m.assignment) for m in d.g_row],
-        "f_row": [assignment_to_json(m.assignment) for m in d.f_row],
+        "levels": [graph_to_json(g, labels) for g in d.levels],
+        "g_row": [assignment_to_json(m.assignment, labels) for m in d.g_row],
+        "f_row": [assignment_to_json(m.assignment, labels) for m in d.f_row],
     }
 
 
@@ -154,13 +185,14 @@ def diagram_from_json(obj: dict) -> TreeDiagram:
 def instance_to_json(diagram: TreeDiagram, epsilons: EpsilonSchedule,
                      phi_tables: Optional[List[Dict]] = None,
                      enlargement: Optional[dict] = None) -> dict:
+    labels = LabelTable()
     out = {
         "schema": SCHEMA_VERSION,
         "epsilon": [fraction_to_json(e) for e in epsilons.values],
-        "diagram": diagram_to_json(diagram),
+        "diagram": diagram_to_json(diagram, labels),
     }
     if phi_tables is not None:
-        out["phi"] = [assignment_to_json(t) for t in phi_tables]
+        out["phi"] = [assignment_to_json(t, labels) for t in phi_tables]
     if enlargement is not None:
         out["enlargement"] = enlargement_to_json(enlargement["m_sq"],
                                                  enlargement["radius_sq"])
@@ -225,11 +257,14 @@ def write_json(obj, fh) -> None:
     """Write obj to fh as json.dump(obj, fh, indent=1, sort_keys=True) would,
     without the stdlib's pure-Python indented encoder.  Only dicts with str
     keys, lists, str, int and bool are JSON here; anything else raises
-    TypeError.  Pieces go straight to fh, so no document is ever held whole."""
-    write = fh.write
+    TypeError.  Pieces go straight to fh, so no document is ever held whole.
+    A list met again is written from its text at depth 0, rendered once, with
+    each newline indented to where it sits (encoded strings hold none)."""
     breaks = ["\n"]  # breaks[d]: a newline and the indent of depth d
+    seen = {}  # id of a list met before -> its text at depth 0, once met again;
+    # obj keeps every list alive, so no two share an id
 
-    def emit(o, depth, lead):  # lead, then o, whose items sit at depth + 1
+    def emit(o, depth, lead, write):  # lead, then o, whose items sit at depth + 1
         text = _SCALAR_TEXT.get(type(o))
         if text is not None:
             write(lead + text(o))
@@ -240,6 +275,18 @@ def write_json(obj, fh) -> None:
         if not o:
             write(lead + ("[]" if kind is list else "{}"))
             return
+        if kind is list:
+            key = id(o)
+            if key in seen:
+                text = seen[key]
+                if text is None:  # met a second time: render it once, at depth 0
+                    del seen[key]
+                    parts = []
+                    emit(o, 0, "", parts.append)
+                    text = seen[key] = "".join(parts)
+                write(lead + text.replace("\n", breaks[depth]))
+                return
+            seen[key] = None
         if len(breaks) == depth + 1:
             breaks.append(breaks[-1] + " ")
         inner, sep = breaks[depth + 1], "," + breaks[depth + 1]
@@ -251,17 +298,17 @@ def write_json(obj, fh) -> None:
                 return
             first = lead + "[" + inner
             for x in o:
-                emit(x, depth + 1, first)
+                emit(x, depth + 1, first, write)
                 first = sep
             write(breaks[depth] + "]")
         else:  # encode_basestring_ascii raises TypeError on a key that is no str
             first = lead + "{" + inner
             for key in sorted(o):
-                emit(o[key], depth + 1, first + encode_basestring_ascii(key) + ": ")
+                emit(o[key], depth + 1, first + encode_basestring_ascii(key) + ": ", write)
                 first = sep
             write(breaks[depth] + "}")
 
-    emit(obj, 0, "")
+    emit(obj, 0, "", fh.write)
 
 
 def dump_json(obj: dict, path: str) -> None:
@@ -275,37 +322,44 @@ def system_to_json(system: CoverSystem) -> dict:
 
     Output files label covers 1..l+1; in-memory levels are 0-based.
     """
+    labels = LabelTable()
+    js = labels.json
     return {
         "schema": SCHEMA_VERSION,
         "epsilon": [fraction_to_json(e) for e in system.epsilons.values],
         "levels": [
             {
                 "level": n + 1,
-                "sets": [
-                    {"vertex": vertex_to_json(a.vertex),
-                     "fiber": [vertex_to_json(w) for w in sorted(a.fiber, key=vkey)]}
-                    for a in system.covers[n]
-                ],
+                "sets": [{"vertex": js(a.vertex),
+                          "fiber": list(map(js, labels.sorted(a.fiber)))}
+                         for a in system.covers[n]],
             }
             for n in range(system.l + 1)
         ],
-        "phi": [assignment_to_json(t) for t in system.phi],
+        "phi": [assignment_to_json(t, labels) for t in system.phi],
     }
 
 
+def _ratio(p: int, q: int) -> str:  # p/q, q > 0, as fraction_to_json writes it
+    g = gcd(p, q)
+    return "%d/%d" % (p // g, q // g)
+
+
 def regions_to_json(realized) -> dict:
-    """Interval dump of every realized cover set; levels labeled 1-based."""
+    """Interval dump of every realized cover set; levels labeled 1-based.
+    Each end is read from the codes as SegmentRegion.pieces reads it."""
+    js = LabelTable().json
     out = {"schema": SCHEMA_VERSION, "sets": []}
     for a in realized.system.all_sets():
         r = realized.region(a)
-        pieces = r.pieces
+        steps = r.steps
         out["sets"].append({
             "level": a.level + 1,
-            "vertex": vertex_to_json(a.vertex),
+            "vertex": js(a.vertex),
             "pieces": [
-                [[vertex_to_json(e[0]), vertex_to_json(e[1])],
-                 [[fraction_to_json(lo), fraction_to_json(hi), lc, hc]
-                  for lo, hi, lc, hc in pieces[e]]]
+                [[js(e[0]), js(e[1])],
+                 [[_ratio(s // 2, steps), _ratio((t + 1) // 2, steps), s % 2 == 0, t % 2 == 0]
+                  for s, t in r.codes[e]]]
                 for e in r.sorted_edges()
             ],
         })

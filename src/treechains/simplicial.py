@@ -24,16 +24,12 @@ TWO_THIRDS = Fraction(2, 3)
 def vkey(v):
     """Total order on vertex labels, stable across runs."""
     if isinstance(v, tuple):
-        return (2,) + tuple(vkey(x) for x in v)
+        return (2, *map(vkey, v))
     if isinstance(v, bool):
         return (1, str(v))
     if isinstance(v, int):
         return (0, v)
     return (1, str(v))
-
-
-def _edge_key(e):
-    return (vkey(e[0]), vkey(e[1]))
 
 
 def canonical_edge(u: Vertex, v: Vertex) -> Tuple[Vertex, Vertex]:
@@ -50,24 +46,35 @@ class GraphError(ValueError):
 class SimplicialGraph:
     """A finite 1-dimensional simplicial complex, optionally embedded in the plane.
 
-    ``edges`` holds canonically ordered pairs.  Instances are immutable;
-    derived graphs (subdivisions) are new values.
+    ``edges`` holds canonically ordered pairs and ``rank`` each vertex's
+    position in ``sorted_vertices()``; both come from ``build``, which orders
+    every vertex once.  Instances are immutable; derived graphs
+    (subdivisions) are new values.
     """
 
     vertices: frozenset
     edges: frozenset
-    coords: Optional[Dict[Vertex, Point]] = field(default=None)
+    coords: Optional[Dict[Vertex, Point]]
+    rank: Dict[Vertex, int] = field(repr=False)
 
     @staticmethod
     def build(vertices: Iterable[Vertex], edges: Iterable[Tuple[Vertex, Vertex]],
               coords: Optional[Dict[Vertex, Point]] = None,
               check_embedding: bool = True) -> "SimplicialGraph":
         vs = frozenset(vertices)
-        es = frozenset(canonical_edge(u, v) for u, v in edges)
+        keys = {v: vkey(v) for v in vs}
+
+        def orient(u, v):  # canonical_edge(u, v), on the keys of known vertices
+            if u == v or u not in keys or v not in keys:
+                return canonical_edge(u, v)
+            return (u, v) if keys[u] < keys[v] else (v, u)
+
+        es = frozenset(orient(u, v) for u, v in edges)
         for a, b in es:
             if a not in vs or b not in vs:
                 raise GraphError("edge (%r, %r) has endpoint outside vertex set" % (a, b))
-        g = SimplicialGraph(vs, es, dict(coords) if coords is not None else None)
+        rank = {v: k for k, v in enumerate(sorted(vs, key=keys.__getitem__))}
+        g = SimplicialGraph(vs, es, dict(coords) if coords is not None else None, rank)
         if coords is not None and check_embedding:
             bad = g.embedding_violation()
             if bad is not None:
@@ -109,14 +116,15 @@ class SimplicialGraph:
 
     @cached_property
     def _sorted_vertices(self) -> Tuple[Vertex, ...]:
-        return tuple(sorted(self.vertices, key=vkey))
+        return tuple(self.rank)
 
     def sorted_edges(self) -> Tuple[Tuple[Vertex, Vertex], ...]:
         return self._sorted_edges
 
     @cached_property
     def _sorted_edges(self) -> Tuple[Tuple[Vertex, Vertex], ...]:
-        return tuple(sorted(self.edges, key=_edge_key))
+        rank = self.rank
+        return tuple(sorted(self.edges, key=lambda e: (rank[e[0]], rank[e[1]])))
 
     @cached_property
     def edge_rank(self) -> Dict[Tuple[Vertex, Vertex], int]:
@@ -203,7 +211,8 @@ class SimplicialGraph:
                 continue  # the boxes do not touch
             if y >= n:  # f is a vertex at c
                 if f not in e and geometry.point_on_segment(c, a, b):
-                    hits.append(((0, _edge_key(e), vkey(f)), ("vertex-in-edge", f, e)))
+                    hits.append(((0, self.edge_rank[e], self.rank[f]),
+                                 ("vertex-in-edge", f, e)))
                 continue
             shared = set(e) & set(f)
             if shared:
@@ -217,8 +226,9 @@ class SimplicialGraph:
             else:
                 crosses = geometry.segment_intersection(a, b, c, d) is not None
             if crosses:
-                e, f = sorted((e, f), key=_edge_key)
-                hits.append(((1, _edge_key(e), _edge_key(f)), ("edges-cross", e, f)))
+                e, f = sorted((e, f), key=self.edge_rank.__getitem__)
+                hits.append(((1, self.edge_rank[e], self.edge_rank[f]),
+                             ("edges-cross", e, f)))
         return min(hits, key=lambda h: h[0])[1] if hits else None
 
 

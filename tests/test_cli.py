@@ -126,6 +126,33 @@ def with_l2(schema=False, fraction=False, vertex=False):
     return text.replace("[1, ", "[true, ") if vertex else text
 
 
+def with_duplicate(kind):
+    """The l=1 instance with a phi table as JSON text, with one entry listed
+    twice.  A first entry that the real one follows conflicts with it; a
+    reader that kept the last of each would pass the file."""
+    inst = generate_instance(1)
+    inst.phi_tables = [dict(inst.diagram.f_row[0].assignment)]
+    payload = json.loads(json.dumps(inst.to_json()))
+    diagram = payload["diagram"]
+    level = diagram["levels"][1]
+    first = level["vertices"][0]
+    other = level["vertices"][1]
+    if kind == "g-row":
+        row = diagram["g_row"][0]
+        row.insert(0, [row[0][0], next(w for v, w in row if w != row[0][1])])
+    elif kind == "phi":
+        row = payload["phi"][0]
+        row.insert(0, [row[0][0], next(w for v, w in row if w != row[0][1])])
+    elif kind == "coords":
+        level["coords"].insert(0, [first, next(xy for v, xy in level["coords"] if v == other)])
+    elif kind == "vertex":
+        level["vertices"].append(first)
+    else:
+        a, b = level["edges"][0]
+        level["edges"].append([a, b] if kind == "edge" else [b, a])
+    return json.dumps(payload)
+
+
 class TestVerify:
     def test_pass_exit_zero(self, generated, capsys):
         assert main(["verify", str(generated / "instance.json")]) == 0
@@ -154,6 +181,17 @@ class TestVerify:
         bad.write_text(payload)
         assert main(["verify", str(bad)]) == 1
         assert capsys.readouterr().out.startswith("schema                 FAIL")
+
+    @pytest.mark.parametrize("kind", ["g-row", "phi", "coords", "vertex", "edge",
+                                      "reversed-edge"])
+    def test_duplicate_entry_fails_at_schema(self, tmp_path, capsys, kind):
+        bad = tmp_path / "bad.json"
+        bad.write_text(with_duplicate(kind))
+        assert main(["verify", str(bad)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("schema                 FAIL")
+        assert "is listed twice" in lines[0]
+        assert lines[1:] == ["overall                FAIL"]
 
     def test_zero_radius_fails_at_nesting(self, tmp_path, capsys):
         path = tmp_path / "zero.json"

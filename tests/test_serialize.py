@@ -12,6 +12,7 @@ from treechains.covers import CoverSystem
 from treechains.geometry import RealizedSystem
 from treechains.serialize import (
     FormatError,
+    LabelTable,
     fraction_from_json,
     fraction_to_json,
     graph_from_json,
@@ -20,7 +21,6 @@ from treechains.serialize import (
     regions_to_json,
     system_to_json,
     vertex_from_json,
-    vertex_to_json,
     write_json,
 )
 from treechains.verify import generate_instance
@@ -39,7 +39,7 @@ class TestScalars:
                   ("sub", ((0, 1), (0, 2)), "2/3"),
                   ("sub", ((-1, 2), (0, 2)), "1/3")]
         for v in labels:
-            assert vertex_from_json(json.loads(json.dumps(vertex_to_json(v)))) == v
+            assert vertex_from_json(json.loads(json.dumps(LabelTable().json(v)))) == v
         with pytest.raises(FormatError):
             vertex_from_json(["sub", [[0, 0], [0, 1]], "1/2"])
 
@@ -47,7 +47,7 @@ class TestScalars:
 class TestGraphs:
     def test_graph_roundtrip_with_coords(self):
         g = generate_instance(1).diagram.levels[1]
-        back = graph_from_json(json.loads(json.dumps(graph_to_json(g))))
+        back = graph_from_json(json.loads(json.dumps(graph_to_json(g, LabelTable()))))
         assert back == g
         assert back.coords == g.coords
 
@@ -88,6 +88,19 @@ class TestDerivedDumps:
         reg_json = regions_to_json(RealizedSystem(system))
         assert sorted(set(s["level"] for s in reg_json["sets"])) == [1, 2]
 
+    def test_region_ends_are_the_pieces(self):
+        """regions_to_json reads each end from the codes; SegmentRegion.pieces
+        gives the same ends as Fractions."""
+        inst = generate_instance(3)
+        realized = RealizedSystem(CoverSystem(inst.diagram, inst.epsilons))
+        js = LabelTable().json
+        for a, dumped in zip(realized.system.all_sets(), regions_to_json(realized)["sets"]):
+            r = realized.region(a)
+            assert dumped["pieces"] == [
+                [[js(e[0]), js(e[1])], [[fraction_to_json(lo), fraction_to_json(hi), lc, hc]
+                                        for lo, hi, lc, hc in r.pieces[e]]]
+                for e in r.sorted_edges()]
+
     def test_fibers_listed_per_set(self):
         inst = generate_instance(1)
         system = CoverSystem(inst.diagram, inst.epsilons)
@@ -115,6 +128,20 @@ def deep_payloads(draw):
     return obj
 
 
+@st.composite
+def shared_lists(draw):
+    """A payload holding one list object at many depths, which itself holds
+    another list object more than once; either may be empty, and strings
+    may hold a newline."""
+    inner = draw(st.lists(PAYLOADS, max_size=3))
+    shared = draw(st.lists(PAYLOADS | st.just(inner), max_size=4))
+    obj, key = draw(PAYLOADS), draw(TEXT)
+    for kind in draw(st.lists(st.sampled_from("lds"), min_size=1, max_size=40)):
+        obj = ([obj, shared] if kind == "l" else {key: obj, key + "\n": shared}
+               if kind == "d" else [shared, [inner, obj], "\n"])
+    return obj
+
+
 def _written(obj) -> str:
     buf = io.StringIO()
     write_json(obj, buf)
@@ -125,6 +152,11 @@ class TestWriter:
     @settings(max_examples=150, deadline=None)
     @given(PAYLOADS | deep_payloads())
     def test_text_is_the_stdlib_indent_1_text(self, obj):
+        assert _written(obj) == json.dumps(obj, indent=1, sort_keys=True)
+
+    @settings(max_examples=150, deadline=None)
+    @given(shared_lists())
+    def test_a_repeated_list_is_written_as_the_stdlib_writes_it(self, obj):
         assert _written(obj) == json.dumps(obj, indent=1, sort_keys=True)
 
     @pytest.mark.parametrize("obj", [1.5, None, (1, 2), {1: "a"}, [[], 2.0],

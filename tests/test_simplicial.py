@@ -32,6 +32,25 @@ from treechains.simplicial import (
 from treechains.verify import generate_instance
 
 
+# ints, strs, int pairs and subdivision labels nested on any of them
+PAIRS = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+LABELS = st.recursive(
+    st.integers(-3, 3) | st.text("ab", max_size=2) | PAIRS,
+    lambda kids: st.tuples(st.just("sub"), st.tuples(kids, kids),
+                           st.sampled_from(["1/3", "2/3"])),
+    max_leaves=6)
+
+
+@st.composite
+def labelled_graphs(draw):
+    """(vertices, edges): distinct mixed labels and edges between two of them,
+    each given in either orientation, some more than once."""
+    vertices = draw(st.lists(LABELS, min_size=2, max_size=12, unique=True))
+    ends = st.sampled_from(vertices)
+    edges = draw(st.lists(st.tuples(ends, ends).filter(lambda e: e[0] != e[1]), max_size=20))
+    return vertices, edges
+
+
 def path_graph(n, spacing=1):
     coords = {i: (Fraction(i * spacing), Fraction(0)) for i in range(n)}
     return SimplicialGraph.build(range(n), [(i, i + 1) for i in range(n - 1)], coords)
@@ -57,6 +76,24 @@ class TestGraph:
     def test_edge_needs_known_endpoints(self):
         with pytest.raises(GraphError):
             SimplicialGraph.build([0, 1], [(0, 2)])
+
+    def test_degenerate_edge_is_reported_before_an_unknown_endpoint(self):
+        with pytest.raises(ValueError, match=r"^degenerate edge \{1\}$"):
+            SimplicialGraph.build([0, 1], [(2, 0), (1, 1)])
+        with pytest.raises(GraphError,
+                           match=r"^edge \(0, 2\) has endpoint outside vertex set$"):
+            SimplicialGraph.build([0, 1], [(1, 0), (2, 0)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(labelled_graphs())
+    def test_build_orders_as_vkey(self, graph):
+        vertices, edges = graph
+        g = SimplicialGraph.build(vertices, edges)
+        assert g.edges == frozenset(canonical_edge(u, v) for u, v in edges)
+        assert g.sorted_vertices() == tuple(sorted(vertices, key=vkey))
+        by_vkey = sorted(g.edges, key=lambda e: (vkey(e[0]), vkey(e[1])))
+        assert g.sorted_edges() == tuple(by_vkey)
+        assert all(g.rank[v] == k for k, v in enumerate(g.sorted_vertices()))
 
     def test_tree_predicate(self):
         g = path_graph(4)

@@ -23,6 +23,8 @@ it.  The keys:
   system, regions, enlargement), built as Python objects;
 - ``json_write``: ``dump_json`` of those four payloads into a temporary
   directory, the encoding and the file writes;
+- ``json_load``: ``load_instance`` of the written instance.json, that is
+  ``json.load`` plus ``instance_from_json``: verify's read path;
 - ``stage.<name>``: the seconds the report of ``verify_instance`` records
   for each stage, on a fresh instance.  Lazy builds are charged to the
   stage that first asks for them (``system-build`` builds the system and
@@ -58,6 +60,7 @@ from treechains.serialize import (  # noqa: E402
     Instance,
     dump_json,
     enlargement_to_json,
+    load_instance,
     regions_to_json,
     system_to_json,
 )
@@ -96,6 +99,7 @@ def one_round(l: int) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         _, out["json_write"] = _timed(lambda: [dump_json(obj, os.path.join(tmp, name))
                                                for name, obj in payloads.items()])
+        _, out["json_load"] = _timed(lambda: load_instance(os.path.join(tmp, "instance.json")))
     report = verify_instance(generate_instance(l))
     if not report.passed:
         raise SystemExit("verify failed at l=%d: %s" % (l, report.first_failure()))
