@@ -239,10 +239,10 @@ def first_failing_level_pair(l: int, violation: Callable) -> Optional[Tuple]:
     0 <= n < j <= l, on which ``violation(j, n)`` returns a witness; None if
     it returns None on every pair.
 
-    Its one user is strong-refinement's fiber inclusion.  That relation is
-    transitive and bonds compose, so every pair (j, n) holds exactly when
-    the l consecutive pairs (j, j - 1) do.  Only when one of those fails
-    does the scan over all pairs run, to name the first failing pair.
+    Its users, strong-refinement's fiber inclusion and D2prime, hold on
+    every pair (j, n) exactly when they hold on the l consecutive pairs
+    (j, j - 1).  Only when one of those fails does the scan over all pairs
+    run, to name the first failing pair.
     """
     levels = range(1, l + 1)
     if all(violation(j, j - 1) is None for j in levels):
@@ -295,10 +295,33 @@ def d2_violation(system: CoverSystem, j: int, n: int):
     return None
 
 
+def d2_holds(system: CoverSystem) -> bool:
+    """D2 on every level pair in one pass: for each set U of level 1 or more,
+    the row of phi(U) in ``meets`` is read once and the image of every V in
+    ``adjacency[U]`` with 1 <= level(V) <= level(U) tested.  Those are the
+    pairs ``d2_violation(j, n)`` visits over all n <= j, so this holds
+    exactly when every ``d2_violation`` is None."""
+    starts, adjacency, meets = system.level_start, system.adjacency, system.meets
+    first = starts[1]
+    img = [None] * first + [b.index for b in system._images[first:]]
+    for level in range(1, system.l + 1):
+        end = starts[level + 1]
+        for a in range(starts[level], end):
+            adj = adjacency[a]
+            row = meets[img[a]]
+            for b in adj[bisect_left(adj, first):bisect_left(adj, end)]:
+                if not row >> img[b] & 1:
+                    return False
+    return True
+
+
 def d2prime_violation(system: CoverSystem, j: int, n: int):
     """cl(U) inside V but phi_j(U) not inside phi_n(V), for U in level j+1 and
     V in level n+1; containments decided by the canonical fiber witness.
-    The one V that can contain U is the set of its bond image."""
+    The one V that can contain U is the set of its bond image.  With phi
+    read off the f-row, (j, j - 1) is a square ``commutative`` checks and
+    every pair follows from those (``verify._d2prime``), so this can fail
+    only on an instance that carries its own ``phi`` tables."""
     if not 0 <= n <= j <= system.l - 1:
         raise GraphError("need 0 <= n <= j <= l-1")
     bond = system.bond(n + 1, j + 1)
@@ -332,7 +355,16 @@ def nerve(system: CoverSystem, n: int):
 
 
 def nerve_isomorphic_to(system: CoverSystem, n: int) -> bool:
-    """The canonical map U_n^v -> v is an isomorphism onto T_n."""
+    """The canonical map U_n^v -> v is an isomorphism onto T_n.  The vertex
+    sets agree by construction of ``covers[n]``.  Each meeting pair of
+    level n, counted once, must be an edge of T_n in either orientation;
+    that plus an equal count makes the edge sets equal, with no graph
+    built."""
     t = system.diagram.levels[n]
-    nv = nerve(system, n)
-    return nv.vertices == t.vertices and nv.edges == t.edges
+    count = 0
+    for i, a in enumerate(system.covers[n]):
+        for b in system.neighbors(a, n, i + 1):
+            if not t.has_edge(a.vertex, b.vertex):
+                return False
+            count += 1
+    return count == len(t.edges)

@@ -446,17 +446,22 @@ def lift_map_3(m: SimplicialMapping, source3: SimplicialGraph,
 
     Each subdivision vertex is sent to the image of its point under the
     realization of m, which is again a vertex of the subdivided target.
+    The target holds the edge (fa, fb) or (fb, fa) in canonical order, and
+    the point at t on one is the point at 1 - t on the other.
     """
     m.require_valid()
     assign = {}
     for v in m.source.vertices:
         assign[v] = m.assignment[v]
+    target_edges = m.target.edges
     for a, b in m.source.sorted_edges():
         fa, fb = m.assignment[a], m.assignment[b]
         for t in (THIRD, TWO_THIRDS):
             w = _sub_label(a, b, t)
             if fa == fb:
                 assign[w] = fa
+            elif (fa, fb) in target_edges:
+                assign[w] = _sub_label(fa, fb, t)
             else:
-                assign[w] = subdivision_vertex(m.target, (fa, fb), t)
+                assign[w] = _sub_label(fb, fa, 1 - t)
     return SimplicialMapping(source3, target3, assign)

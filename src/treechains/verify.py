@@ -24,6 +24,7 @@ from .family import build_family_diagram
 from .serialize import Instance, fraction_to_json
 from .simplicial import (
     EdgePoint,
+    GraphError,
     SimplicialGraph,
     SimplicialMapping,
     vkey,
@@ -204,6 +205,10 @@ def _d1(ctx: VerifyContext):
 
 
 def _d2(ctx: VerifyContext):
+    """Decided by ``d2_holds``; the level pairs are scanned only on a
+    failure, to name the first failing one."""
+    if cv.d2_holds(ctx.system):
+        return None
     for j in range(ctx.l):
         for n in range(j + 1):
             bad = cv.d2_violation(ctx.system, j, n)
@@ -213,12 +218,15 @@ def _d2(ctx: VerifyContext):
 
 
 def _d2prime(ctx: VerifyContext):
-    for j in range(ctx.l):
-        for n in range(j + 1):
-            bad = cv.d2prime_violation(ctx.system, j, n)
-            if bad is not None:
-                return (j, n, bad)
-    return None
+    """Only the l - 1 consecutive pairs are checked.  ``d2prime_violation``
+    decides C(j, n): g_{n,j} phi_j = phi_n g_{n+1,j+1} on T_{j+1}.  C(j, j)
+    holds (the bond is the identity), and C(j, n) for n < j follows from the
+    consecutive squares by pasting: g_{n,j} phi_j = g_{n,j-1} g_{j-1} phi_j
+    = g_{n,j-1} phi_{j-1} g_j = phi_n g_{n+1,j+1}.  As n = j never fails, the
+    first failure over n < j is the first over n <= j."""
+    system = ctx.system
+    return cv.first_failing_level_pair(
+        ctx.l - 1, lambda j, n: cv.d2prime_violation(system, j, n))
 
 
 def _d3(ctx: VerifyContext):
@@ -305,16 +313,23 @@ def _oracle_identity(ctx: VerifyContext):
 
 
 def _enlargement_disjoint(ctx: VerifyContext):
-    """The instance's own radii, or the taut family's.  The taut family's
-    cannot fail here (see enlargement_disjointness_violation: d^2 >= 9 m_sq
-    > 4 m_sq >= (r_U + r_V)^2 for disjoint U, V), so the stage can fail
-    only on an instance that carries its own radii."""
-    if ctx.instance.enlargement is not None:
-        radii = ctx.instance.enlargement["radius_sq"]
-        if len(radii) != ctx.l + 1:
-            return ("bad-radii-length", len(radii))
+    """The instance's own radii, or the taut family's, decided from the
+    margin: disjoint U, V are at least the family's least gap apart, so
+    gap^2 > 4 max r^2 (gap > 2 max r >= r_U + r_V) passes every pair, as the
+    taut radii do once taut has passed (gap^2 = 9 m_sq, max r^2 = m_sq).
+    The full scan runs only when carried radii reach the gap, or no pair
+    is disjoint."""
+    own = ctx.instance.enlargement
+    if own is not None and len(own["radius_sq"]) != ctx.l + 1:
+        return ("bad-radii-length", len(own["radius_sq"]))
     m_sq, radius_sq = ctx.enlargement
     ctx.metrics["m_sq"] = m_sq
+    try:
+        gap_sq = 9 * m_sq if own is None else geo.family_min_gap_squared(ctx.realized)
+    except GraphError:
+        gap_sq = None
+    if gap_sq is not None and gap_sq > 4 * max(radius_sq):
+        return None
     return geo.enlargement_disjointness_violation(ctx.realized, radius_sq)
 
 

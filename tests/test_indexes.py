@@ -4,6 +4,7 @@ routines against brute-force all-pairs scans of the definitions."""
 import json
 import math
 import os
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -54,7 +55,8 @@ from treechains.geometry import (
     regions_share_point,
     segment_dist2,
 )
-from treechains.serialize import instance_from_json
+from treechains.cli import main
+from treechains.serialize import Instance, instance_from_json
 from treechains.simplicial import EdgePoint, SimplicialGraph, vkey
 from treechains.verify import (
     STAGES,
@@ -449,6 +451,51 @@ def test_enlargement_witness_matches_all_pairs(l, factor):
     assert enlargement_disjointness_violation(realized, radius_sq) == expected
 
 
+def _carried(inst, radius_sq):
+    # m_sq is only reported; the stage reads the radii
+    return VerifyContext(Instance(inst.diagram, inst.epsilons, None,
+                                  {"m_sq": radius_sq[0], "radius_sq": radius_sq}))
+
+
+def _counting(monkeypatch, names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counting(*args, _name=name, _original=getattr(geometry, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(geometry, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("l", [2, 3])
+def test_enlargement_disjoint_at_the_margin_bound(l, monkeypatch):
+    # carried radii with 4 max r^2 == gap^2 reach the gap: the margin test
+    # fails and the stage names the brute-force witness; just below, it
+    # passes on the margin alone
+    inst = generate_instance(l)
+    realized = RealizedSystem(CoverSystem(inst.diagram, inst.epsilons))
+    gap_sq = family_min_gap_squared(realized)
+    calls = _counting(monkeypatch, ["enlargement_disjointness_violation"])
+    witnesses = []
+    for radius_sq in ([gap_sq / 4] * (l + 1), [gap_sq / 4 / 4 ** n for n in range(l + 1)]):
+        expected = _ref_disjointness_violation(realized, radius_sq)
+        assert STAGE["enlargement-disjoint"](_carried(inst, radius_sq)) == expected
+        witnesses.append(expected)
+    assert calls["enlargement_disjointness_violation"] == 2
+    assert witnesses[0] is not None
+    below = [(gap_sq / 4 - F(1, 10 ** 12)) / 4 ** n for n in range(l + 1)]
+    assert _ref_disjointness_violation(realized, below) is None
+    assert STAGE["enlargement-disjoint"](_carried(inst, below)) is None
+    assert calls["enlargement_disjointness_violation"] == 2
+
+
+def test_taut_radii_pass_enlargement_disjoint_on_the_margin(tmp_path, monkeypatch):
+    calls = _counting(monkeypatch, ["enlargement_disjointness_violation",
+                                    "family_min_gap_squared"])
+    assert main(["generate", "--l", "4", "--out", str(tmp_path / "o")]) == 0
+    assert calls == {"enlargement_disjointness_violation": 0, "family_min_gap_squared": 1}
+
+
 def _piece_grid_least_gap(pieces, meets):
     # the piece-level scan that the edge-by-edge _GapScan replaced: a grid
     # over all pieces whose reach doubles until the best gap lies within it
@@ -674,6 +721,93 @@ def test_extra_meeting_pair_fails_nerve():
     assert STAGE["nerve"](ctx) == ("not-isomorphic", 1)
 
 
+def _ref_d2(system):
+    # every level pair (j, n) in stage order, every set pair by fiber closeness
+    for j in range(system.l):
+        for n in range(j + 1):
+            for u in system.covers[j + 1]:
+                for v in system.covers[n + 1]:
+                    if sets_intersect(system, u, v) and not sets_intersect(
+                            system, system.apply_phi(u), system.apply_phi(v)):
+                        return (j, n, (u.vertex, v.vertex))
+    return None
+
+
+def _ref_d2prime(system):
+    # containment as fiber inclusion, over every level pair in stage order
+    for j in range(system.l):
+        for n in range(j + 1):
+            for u in system.covers[j + 1]:
+                for v in system.covers[n + 1]:
+                    if u.fiber <= v.fiber and not (system.apply_phi(u).fiber
+                                                   <= system.apply_phi(v).fiber):
+                        return (j, n, (u.vertex, v.vertex))
+    return None
+
+
+def _ref_nerve(system):
+    for n in range(system.l + 1):
+        sets = system.covers[n]
+        edges = {frozenset((a.vertex, b.vertex)) for x, a in enumerate(sets)
+                 for b in sets[x + 1:] if sets_intersect(system, a, b)}
+        if edges != {frozenset(e) for e in system.diagram.levels[n].edges}:
+            return ("not-isomorphic", n)
+    return None
+
+
+def _assert_stages_match_references(ctx, seen):
+    for name, ref in (("D2", _ref_d2), ("D2prime", _ref_d2prime), ("nerve", _ref_nerve)):
+        expected = ref(ctx.system)
+        assert STAGE[name](ctx) == expected, name
+        seen.add((name, expected is None))
+
+
+@pytest.mark.parametrize("l", [2, 3, 4])
+def test_one_pass_stages_match_the_level_pair_scans(l):
+    # seeded phi-table edits: one to three entries moved to a neighbour of
+    # their image or to any vertex of their level
+    rng = random.Random(l)
+    inst = generate_instance(l)
+    levels = inst.diagram.levels
+    seen = set()
+    for _ in range(40):
+        tables = [dict(inst.diagram.f_row[n].assignment) for n in range(l)]
+        for _ in range(rng.randint(1, 3)):
+            n = rng.randrange(l)
+            v = rng.choice(levels[n + 1].sorted_vertices())
+            near = sorted(levels[n].neighbors(tables[n][v]), key=vkey)
+            tables[n][v] = rng.choice(near if rng.random() < 0.5
+                                      else levels[n].sorted_vertices())
+        _assert_stages_match_references(
+            VerifyContext(Instance(inst.diagram, inst.epsilons, tables)), seen)
+    # one extra meeting pair at a level >= 1, in adjacency and in meets
+    ctx = VerifyContext(inst)
+    system = ctx.system
+    adjacency, meets = list(system.adjacency), list(system.meets)
+    sets = system.all_sets()[system.level_start[1]:]
+    for _ in range(40):
+        a = rng.choice(sets)
+        same = rng.random() < 0.5
+        b = rng.choice([b for b in (system.covers[a.level] if same else sets)
+                        if not sets_intersect(system, a, b)])
+        for i, j in ((a.index, b.index), (b.index, a.index)):
+            system.adjacency[i] = tuple(sorted(system.adjacency[i] + (j,)))
+            system.meets[i] |= 1 << j
+        _assert_stages_match_references(ctx, seen)
+        system.adjacency[:], system.meets[:] = adjacency, meets
+    assert {("D2", False), ("D2", True), ("D2prime", False), ("nerve", False),
+            ("nerve", True)} <= seen
+    # one meeting pair of a level taken out: the nerve loses an edge of T_n
+    for n in range(l + 1):
+        a = rng.choice(system.covers[n])
+        b = rng.choice([b for b in system.neighbors(a, n) if b is not a])
+        for i, j in ((a.index, b.index), (b.index, a.index)):
+            system.adjacency[i] = tuple(k for k in system.adjacency[i] if k != j)
+            system.meets[i] &= ~(1 << j)
+        assert STAGE["nerve"](ctx) == _ref_nerve(system) == ("not-isomorphic", n)
+        system.adjacency[:], system.meets[:] = adjacency, meets
+
+
 def _triangle_tampers(system):
     """(b, q) for level-0 sets a, b, c, with b and c meeting a, and q the
     midpoint of a deepest edge from a's fiber to c's."""
@@ -785,12 +919,7 @@ def test_enlargement_takes_no_exact_distance(l, monkeypatch):
     # on a generated instance the box-gap bound separates every disjoint
     # pair, so only the two margin scans (the family's and rho's) reach an
     # exact distance
-    calls = {"_gt_sum_of_roots": 0, "segment_dist2": 0}
-    for name in calls:
-        def counting(*args, _name=name, _original=getattr(geometry, name)):
-            calls[_name] += 1
-            return _original(*args)
-        monkeypatch.setattr(geometry, name, counting)
+    calls = _counting(monkeypatch, ["_gt_sum_of_roots", "segment_dist2"])
     assert verify_instance(generate_instance(l)).passed
     assert calls["_gt_sum_of_roots"] == 0
     assert calls["segment_dist2"] <= 2
