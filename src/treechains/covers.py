@@ -307,8 +307,7 @@ def d2_holds(system: CoverSystem) -> bool:
     for level in range(1, system.l + 1):
         end = starts[level + 1]
         for a in range(starts[level], end):
-            adj = adjacency[a]
-            row = meets[img[a]]
+            adj, row = adjacency[a], meets[img[a]]
             for b in adj[bisect_left(adj, first):bisect_left(adj, end)]:
                 if not row >> img[b] & 1:
                     return False

@@ -674,8 +674,13 @@ def enlargement_disjointness_violation(realized: RealizedSystem,
     closest piece pair of a failing set pair is yielded, and the least
     ``segment_dist2`` over the yielded pairs is exact for it; any other pair
     gets a minimum over fewer pairs, no smaller, and still passes.  The
-    first failing pair in all_sets() order is the witness.  The stage
-    runs this only when the margin does not decide it (``verify``).
+    first failing pair in all_sets() order is the witness.
+
+    With the radii of ``enlarge_taut_family`` no pair can fail once taut
+    has passed: m_sq is a ninth of the least squared gap over the same
+    disjoint pairs, which taut makes positive, and every r_n^2 <= m_sq, so
+    d^2 >= 9 m_sq > 4 m_sq >= (r_U + r_V)^2.  Only radii that an instance
+    carries itself, as tests/fixtures/inflated_radius.json does, can fail.
     """
     system = realized.system
     sets = system.all_sets()

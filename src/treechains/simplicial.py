@@ -453,14 +453,13 @@ def lift_map_3(m: SimplicialMapping, source3: SimplicialGraph,
     assign = {}
     for v in m.source.vertices:
         assign[v] = m.assignment[v]
-    target_edges = m.target.edges
     for a, b in m.source.sorted_edges():
         fa, fb = m.assignment[a], m.assignment[b]
         for t in (THIRD, TWO_THIRDS):
             w = _sub_label(a, b, t)
             if fa == fb:
                 assign[w] = fa
-            elif (fa, fb) in target_edges:
+            elif (fa, fb) in m.target.edges:
                 assign[w] = _sub_label(fa, fb, t)
             else:
                 assign[w] = _sub_label(fb, fa, 1 - t)

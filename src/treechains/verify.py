@@ -24,7 +24,6 @@ from .family import build_family_diagram
 from .serialize import Instance, fraction_to_json
 from .simplicial import (
     EdgePoint,
-    GraphError,
     SimplicialGraph,
     SimplicialMapping,
     vkey,
@@ -313,22 +312,16 @@ def _oracle_identity(ctx: VerifyContext):
 
 
 def _enlargement_disjoint(ctx: VerifyContext):
-    """The instance's own radii, or the taut family's, decided from the
-    margin: disjoint U, V are at least the family's least gap apart, so
-    gap^2 > 4 max r^2 (gap > 2 max r >= r_U + r_V) passes every pair, as the
-    taut radii do once taut has passed (gap^2 = 9 m_sq, max r^2 = m_sq).
-    The full scan runs only when carried radii reach the gap, or no pair
-    is disjoint."""
+    """The instance's own radii, or the taut family's.  The taut family's
+    cannot fail here (see enlargement_disjointness_violation: d^2 >= 9 m_sq
+    > 4 m_sq >= (r_U + r_V)^2 for disjoint U, V), so only carried radii are
+    scanned."""
     own = ctx.instance.enlargement
     if own is not None and len(own["radius_sq"]) != ctx.l + 1:
         return ("bad-radii-length", len(own["radius_sq"]))
     m_sq, radius_sq = ctx.enlargement
     ctx.metrics["m_sq"] = m_sq
-    try:
-        gap_sq = 9 * m_sq if own is None else geo.family_min_gap_squared(ctx.realized)
-    except GraphError:
-        gap_sq = None
-    if gap_sq is not None and gap_sq > 4 * max(radius_sq):
+    if own is None:
         return None
     return geo.enlargement_disjointness_violation(ctx.realized, radius_sq)
 
