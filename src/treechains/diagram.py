@@ -12,7 +12,6 @@ from .simplicial import (
     SimplicialGraph,
     SimplicialMapping,
     is_surjection,
-    k_close,
     lift_map_3,
     subdivide3,
     validate_simplicial,
@@ -121,10 +120,12 @@ def coincidence_oracle(f: SimplicialMapping, g: SimplicialMapping) -> FrozenSet[
 
 
 def proximity_vertices(f: SimplicialMapping, g: SimplicialMapping) -> FrozenSet:
-    """Vertices whose two images are 2-close in the target."""
+    """Vertices whose images are equal, adjacent or share a neighbour: 2-close in the target."""
     _shared_legs(f, g)
-    return frozenset(v for v in f.source.vertices
-                     if k_close(f.target, f(v), g(v), 2))
+    near = f.target.neighbors  # GraphError for a vertex outside the target
+    images = ((v, f(v), g(v)) for v in f.source.vertices)
+    return frozenset(v for v, a, b in images
+                     if not near(a).isdisjoint(near(b)) or b in near(a) or a == b)
 
 
 def lift_diagram_3(d: TreeDiagram) -> TreeDiagram:

@@ -89,15 +89,14 @@ class LabelTable(dict):
 
 def vertex_from_json(obj):
     if isinstance(obj, list):
+        if len(obj) == 2 and type(obj[0]) is int and type(obj[1]) is int:
+            return (obj[0], obj[1])  # [side, level]; true and false fail the type test
         if len(obj) == 3 and obj[0] == "sub":
             a, b = _pair(obj[1])
             if obj[2] not in ("1/3", "2/3"):
                 raise FormatError("bad subdivision tag %r" % (obj[2],))
             return ("sub", (vertex_from_json(a), vertex_from_json(b)), obj[2])
-        if len(obj) == 2 and all(map(_is_int, obj)):
-            return (obj[0], obj[1])
-        raise FormatError("unsupported vertex encoding %r" % (obj,))
-    if _is_int(obj) or isinstance(obj, str):
+    elif _is_int(obj) or isinstance(obj, str):
         return obj
     raise FormatError("unsupported vertex encoding %r" % (obj,))
 

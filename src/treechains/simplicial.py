@@ -24,10 +24,8 @@ TWO_THIRDS = Fraction(2, 3)
 def vkey(v):
     """Total order on vertex labels, stable across runs."""
     if isinstance(v, tuple):
-        return (2, *map(vkey, v))
-    if isinstance(v, bool):
-        return (1, str(v))
-    if isinstance(v, int):
+        return (2, *[(0, x) if type(x) is int else vkey(x) for x in v])
+    if isinstance(v, int) and not isinstance(v, bool):
         return (0, v)
     return (1, str(v))
 
@@ -161,9 +159,10 @@ class SimplicialGraph:
         """(scale, points): the planar coordinates multiplied by the lcm of
         their denominators, so every vertex has an int point; scaling by a
         positive constant keeps every incidence."""
-        scale = lcm(*(c.denominator for v in self.vertices for c in self.point(v)))
-        return scale, {v: tuple(c.numerator * (scale // c.denominator) for c in self.point(v))
-                       for v in self.vertices}
+        pts = [(v, *self.point(v)) for v in self.vertices]
+        scale = lcm(*(c.denominator for _, x, y in pts for c in (x, y)))
+        return scale, {v: (x.numerator * (scale // x.denominator),
+                           y.numerator * (scale // y.denominator)) for v, x, y in pts}
 
     def embedding_violation(self):
         """Return a witness if the planar coordinates are not consistent.
@@ -359,17 +358,24 @@ def evaluate_realization(m: SimplicialMapping, p: EdgePoint) -> EdgePoint:
     return EdgePoint(fa, fb, p.t)
 
 
-def _sub_label(a: Vertex, b: Vertex, t: Fraction) -> Vertex:
-    # (a, b) must already be canonical; t is 1/3 or 2/3 measured from a
-    return ("sub", (a, b), "1/3" if t == THIRD else "2/3")
+def _sub_label(a: Vertex, b: Vertex, tag: str) -> Vertex:
+    # (a, b) must already be canonical; tag is "1/3" or "2/3", measured from a
+    return ("sub", (a, b), tag)
 
 
 def subdivision_vertex(g: SimplicialGraph, edge, t: Fraction) -> Vertex:
     """Label of the point at parameter t (1/3 or 2/3) on an edge of g, in g^(3)."""
+    if t != THIRD and t != TWO_THIRDS:
+        raise ValueError("t must be 1/3 or 2/3, got %r" % (t,))
     a, b = canonical_edge(*edge)
     if (a, b) != tuple(edge):
         t = 1 - t
-    return _sub_label(a, b, t)
+    return _sub_label(a, b, "1/3" if t == THIRD else "2/3")
+
+
+def _third(p: Fraction, q: Fraction) -> Fraction:  # (2p + q) / 3, reduced once
+    return Fraction(2 * p.numerator * q.denominator + q.numerator * p.denominator,
+                    3 * p.denominator * q.denominator)
 
 
 def subdivide3(g: SimplicialGraph) -> SimplicialGraph:
@@ -378,17 +384,13 @@ def subdivide3(g: SimplicialGraph) -> SimplicialGraph:
     edges = []
     coords = dict(g.coords) if g.coords is not None else None
     for a, b in g.sorted_edges():
-        ua = _sub_label(a, b, THIRD)
-        ub = _sub_label(a, b, TWO_THIRDS)
-        verts.add(ua)
-        verts.add(ub)
+        ua, ub = _sub_label(a, b, "1/3"), _sub_label(a, b, "2/3")
+        verts.update((ua, ub))
         edges.extend([(a, ua), (ua, ub), (ub, b)])
         if coords is not None:
-            pa, pb = g.point(a), g.point(b)
-            coords[ua] = (TWO_THIRDS * pa[0] + THIRD * pb[0],
-                          TWO_THIRDS * pa[1] + THIRD * pb[1])
-            coords[ub] = (THIRD * pa[0] + TWO_THIRDS * pb[0],
-                          THIRD * pa[1] + TWO_THIRDS * pb[1])
+            (ax, ay), (bx, by) = coords[a], coords[b]
+            coords[ua] = (_third(ax, bx), _third(ay, by))
+            coords[ub] = (_third(bx, ax), _third(by, ay))
     # the embedding stays consistent: the point set is unchanged
     return SimplicialGraph.build(verts, edges, coords, check_embedding=False)
 
@@ -399,7 +401,7 @@ def to_subdivided(p: EdgePoint) -> EdgePoint:
     if c[0] == "vertex":
         return EdgePoint.vertex(c[1])
     _, a, b, t = c
-    ua, ub = _sub_label(a, b, THIRD), _sub_label(a, b, TWO_THIRDS)
+    ua, ub = _sub_label(a, b, "1/3"), _sub_label(a, b, "2/3")
     if t <= THIRD:
         return EdgePoint(a, ua, 3 * t)
     if t <= TWO_THIRDS:
@@ -450,17 +452,15 @@ def lift_map_3(m: SimplicialMapping, source3: SimplicialGraph,
     the point at t on one is the point at 1 - t on the other.
     """
     m.require_valid()
-    assign = {}
-    for v in m.source.vertices:
-        assign[v] = m.assignment[v]
+    assign = {v: m.assignment[v] for v in m.source.vertices}
     for a, b in m.source.sorted_edges():
         fa, fb = m.assignment[a], m.assignment[b]
-        for t in (THIRD, TWO_THIRDS):
+        for t, mirror in (("1/3", "2/3"), ("2/3", "1/3")):
             w = _sub_label(a, b, t)
             if fa == fb:
                 assign[w] = fa
             elif (fa, fb) in m.target.edges:
                 assign[w] = _sub_label(fa, fb, t)
             else:
-                assign[w] = _sub_label(fb, fa, 1 - t)
+                assign[w] = _sub_label(fb, fa, mirror)
     return SimplicialMapping(source3, target3, assign)

@@ -18,6 +18,7 @@ from treechains.simplicial import (
     GraphError,
     SimplicialGraph,
     SimplicialMapping,
+    k_close,
 )
 from treechains.verify import random_simplicial_map, random_tree
 
@@ -106,6 +107,44 @@ class TestProximity:
                 checked += 1
                 assert not coincidence_oracle(f, g)
         assert checked > 10
+
+
+    def test_matches_k_close_on_random_pairs(self):
+        rng = random.Random(19)
+        kinds = set()
+        for _ in range(600):
+            src = random_tree(rng, rng.randrange(2, 9))
+            dst = random_tree(rng, rng.randrange(2, 13))
+            f = random_simplicial_map(rng, src, dst)
+            g = random_simplicial_map(rng, src, dst)
+            expected = {v for v in src.vertices if k_close(dst, f(v), g(v), 2)}
+            assert proximity_vertices(f, g) == expected
+            kinds.add("none" if not expected else "all" if expected == src.vertices else "some")
+        assert kinds == {"none", "some", "all"}
+
+    def test_images_at_distance_0_to_3(self):
+        g1, g0 = path_graph(4), path_graph(5)
+        f = SimplicialMapping(g1, g0, {0: 0, 1: 0, 2: 0, 3: 0})
+        g = SimplicialMapping(g1, g0, {0: 0, 1: 1, 2: 2, 3: 3})
+        assert proximity_vertices(f, g) == frozenset([0, 1, 2])
+        assert proximity_vertices(g, f) == frozenset([0, 1, 2])
+        point = SimplicialGraph.build([0], [])  # equal images with no neighbour
+        f = SimplicialMapping(g1, point, {v: 0 for v in g1.vertices})
+        assert proximity_vertices(f, f) == g1.vertices
+
+    def test_family_lifts_have_none(self):
+        for k in range(2, 10):
+            lifted = lift_diagram_3(build_family_diagram(k))
+            for n in range(lifted.length):
+                assert proximity_vertices(lifted.f_row[n], lifted.g_row[n]) == frozenset()
+
+    @pytest.mark.parametrize("f_img, g_img", [(9, 9), (9, 0), (0, 9)])
+    def test_image_outside_the_target_raises(self, f_img, g_img):
+        g1, g0 = path_graph(2), path_graph(3)
+        f = SimplicialMapping(g1, g0, {0: f_img, 1: 0})
+        g = SimplicialMapping(g1, g0, {0: g_img, 1: 2})
+        with pytest.raises(GraphError, match="unknown vertex"):
+            proximity_vertices(f, g)
 
 
 class TestLift:

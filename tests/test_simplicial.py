@@ -67,6 +67,22 @@ class TestGraph:
         labels = [("sub", (0, 1), "1/3"), 5, (1, 2), "x"]
         assert sorted(labels, key=vkey) == [5, "x", (1, 2), ("sub", (0, 1), "1/3")]
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.recursive(st.integers() | st.booleans() | st.text(max_size=3),
+                        lambda kids: st.lists(kids, max_size=3).map(tuple), max_leaves=10))
+    def test_vkey_matches_a_reference_recursion(self, label):
+        def reference(v):
+            if isinstance(v, tuple):
+                return (2, *map(reference, v))
+            if isinstance(v, bool):
+                return (1, str(v))
+            if isinstance(v, int):
+                return (0, v)
+            return (1, str(v))
+
+        assert vkey(label) == reference(label)
+        assert vkey((True, 1, label)) == (2, (1, "True"), (0, 1), reference(label))
+
     def test_sorted_vertices_is_one_cached_tuple(self):
         g = generate_instance(2).diagram.levels[-1]
         first = g.sorted_vertices()
@@ -322,6 +338,27 @@ class TestSubdivision:
         g = path_graph(2)
         assert subdivision_vertex(g, (0, 1), Fraction(1, 3)) == \
             subdivision_vertex(g, (1, 0), Fraction(2, 3))
+
+    def test_subdivision_vertex_needs_a_third(self):
+        g = path_graph(2)
+        for t in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(-1, 3)):
+            with pytest.raises(ValueError, match="1/3 or 2/3"):
+                subdivision_vertex(g, (0, 1), t)
+        assert subdivision_vertex(g, (0, 1), Fraction(2, 3)) == ("sub", (0, 1), "2/3")
+        assert subdivision_vertex(g, (1, 0), Fraction(1, 3)) == ("sub", (0, 1), "2/3")
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.fractions(max_denominator=60), min_size=4, max_size=4)
+           .filter(lambda c: c[:2] != c[2:]))
+    def test_third_points_are_the_affine_combinations(self, c):
+        pa, pb = (c[0], c[1]), (c[2], c[3])
+        g = SimplicialGraph.build([0, 1], [(0, 1)], {0: pa, 1: pb})
+        g3 = subdivide3(g)
+        third, two_thirds = Fraction(1, 3), Fraction(2, 3)
+        for t, u in ((third, ("sub", (0, 1), "1/3")), (two_thirds, ("sub", (0, 1), "2/3"))):
+            expected = tuple((1 - t) * a + t * b for a, b in zip(pa, pb))
+            assert g3.point(u) == expected
+            assert all(type(x) is Fraction for x in g3.point(u))
 
     def test_subdivision_coordinates_roundtrip(self):
         rng = random.Random(5)

@@ -8,7 +8,10 @@ For each l it runs REPEATS rounds.  A round builds every layer of
 it.  The keys:
 
 - ``family``: ``build_family_diagram(l + 1)``, the family diagram;
-- ``lift``: ``lift_diagram_3``, its trisection lift;
+- ``subdivide``: ``subdivide3`` of every level of that diagram, the
+  trisected trees alone;
+- ``lift``: ``lift_diagram_3``, its trisection lift (the checks, the
+  trisected trees and both rows of lifted maps);
 - ``system``: the ``CoverSystem``;
 - ``realization``: the ``RealizedSystem``, every region and closure;
 - ``scaled_pieces``: the one build of the closures' integer pieces, per
@@ -48,6 +51,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from treechains.covers import CoverSystem, EpsilonSchedule  # noqa: E402
 from treechains.diagram import lift_diagram_3  # noqa: E402
 from treechains.family import build_family_diagram  # noqa: E402
+from treechains.simplicial import subdivide3  # noqa: E402
 from treechains.geometry import (  # noqa: E402
     RealizedSystem,
     compute_rho_and_mesh,
@@ -78,6 +82,7 @@ def _timed(fn):
 def one_round(l: int) -> dict:
     out = {}
     diagram, out["family"] = _timed(lambda: build_family_diagram(l + 1))
+    _, out["subdivide"] = _timed(lambda: [subdivide3(g) for g in diagram.levels])
     lifted, out["lift"] = _timed(lambda: lift_diagram_3(diagram))
     inst = Instance(lifted, EpsilonSchedule.default(l))  # as generate_instance(l)
     system, out["system"] = _timed(
