@@ -108,7 +108,6 @@ class TestProximity:
                 assert not coincidence_oracle(f, g)
         assert checked > 10
 
-
     def test_matches_k_close_on_random_pairs(self):
         rng = random.Random(19)
         kinds = set()
@@ -131,12 +130,6 @@ class TestProximity:
         point = SimplicialGraph.build([0], [])  # equal images with no neighbour
         f = SimplicialMapping(g1, point, {v: 0 for v in g1.vertices})
         assert proximity_vertices(f, f) == g1.vertices
-
-    def test_family_lifts_have_none(self):
-        for k in range(2, 10):
-            lifted = lift_diagram_3(build_family_diagram(k))
-            for n in range(lifted.length):
-                assert proximity_vertices(lifted.f_row[n], lifted.g_row[n]) == frozenset()
 
     @pytest.mark.parametrize("f_img, g_img", [(9, 9), (9, 0), (0, 9)])
     def test_image_outside_the_target_raises(self, f_img, g_img):

@@ -51,7 +51,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from treechains.covers import CoverSystem, EpsilonSchedule  # noqa: E402
 from treechains.diagram import lift_diagram_3  # noqa: E402
 from treechains.family import build_family_diagram  # noqa: E402
-from treechains.simplicial import subdivide3  # noqa: E402
 from treechains.geometry import (  # noqa: E402
     RealizedSystem,
     compute_rho_and_mesh,
@@ -68,6 +67,7 @@ from treechains.serialize import (  # noqa: E402
     regions_to_json,
     system_to_json,
 )
+from treechains.simplicial import subdivide3  # noqa: E402
 from treechains.verify import generate_instance, verify_instance  # noqa: E402
 
 REPEATS = 5
