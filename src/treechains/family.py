@@ -6,6 +6,7 @@ coordinate of (side, level) is the point (side, level).
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .diagram import TreeDiagram
@@ -43,6 +44,16 @@ def build_tree(k: int, n: int) -> SimplicialGraph:
     return SimplicialGraph.build(vertices, edges, coords)
 
 
+@functools.lru_cache(maxsize=1)
+def _levels(k: int) -> tuple:
+    """T_0..T_{k-1}, each built and checked once, for the last k asked for.
+
+    One entry: a sweep over k builds every tree once, and the cache never
+    holds more than one k's trees.
+    """
+    return tuple(build_tree(k, n) for n in range(k))
+
+
 def _reflection(t: SimplicialGraph) -> SimplicialMapping:
     return SimplicialMapping(t, t, {(side, mu): (-side, mu) for side, mu in t.vertices})
 
@@ -50,7 +61,7 @@ def _reflection(t: SimplicialGraph) -> SimplicialMapping:
 def map_s(k: int, n: int) -> SimplicialMapping:
     """The left-right reflection (side, mu) -> (-side, mu); a simplicial involution."""
     _check_params(k, n)
-    return _reflection(build_tree(k, n))
+    return _reflection(_levels(k)[n])
 
 
 def _check_bonding_params(k: int, n: int) -> None:
@@ -59,11 +70,12 @@ def _check_bonding_params(k: int, n: int) -> None:
         raise ValueError("bonding maps are defined for n <= k-2 only")
 
 
-# The private builders below take the trees src = T_{n+1} and dst = T_n from
-# the caller, so a diagram builds and checks each tree once.
+# The private builders below read src = T_{n+1} and dst = T_n from the
+# caller's levels = _levels(k).
 
 
-def _sigma(k: int, n: int, src: SimplicialGraph, dst: SimplicialGraph) -> SimplicialMapping:
+def _sigma(k: int, n: int, levels: tuple) -> SimplicialMapping:
+    src, dst = levels[n + 1], levels[n]
     assign = {}
     for side, mu in src.vertices:
         if mu == n + 1:
@@ -73,7 +85,8 @@ def _sigma(k: int, n: int, src: SimplicialGraph, dst: SimplicialGraph) -> Simpli
     return SimplicialMapping(src, dst, assign)
 
 
-def _tau(k: int, n: int, src: SimplicialGraph, dst: SimplicialGraph) -> SimplicialMapping:
+def _tau(k: int, n: int, levels: tuple) -> SimplicialMapping:
+    src, dst = levels[n + 1], levels[n]
     assign = {}
     for side, mu in src.vertices:
         if mu == k + 1:
@@ -83,28 +96,28 @@ def _tau(k: int, n: int, src: SimplicialGraph, dst: SimplicialGraph) -> Simplici
     return SimplicialMapping(src, dst, assign)
 
 
-def _omega(k: int, n: int, src: SimplicialGraph, dst: SimplicialGraph) -> SimplicialMapping:
-    return _reflection(dst).compose(_tau(k, n, src, dst))
+def _omega(k: int, n: int, levels: tuple) -> SimplicialMapping:
+    return _reflection(levels[n]).compose(_tau(k, n, levels))
 
 
 def map_sigma(k: int, n: int) -> SimplicialMapping:
     """Bonding surjection T_{n+1} -> T_n merging level n+1 into the centre column
     and collapsing the two top edges."""
     _check_bonding_params(k, n)
-    return _sigma(k, n, build_tree(k, n + 1), build_tree(k, n))
+    return _sigma(k, n, _levels(k))
 
 
 def map_tau(k: int, n: int) -> SimplicialMapping:
     """Bonding surjection T_{n+1} -> T_n shifting every level down by one,
     fixing the two lowest points and folding level k+1 onto the centre top."""
     _check_bonding_params(k, n)
-    return _tau(k, n, build_tree(k, n + 1), build_tree(k, n))
+    return _tau(k, n, _levels(k))
 
 
 def map_omega(k: int, n: int) -> SimplicialMapping:
     """The reflected shift: map_s composed with map_tau."""
     _check_bonding_params(k, n)
-    return _omega(k, n, build_tree(k, n + 1), build_tree(k, n))
+    return _omega(k, n, _levels(k))
 
 
 def build_family_diagram(k: int) -> TreeDiagram:
@@ -112,7 +125,7 @@ def build_family_diagram(k: int) -> TreeDiagram:
     reflected so the two rows have no coincidence points."""
     if k < 2:
         raise ValueError("k must be at least 2")
-    levels = tuple(build_tree(k, n) for n in range(k))
-    g_row = tuple(_sigma(k, n, levels[n + 1], levels[n]) for n in range(k - 1))
-    f_row = tuple(_omega(k, n, levels[n + 1], levels[n]) for n in range(k - 1))
+    levels = _levels(k)
+    g_row = tuple(_sigma(k, n, levels) for n in range(k - 1))
+    f_row = tuple(_omega(k, n, levels) for n in range(k - 1))
     return TreeDiagram(levels, g_row, f_row)

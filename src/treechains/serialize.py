@@ -244,7 +244,10 @@ def instance_from_json(obj: dict) -> Instance:
 
 def load_instance(path: str) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
-        return instance_from_json(json.load(fh))
+        try:
+            return instance_from_json(json.load(fh))
+        except RecursionError:  # from json.load or the recursive vertex_from_json
+            raise FormatError("nesting too deep to read") from None
 
 
 # the JSON text of each scalar, by exact type: a bool is not written as an int

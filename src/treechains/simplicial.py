@@ -47,7 +47,9 @@ class SimplicialGraph:
     ``edges`` holds canonically ordered pairs and ``rank`` each vertex's
     position in ``sorted_vertices()``; both come from ``build``, which orders
     every vertex once.  Instances are immutable; derived graphs
-    (subdivisions) are new values.
+    (subdivisions) are new values.  The ``coords`` and ``rank`` dicts must
+    not be written either: one family tree is shared by every diagram and
+    map built on its k.
     """
 
     vertices: frozenset

@@ -333,6 +333,21 @@ class TestOther:
         assert lines[-1] == "overall                FAIL"
         assert not (tmp_path / "x.svg").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "{file}"],
+        ["render", "{file}", "--out", "{out}"],
+        ["oracle", "{file}", "--trials", "5"],
+    ])
+    def test_deeply_nested_input_fails_without_traceback(self, tmp_path, capsys, argv):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000 + "]" * 200_000)
+        argv = [a.format(file=deep, out=tmp_path / "x.svg") for a in argv]
+        assert main(argv) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == ["schema                 FAIL  witness='nesting too deep to read'",
+                         "overall                FAIL"]
+        assert not (tmp_path / "x.svg").exists()
+
     @pytest.mark.parametrize("trials", ["-1", "-5"])
     def test_oracle_negative_trials_fail_at_schema(self, generated, capsys, trials):
         assert main(["oracle", str(generated / "instance.json"), "--trials", trials]) == 1

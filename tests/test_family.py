@@ -107,6 +107,7 @@ class TestFamilyDiagram:
             calls.append((k, n))
             return build_tree(k, n)
 
+        family._levels.cache_clear()
         monkeypatch.setattr(family, "build_tree", counting_build_tree)
         d = family.build_family_diagram(6)
         assert sorted(calls) == [(6, n) for n in range(6)]
@@ -114,6 +115,33 @@ class TestFamilyDiagram:
             for m in (d.g_row[n], d.f_row[n]):
                 assert m.source is d.levels[n + 1]
                 assert m.target is d.levels[n]
+        # the maps of the same k read the diagram's levels and build nothing
+        for n in range(d.length):
+            for m in (map_sigma(6, n), map_tau(6, n), map_omega(6, n)):
+                assert m.source is d.levels[n + 1]
+                assert m.target is d.levels[n]
+        for n in range(6):
+            s = map_s(6, n)
+            assert s.source is d.levels[n] and s.target is d.levels[n]
+        assert len(calls) == 6
+        # one entry: a k asked for again after another k is built again
+        family.build_family_diagram(7)
+        assert calls[6:] == [(7, n) for n in range(7)]
+        family.build_family_diagram(6)
+        assert calls[13:] == [(6, n) for n in range(6)]
+
+    @pytest.mark.parametrize("call", [
+        lambda: map_sigma(3, 2), lambda: map_tau(3, 2), lambda: map_omega(3, 2),
+        lambda: map_s(3, 3), lambda: map_s(1, 0), lambda: build_family_diagram(1),
+    ])
+    def test_bad_parameters_raise_before_the_cache(self, call):
+        family.build_family_diagram(4)
+        before = family._levels.cache_info()
+        with pytest.raises(ValueError):
+            call()
+        after = family._levels.cache_info()
+        assert after.currsize == before.currsize
+        assert (after.hits, after.misses) == (before.hits, before.misses)
 
     def test_min_k(self):
         with pytest.raises(ValueError):

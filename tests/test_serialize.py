@@ -66,6 +66,22 @@ class TestInstances:
         with pytest.raises(FormatError):
             instance_from_json(payload)
 
+    def test_too_deep_nesting_is_a_format_error(self, tmp_path, monkeypatch):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        with pytest.raises(FormatError, match="nesting too deep"):
+            serialize.load_instance(str(path))
+        # vertex_from_json recurses per "sub" level; json.load's own limit trips
+        # first on a file, so its RecursionError is raised here by hand
+        path.write_text(json.dumps(generate_instance(1).to_json()))
+
+        def too_deep(obj):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(serialize, "vertex_from_json", too_deep)
+        with pytest.raises(FormatError, match="nesting too deep"):
+            serialize.load_instance(str(path))
+
     def test_determinism(self):
         a = json.dumps(generate_instance(2).to_json(), sort_keys=True)
         b = json.dumps(generate_instance(2).to_json(), sort_keys=True)
