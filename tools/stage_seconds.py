@@ -51,9 +51,9 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from treechains import family  # noqa: E402
 from treechains.covers import CoverSystem, EpsilonSchedule  # noqa: E402
 from treechains.diagram import lift_diagram_3  # noqa: E402
-from treechains import family  # noqa: E402
 from treechains.geometry import (  # noqa: E402
     RealizedSystem,
     compute_rho_and_mesh,
