@@ -59,10 +59,10 @@ class TreeDiagram:
 def commutativity_violation(d: TreeDiagram):
     """Witness (i, v) with f_{i-1}(g_i(v)) != g_{i-1}(f_i(v)), or None."""
     for i in range(1, d.length):
-        f_prev, g_prev = d.f_row[i - 1], d.g_row[i - 1]
-        f_i, g_i = d.f_row[i], d.g_row[i]
+        f_prev, g_prev = d.f_row[i - 1].assignment, d.g_row[i - 1].assignment
+        f_i, g_i = d.f_row[i].assignment, d.g_row[i].assignment
         for v in d.levels[i + 1].sorted_vertices():
-            if f_prev(g_i(v)) != g_prev(f_i(v)):
+            if f_prev[g_i[v]] != g_prev[f_i[v]]:
                 return (i, v)
     return None
 
@@ -83,11 +83,12 @@ def coincidence_violation(f: SimplicialMapping, g: SimplicialMapping):
     {f(u),f(v)} contained in {g(u),g(v)}.
     """
     _shared_legs(f, g)
+    fa, ga = f.assignment, g.assignment
     for v in f.source.sorted_vertices():
-        if f(v) == g(v):
+        if fa[v] == ga[v]:
             return ("vertex", v)
     for u, v in f.source.sorted_edges():
-        if {f(u), f(v)} <= {g(u), g(v)}:
+        if {fa[u], fa[v]} <= {ga[u], ga[v]}:
             return ("edge", (u, v))
     return None
 
@@ -105,12 +106,13 @@ def coincidence_oracle(f: SimplicialMapping, g: SimplicialMapping) -> FrozenSet[
     realizations agree identically contributes its endpoints and midpoint.
     """
     _shared_legs(f, g)
+    fm, gm = f.assignment, g.assignment
     points = set()
     for v in f.source.vertices:
-        if f(v) == g(v):
+        if fm[v] == gm[v]:
             points.add(EdgePoint.vertex(v))
     for a, b in f.source.sorted_edges():
-        fa, fb, ga, gb = f(a), f(b), g(a), g(b)
+        fa, fb, ga, gb = fm[a], fm[b], gm[a], gm[b]
         if fa != fb and ga != gb and {fa, fb} == {ga, gb}:
             # same target edge: crossing at the midpoint, or identical
             points.add(EdgePoint(a, b, HALF))
@@ -123,7 +125,8 @@ def proximity_vertices(f: SimplicialMapping, g: SimplicialMapping) -> FrozenSet:
     """Vertices whose images are equal, adjacent or share a neighbour: 2-close in the target."""
     _shared_legs(f, g)
     near = f.target.neighbors  # GraphError for a vertex outside the target
-    images = ((v, f(v), g(v)) for v in f.source.vertices)
+    fm, gm = f.assignment, g.assignment
+    images = ((v, fm[v], gm[v]) for v in f.source.vertices)
     return frozenset(v for v, a, b in images
                      if not near(a).isdisjoint(near(b)) or b in near(a) or a == b)
 

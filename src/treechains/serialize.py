@@ -65,15 +65,18 @@ def _pair(obj) -> list:
 class LabelTable(dict):
     """label -> (vkey, JSON form) for one document: each label is ordered and
     converted once.  A document shares the JSON lists of its labels, so none
-    of them may be changed in place."""
+    of them may be changed in place.  A label is written only when
+    ``vertex_from_json`` reads it back, so the tests are the loader's: a bool
+    is not an int, and a tag is "1/3" or "2/3"."""
 
     def __missing__(self, v):
-        if isinstance(v, tuple) and len(v) == 3 and v[0] == "sub":
+        if (isinstance(v, tuple) and len(v) == 3 and v[0] == "sub"
+                and isinstance(v[1], tuple) and len(v[1]) == 2 and v[2] in ("1/3", "2/3")):
             (a, b), t = v[1], v[2]
             js = ["sub", [self.json(a), self.json(b)], t]
-        elif isinstance(v, tuple) and len(v) == 2 and all(isinstance(x, int) for x in v):
+        elif isinstance(v, tuple) and len(v) == 2 and type(v[0]) is int and type(v[1]) is int:
             js = [v[0], v[1]]
-        elif isinstance(v, (int, str)):
+        elif _is_int(v) or isinstance(v, str):
             js = v
         else:
             raise FormatError("unsupported vertex label %r" % (v,))

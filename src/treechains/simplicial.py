@@ -22,9 +22,15 @@ TWO_THIRDS = Fraction(2, 3)
 
 
 def vkey(v):
-    """Total order on vertex labels, stable across runs."""
+    """Total order on vertex labels, stable across runs.
+
+    A tuple's key lists its items' keys, so a subdivision label has
+    ``vkey(("sub", (a, b), t)) == (2, vkey("sub"), (2, vkey(a), vkey(b)), vkey(t))``;
+    ``subdivide3`` derives its new labels' keys by this identity.
+    """
     if isinstance(v, tuple):
-        return (2, *[(0, x) if type(x) is int else vkey(x) for x in v])
+        return (2, *[(0, x) if type(x) is int else (1, x) if type(x) is str else vkey(x)
+                     for x in v])
     if isinstance(v, int) and not isinstance(v, bool):
         return (0, v)
     return (1, str(v))
@@ -46,10 +52,11 @@ class SimplicialGraph:
 
     ``edges`` holds canonically ordered pairs and ``rank`` each vertex's
     position in ``sorted_vertices()``; both come from ``build``, which orders
-    every vertex once.  Instances are immutable; derived graphs
-    (subdivisions) are new values.  The ``coords`` and ``rank`` dicts must
-    not be written either: one family tree is shared by every diagram and
-    map built on its k.
+    every vertex once, or from ``subdivide3``, which derives its new labels'
+    keys from the keys of their edges' ends.  Instances are immutable;
+    derived graphs (subdivisions) are new values.  The ``coords`` and
+    ``rank`` dicts must not be written either: one family tree is shared by
+    every diagram and map built on its k.
     """
 
     vertices: frozenset
@@ -62,7 +69,14 @@ class SimplicialGraph:
               coords: Optional[Dict[Vertex, Point]] = None,
               check_embedding: bool = True) -> "SimplicialGraph":
         vs = frozenset(vertices)
-        keys = {v: vkey(v) for v in vs}
+        return SimplicialGraph._from_keys({v: vkey(v) for v in vs}, edges,
+                                          dict(coords) if coords is not None else None,
+                                          check_embedding)
+
+    @staticmethod
+    def _from_keys(keys: Dict[Vertex, tuple], edges, coords, check_embedding: bool):
+        # keys: each vertex's vkey; coords is kept, not copied
+        vs = frozenset(keys)
 
         def orient(u, v):  # canonical_edge(u, v), on the keys of known vertices
             if u == v or u not in keys or v not in keys:
@@ -74,7 +88,7 @@ class SimplicialGraph:
             if a not in vs or b not in vs:
                 raise GraphError("edge (%r, %r) has endpoint outside vertex set" % (a, b))
         rank = {v: k for k, v in enumerate(sorted(vs, key=keys.__getitem__))}
-        g = SimplicialGraph(vs, es, dict(coords) if coords is not None else None, rank)
+        g = SimplicialGraph(vs, es, coords, rank)
         if coords is not None and check_embedding:
             bad = g.embedding_violation()
             if bad is not None:
@@ -365,6 +379,9 @@ def _sub_label(a: Vertex, b: Vertex, tag: str) -> Vertex:
     return ("sub", (a, b), tag)
 
 
+_SUB_KEY, _KEY_1_3, _KEY_2_3 = vkey("sub"), vkey("1/3"), vkey("2/3")
+
+
 def subdivision_vertex(g: SimplicialGraph, edge, t: Fraction) -> Vertex:
     """Label of the point at parameter t (1/3 or 2/3) on an edge of g, in g^(3)."""
     if t != THIRD and t != TWO_THIRDS:
@@ -376,25 +393,32 @@ def subdivision_vertex(g: SimplicialGraph, edge, t: Fraction) -> Vertex:
 
 
 def _third(p: Fraction, q: Fraction) -> Fraction:  # (2p + q) / 3, reduced once
+    if p.numerator == q.numerator and p.denominator == q.denominator:
+        return p  # a coordinate the edge does not change
     return Fraction(2 * p.numerator * q.denominator + q.numerator * p.denominator,
                     3 * p.denominator * q.denominator)
 
 
 def subdivide3(g: SimplicialGraph) -> SimplicialGraph:
-    """Subdivide each edge into three congruent parts."""
-    verts = set(g.vertices)
+    """Subdivide each edge into three congruent parts.
+
+    Each new label's key is derived from its edge's ends by the identity in
+    :func:`vkey`, so only g's own vertices are keyed by ``vkey``.
+    """
+    keys = {v: vkey(v) for v in g.vertices}
     edges = []
     coords = dict(g.coords) if g.coords is not None else None
     for a, b in g.sorted_edges():
         ua, ub = _sub_label(a, b, "1/3"), _sub_label(a, b, "2/3")
-        verts.update((ua, ub))
+        ends = (2, keys[a], keys[b])
+        keys[ua], keys[ub] = (2, _SUB_KEY, ends, _KEY_1_3), (2, _SUB_KEY, ends, _KEY_2_3)
         edges.extend([(a, ua), (ua, ub), (ub, b)])
         if coords is not None:
             (ax, ay), (bx, by) = coords[a], coords[b]
             coords[ua] = (_third(ax, bx), _third(ay, by))
             coords[ub] = (_third(bx, ax), _third(by, ay))
     # the embedding stays consistent: the point set is unchanged
-    return SimplicialGraph.build(verts, edges, coords, check_embedding=False)
+    return SimplicialGraph._from_keys(keys, edges, coords, check_embedding=False)
 
 
 def to_subdivided(p: EdgePoint) -> EdgePoint:

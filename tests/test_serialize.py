@@ -23,6 +23,7 @@ from treechains.serialize import (
     vertex_from_json,
     write_json,
 )
+from treechains.simplicial import vkey
 from treechains.verify import generate_instance
 
 
@@ -42,6 +43,39 @@ class TestScalars:
             assert vertex_from_json(json.loads(json.dumps(LabelTable().json(v)))) == v
         with pytest.raises(FormatError):
             vertex_from_json(["sub", [[0, 0], [0, 1]], "1/2"])
+
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.recursive(
+        st.integers(-3, 3) | st.booleans() | st.text("sub/13", max_size=3) | st.none()
+        | st.floats(-2, 2),
+        lambda kids: st.lists(kids, max_size=3).map(tuple)
+        | st.tuples(st.just("sub"), kids | st.tuples(kids, kids),
+                    st.sampled_from(["1/3", "2/3", "1/2"])),
+        max_leaves=8))
+    def test_label_table_writes_exactly_what_the_loader_reads(self, label):
+        def as_lists(v):
+            return [as_lists(x) for x in v] if isinstance(v, tuple) else v
+
+        try:
+            js = LabelTable().json(label)
+        except FormatError:
+            # refused: its plain JSON form does not read back as the label either
+            try:
+                back = vertex_from_json(json.loads(json.dumps(as_lists(label))))
+            except FormatError:
+                return
+            assert back != label or vkey(back) != vkey(label)
+            return
+        buf = io.StringIO()
+        write_json(js, buf)
+        back = vertex_from_json(json.loads(buf.getvalue()))
+        assert back == label and vkey(back) == vkey(label)
+
+    def test_bool_labels_are_refused_on_writing(self):
+        for label in (True, (True, 1), (0, False), ("sub", ((0, 1), True), "1/3")):
+            with pytest.raises(FormatError, match="unsupported vertex label"):
+                LabelTable().json(label)
 
 
 class TestGraphs:

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import event, given, settings
@@ -26,6 +27,7 @@ from treechains.simplicial import (
     subdivide3,
     subdivision_vertex,
     to_subdivided,
+    _third,
     validate_simplicial,
     vkey,
 )
@@ -51,6 +53,33 @@ def labelled_graphs(draw):
     return vertices, edges
 
 
+# the labels of a family tree and others beside them: ints, strs that sort
+# before and after "sub", tuples with a str head, and int pairs
+TREE_LABELS = (st.integers(-5, 5) | st.sampled_from(["a", "t", "zz"])
+               | st.tuples(st.sampled_from(["t", "zz"]), st.integers(0, 3)) | PAIRS)
+
+
+@st.composite
+def mixed_trees(draw):
+    """A tree on distinct TREE_LABELS, with or without (unchecked) coordinates."""
+    vertices = draw(st.lists(TREE_LABELS, min_size=1, max_size=10, unique=True))
+    edges = [(v, vertices[draw(st.integers(0, i - 1))]) for i, v in enumerate(vertices) if i]
+    coords = None
+    if draw(st.booleans()):
+        c = st.fractions(-3, 3, max_denominator=4)
+        coords = {v: (draw(c), draw(c)) for v in vertices}
+    return SimplicialGraph.build(vertices, edges, coords, check_embedding=False)
+
+
+def recursive_vkey(v):
+    """``vkey`` as first written: each tuple item but an int keyed by recursion."""
+    if isinstance(v, tuple):
+        return (2, *[(0, x) if type(x) is int else recursive_vkey(x) for x in v])
+    if isinstance(v, int) and not isinstance(v, bool):
+        return (0, v)
+    return (1, str(v))
+
+
 def path_graph(n, spacing=1):
     coords = {i: (Fraction(i * spacing), Fraction(0)) for i in range(n)}
     return SimplicialGraph.build(range(n), [(i, i + 1) for i in range(n - 1)], coords)
@@ -68,7 +97,8 @@ class TestGraph:
         assert sorted(labels, key=vkey) == [5, "x", (1, 2), ("sub", (0, 1), "1/3")]
 
     @settings(max_examples=300, deadline=None)
-    @given(st.recursive(st.integers() | st.booleans() | st.text(max_size=3),
+    @given(st.recursive(st.integers() | st.booleans() | st.text(max_size=3) | LABELS
+                        | TREE_LABELS,
                         lambda kids: st.lists(kids, max_size=3).map(tuple), max_leaves=10))
     def test_vkey_matches_a_reference_recursion(self, label):
         def reference(v):
@@ -80,8 +110,10 @@ class TestGraph:
                 return (0, v)
             return (1, str(v))
 
-        assert vkey(label) == reference(label)
+        assert vkey(label) == reference(label) == recursive_vkey(label)
         assert vkey((True, 1, label)) == (2, (1, "True"), (0, 1), reference(label))
+        sub = ("sub", (label, True), "1/3")
+        assert vkey(sub) == recursive_vkey(sub)
 
     def test_sorted_vertices_is_one_cached_tuple(self):
         g = generate_instance(2).diagram.levels[-1]
@@ -359,6 +391,34 @@ class TestSubdivision:
             expected = tuple((1 - t) * a + t * b for a, b in zip(pa, pb))
             assert g3.point(u) == expected
             assert all(type(x) is Fraction for x in g3.point(u))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.fractions(), st.fractions())
+    def test_third_is_two_thirds_of_one_end_and_a_third_of_the_other(self, p, q):
+        for a, b in ((p, q), (q, p), (p, p)):
+            c = _third(a, b)
+            assert c == (2 * a + b) / 3 and type(c) is Fraction
+
+    @settings(max_examples=200, deadline=None)
+    @given(mixed_trees())
+    def test_subdivide3_derives_the_keys_build_computes(self, g):
+        event("coords" if g.coords is not None else "no coords")
+        derived = []
+        from_keys = SimplicialGraph._from_keys
+
+        def spy(keys, *rest, **kw):
+            derived.append(dict(keys))
+            return from_keys(keys, *rest, **kw)
+
+        with mock.patch.object(SimplicialGraph, "_from_keys", staticmethod(spy)):
+            g3 = subdivide3(g)
+            g9 = subdivide3(g3)  # g3's "sub" labels sort among g9's new ones
+        for h, keys in ((g3, derived[0]), (g9, derived[1])):
+            ref = SimplicialGraph.build(h.vertices, h.edges, h.coords, False)
+            assert (h.vertices, h.edges, h.coords) == (ref.vertices, ref.edges, ref.coords)
+            assert list(h.rank.items()) == list(ref.rank.items())
+            assert keys.keys() == h.vertices
+            assert all(key == vkey(v) for v, key in keys.items())
 
     def test_subdivision_coordinates_roundtrip(self):
         rng = random.Random(5)

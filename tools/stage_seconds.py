@@ -13,6 +13,11 @@ it.  The keys:
   trisected trees alone;
 - ``lift``: ``lift_diagram_3``, its trisection lift (the checks, the
   trisected trees and both rows of lifted maps);
+- ``family_sweep``: one op of perfbench's ``family-k9`` workload, for
+  k = 2..l+1: ``build_family_diagram(k)``, ``check_commutative``,
+  ``lift_diagram_3``, ``coincidence_free`` and ``coincidence_oracle`` on
+  (f, g) and on (``map_sigma``, ``map_tau``), and ``proximity_vertices`` on
+  the lifted rows, starting from an empty tree cache;
 - ``system``: the ``CoverSystem``;
 - ``realization``: the ``RealizedSystem``, every region and closure;
 - ``scaled_pieces``: the one build of the closures' integer pieces, per
@@ -39,7 +44,7 @@ Every value is the median over the rounds.
 
 Only the public API is used, from the ``src`` the script sits beside, and
 one private name: ``family._levels.cache_clear``, before each ``family``
-build.
+build and each ``family_sweep``.
 """
 
 import json
@@ -53,7 +58,13 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from treechains import family  # noqa: E402
 from treechains.covers import CoverSystem, EpsilonSchedule  # noqa: E402
-from treechains.diagram import lift_diagram_3  # noqa: E402
+from treechains.diagram import (  # noqa: E402
+    check_commutative,
+    coincidence_free,
+    coincidence_oracle,
+    lift_diagram_3,
+    proximity_vertices,
+)
 from treechains.geometry import (  # noqa: E402
     RealizedSystem,
     compute_rho_and_mesh,
@@ -82,12 +93,28 @@ def _timed(fn):
     return value, time.perf_counter() - t0
 
 
+def family_sweep(l: int) -> None:
+    for k in range(2, l + 2):
+        d = family.build_family_diagram(k)
+        check_commutative(d)
+        lifted = lift_diagram_3(d)
+        for n in range(d.length):
+            for f, g in ((d.f_row[n], d.g_row[n]),
+                         (family.map_sigma(k, n), family.map_tau(k, n))):
+                coincidence_free(f, g)
+                coincidence_oracle(f, g)
+        for n in range(lifted.length):
+            proximity_vertices(lifted.f_row[n], lifted.g_row[n])
+
+
 def one_round(l: int) -> dict:
     out = {}
     family._levels.cache_clear()  # the last round's generate_instance cached the trees
     diagram, out["family"] = _timed(lambda: family.build_family_diagram(l + 1))
     _, out["subdivide"] = _timed(lambda: [subdivide3(g) for g in diagram.levels])
     lifted, out["lift"] = _timed(lambda: lift_diagram_3(diagram))
+    family._levels.cache_clear()  # at l = 1 the sweep's one k is l + 1
+    _, out["family_sweep"] = _timed(lambda: family_sweep(l))
     inst = Instance(lifted, EpsilonSchedule.default(l))  # as generate_instance(l)
     system, out["system"] = _timed(
         lambda: CoverSystem(inst.diagram, inst.epsilons, inst.phi_tables))
