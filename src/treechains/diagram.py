@@ -124,11 +124,17 @@ def coincidence_oracle(f: SimplicialMapping, g: SimplicialMapping) -> FrozenSet[
 def proximity_vertices(f: SimplicialMapping, g: SimplicialMapping) -> FrozenSet:
     """Vertices whose images are equal, adjacent or share a neighbour: 2-close in the target."""
     _shared_legs(f, g)
-    near = f.target.neighbors  # GraphError for a vertex outside the target
-    fm, gm = f.assignment, g.assignment
-    images = ((v, fm[v], gm[v]) for v in f.source.vertices)
-    return frozenset(v for v, a, b in images
-                     if not near(a).isdisjoint(near(b)) or b in near(a) or a == b)
+    adj, fm, gm = f.target.adjacency, f.assignment, g.assignment
+    out = []
+    for v in f.source.vertices:
+        a, b = fm[v], gm[v]
+        try:
+            near, other = adj[a], adj[b]
+        except KeyError:
+            raise GraphError("unknown vertex %r" % (b if a in adj else a,)) from None
+        if a == b or b in near or not near.isdisjoint(other):
+            out.append(v)
+    return frozenset(out)
 
 
 def lift_diagram_3(d: TreeDiagram) -> TreeDiagram:

@@ -176,55 +176,59 @@ def _one_grid(regions: Sequence["SegmentRegion"]) -> int:
 class SegmentRegion:
     """Finite union of parameterized sub-segments of edges, stored as codes.
 
-    ``codes[edge]`` holds the region's intervals on that edge as merged,
-    apart, ascending (start, end) codes (see _code) on the line of E =
-    ``steps``.  A realized region is coded on the schedule's E, and
-    ``from_pieces`` codes on the E its caller gives.  Regions are compared
-    only on one tree and one E (see _one_grid).  ``pieces`` gives the same
-    intervals back as Fractions.
+    ``codes[k]`` holds the region's intervals on the edge at position k of
+    the tree's ``sorted_edges()`` as merged, apart, ascending (start, end)
+    codes (see _code) on the line of E = ``steps``.  A realized region is
+    coded on the schedule's E, and ``from_pieces`` codes on the E its caller
+    gives.  Regions are compared only on one tree and one E (see _one_grid).
+    ``pieces`` gives the same intervals back as Fractions, keyed by edge.
     """
 
     tree: SimplicialGraph
     steps: int
-    codes: Dict[Tuple, Tuple[Tuple[int, int], ...]]
+    codes: Dict[int, Tuple[Tuple[int, int], ...]]
 
     @staticmethod
     def from_pieces(tree: SimplicialGraph, raw: Dict, steps: int) -> "SegmentRegion":
         """The union of the (lo, hi, lo_closed, hi_closed) Fraction intervals
         given edge by edge, coded on the line of E = ``steps``; GraphError
-        if an end is not a multiple of 1/E."""
+        if an edge is not one of the tree's or an end is not a multiple of
+        1/E."""
+        rank = tree.edge_rank
         codes = {}
         for edge, intervals in raw.items():
-            if edge not in tree.edges:
+            if edge not in rank:
                 raise GraphError("unknown edge %r" % (edge,))
             merged = _merge(_code(i, steps) for i in intervals)
             if merged:
-                codes[edge] = tuple(merged)
+                codes[rank[edge]] = tuple(merged)
         return SegmentRegion(tree, steps, codes)
 
     @property
     def pieces(self) -> Dict[Tuple, Tuple[Interval, ...]]:
         """edge -> the region's intervals there as (lo, hi, lo_closed,
-        hi_closed) Fractions, derived from the codes: a start 2T (+1) is
-        T/E, closed (open), and an end 2H (-1) is H/E, closed (open)."""
-        steps = self.steps
-        return {edge: tuple((Fraction(s // 2, steps), Fraction((e + 1) // 2, steps),
-                             s % 2 == 0, e % 2 == 0) for s, e in coded)
-                for edge, coded in self.codes.items()}
+        hi_closed) Fractions, in ``sorted_edges()`` order, derived from the
+        codes: a start 2T (+1) is T/E, closed (open), and an end 2H (-1) is
+        H/E, closed (open)."""
+        steps, edges = self.steps, self.tree.sorted_edges()
+        return {edges[k]: tuple((Fraction(s // 2, steps), Fraction((e + 1) // 2, steps),
+                                 s % 2 == 0, e % 2 == 0) for s, e in self.codes[k])
+                for k in sorted(self.codes)}
 
     def sorted_edges(self):
         """The region's edges in the tree's ``sorted_edges()`` order."""
-        return sorted(self.codes, key=self.tree.edge_rank.__getitem__)
+        edges = self.tree.sorted_edges()
+        return [edges[k] for k in sorted(self.codes)]
 
     @cached_property
     def vertex_set(self) -> frozenset:
-        top = 2 * self.steps
+        top, edges = 2 * self.steps, self.tree.sorted_edges()
         out = set()
-        for (a, b), coded in self.codes.items():
+        for k, coded in self.codes.items():
             if coded[0][0] == 0:
-                out.add(a)
+                out.add(edges[k][0])
             if coded[-1][1] == top:
-                out.add(b)
+                out.add(edges[k][1])
         return frozenset(out)
 
     def contains_point(self, p: EdgePoint) -> bool:
@@ -232,15 +236,18 @@ class SegmentRegion:
         if c[0] == "vertex":
             return c[1] in self.vertex_set
         _, a, b, t = c
+        k = self.tree.edge_rank.get((a, b))
+        if k is None:
+            return False
         code = _point_code(t, self.steps)
-        return any(s <= code <= e for s, e in self.codes.get((a, b), ()))
+        return any(s <= code <= e for s, e in self.codes.get(k, ()))
 
     def closure(self) -> "SegmentRegion":
         """Every open end rounded to its point code, merged again."""
         closed = {}
-        for edge, coded in self.codes.items():
+        for k, coded in self.codes.items():
             ends = [(s - s % 2, e + e % 2) for s, e in coded]
-            closed[edge] = tuple(_merge(ends) if len(ends) > 1 else ends)
+            closed[k] = tuple(_merge(ends) if len(ends) > 1 else ends)
         return SegmentRegion(self.tree, self.steps, closed)
 
 
@@ -249,21 +256,32 @@ def later_intersecting(regions: Sequence[SegmentRegion]) -> List[List[int]]:
     regions that meet it.
 
     Two regions meet on an edge both have pieces on or at a vertex both
-    contain.  On each edge the codes (see _code), on one E, are swept by
-    start: an open interval that ends before the current start meets
-    neither it nor any later one and is dropped, and every other open
-    interval meets it (a region's own intervals are apart, so it never
-    meets itself).  At each vertex every two regions holding it meet.
+    contain.  One pass over each region's codes, in index order, fills the
+    interval list of every edge and the holder list of every vertex: a
+    region holds an edge's start when its first code there is 0 and its end
+    when its last code is 2E.  On each edge the codes (see _code), on one
+    E, are swept by start: an open interval that ends before the current
+    start meets neither it nor any later one and is dropped, and every
+    other open interval meets it (a region's own intervals are apart, so it
+    never meets itself).  At each vertex every two regions holding it meet.
     """
-    _one_grid(regions)
-    by_edge: Dict = {}
+    top = 2 * _one_grid(regions)
+    tree = regions[0].tree
+    rank = tree.rank
+    ends = [(rank[a], rank[b]) for a, b in tree.sorted_edges()]
+    by_edge: List[List[Tuple[int, int, int]]] = [[] for _ in ends]
+    holders: List[List[int]] = [[] for _ in rank]
     for i, r in enumerate(regions):
-        for e, coded in r.codes.items():
-            items = by_edge.setdefault(e, [])
+        for k, coded in r.codes.items():
+            items = by_edge[k]
             for start, end in coded:
                 items.append((start, end, i))
+            for v, at in zip(ends[k], (coded[0][0] == 0, coded[-1][1] == top)):
+                held = holders[v]
+                if at and (not held or held[-1] != i):
+                    held.append(i)
     later = [set() for _ in regions]
-    for items in by_edge.values():
+    for items in by_edge:
         items.sort()
         active: List[Tuple[int, int]] = []
         for start, end, i in items:
@@ -274,11 +292,7 @@ def later_intersecting(regions: Sequence[SegmentRegion]) -> List[List[int]]:
                 else:
                     later[j].add(i)
             active.append((end, i))
-    by_vertex: Dict = {}
-    for i, r in enumerate(regions):
-        for v in r.vertex_set:
-            by_vertex.setdefault(v, []).append(i)
-    for members in by_vertex.values():
+    for members in holders:
         for x, i in enumerate(members):
             later[i].update(members[x + 1:])
     return [sorted(js) for js in later]
@@ -292,10 +306,10 @@ def regions_share_point(regions: Sequence[SegmentRegion]) -> bool:
     if frozenset.intersection(*(r.vertex_set for r in regions)):
         return True
     codes = [r.codes for r in regions]
-    for e, common in codes[0].items():
+    for k, common in codes[0].items():
         for other in codes[1:]:
             common = [(max(s, t), min(d, f)) for s, d in common
-                      for t, f in other.get(e, ()) if max(s, t) <= min(d, f)]
+                      for t, f in other.get(k, ()) if max(s, t) <= min(d, f)]
         if common:
             return True
     return False
@@ -306,11 +320,11 @@ def region_contains(outer: SegmentRegion, inner: SegmentRegion) -> bool:
     _code), every interval of inner lies in one merged component of outer's
     intervals, with an end vertex that outer holds through another edge
     added as a point."""
-    steps = _one_grid((outer, inner))
-    holds = outer.vertex_set
-    for (a, b), coded in inner.codes.items():
-        cover = outer.codes.get((a, b), ())
-        ends = [(c, c) for v, c in ((a, 0), (b, 2 * steps)) if v in holds]
+    top = 2 * _one_grid((outer, inner))
+    holds, edges = outer.vertex_set, outer.tree.sorted_edges()
+    for k, coded in inner.codes.items():
+        cover = outer.codes.get(k, ())
+        ends = [(c, c) for v, c in zip(edges[k], (0, top)) if v in holds]
         if ends:
             cover = _merge(list(cover) + ends)
         for start, end in coded:
@@ -324,12 +338,12 @@ def covers_whole_tree(regions: Sequence[SegmentRegion]) -> bool:
     each edge the merged codes (see _code), on one E, are exactly the one
     interval from 0 to 2E."""
     steps = _one_grid(regions)
-    by_edge: Dict = {e: [] for e in regions[0].tree.edges}
+    by_edge: List[List[Tuple[int, int]]] = [[] for _ in regions[0].tree.sorted_edges()]
     for r in regions:
-        for e, coded in r.codes.items():
-            by_edge[e].extend(coded)
+        for k, coded in r.codes.items():
+            by_edge[k].extend(coded)
     whole = [(0, 2 * steps)]
-    return all(_merge(items) == whole for items in by_edge.values())
+    return all(_merge(items) == whole for items in by_edge)
 
 
 def _box(points: Sequence[Point]):
@@ -346,11 +360,11 @@ def _box_gap_squared(a, b):
     return dx * dx + dy * dy
 
 
-def _diameter_squared(pts: Sequence[Point]):
-    best = ZERO
-    for i, p in enumerate(pts):
-        for q in pts[i + 1:]:
-            d = dist2(p, q)
+def _diameter_squared(pts: Sequence[Tuple[int, int]]) -> int:
+    best = 0
+    for i, (px, py) in enumerate(pts):
+        for qx, qy in pts[i + 1:]:
+            d = (px - qx) * (px - qx) + (py - qy) * (py - qy)
             if d > best:
                 best = d
     return best
@@ -366,7 +380,7 @@ def realize(system: CoverSystem, a: CoverSet) -> SegmentRegion:
     on the schedule's E it is coded (0, 2 eps E - 1) on an edge that starts
     at w and (2E - 2 eps E + 1, 2E) on one that ends there.  An edge gets
     at most these two stars, one from each end, and the two are merged
-    once per set."""
+    once per set.  The edges at w are read from the tree's ``incidence``."""
     tree = system.deepest
     if tree.coords is None:
         raise GraphError("the deepest tree carries no planar coordinates")
@@ -375,12 +389,15 @@ def realize(system: CoverSystem, a: CoverSet) -> SegmentRegion:
     steps = system.epsilons.steps
     width = 2 * a.epsilon.numerator * (steps // a.epsilon.denominator)
     head, tail = (0, width - 1), (2 * steps - width + 1, 2 * steps)
-    both = tuple(_merge([head, tail]))
-    codes: Dict = {}
+    stars, both = ((tail,), (head,)), tuple(_merge([head, tail]))
+    incidence = tree.incidence
+    codes: Dict[int, Tuple[Tuple[int, int], ...]] = {}
     for w in a.fiber:
-        for u in tree.neighbors(w):
-            e, star = ((w, u), head) if (w, u) in tree.edges else ((u, w), tail)
-            codes[e] = both if e in codes else (star,)
+        at = incidence.get(w)
+        if at is None:
+            raise GraphError("unknown vertex %r" % (w,))
+        for k, starts in at:
+            codes[k] = both if k in codes else stars[starts]
     return SegmentRegion(tree, steps, codes)
 
 
@@ -421,19 +438,24 @@ class RealizedSystem:
         unit, ipt = tree.int_frame
         closures = [self.closure(a) for a in self.system.all_sets()]
         steps = _one_grid(closures)
-        on: Dict = {e: [] for e in tree.sorted_edges()}
+        edges = tree.sorted_edges()
+        ends = [ipt[a] + ipt[b] for a, b in edges]  # (ax, ay, bx, by) by position
+        on: List[List] = [[] for _ in edges]
         by_set: List[List] = [[] for _ in closures]
         for i, closure in enumerate(closures):
-            for e in closure.sorted_edges():
-                (ax, ay), (bx, by) = ipt[e[0]], ipt[e[1]]
-                for start, end in closure.codes[e]:
-                    p, q = [(ax * (steps - t) + bx * t, ay * (steps - t) + by * t)
-                            for t in (start // 2, (end + 1) // 2)]
-                    piece = (i, p, q, _box((p, q)))
-                    by_set[i].append(piece)
-                    on[e].append(piece)
-        by_edge = [(e, tuple((x * steps, y * steps) for x, y in (ipt[e[0]], ipt[e[1]])), group)
-                   for e, group in on.items()]
+            codes, own = closure.codes, by_set[i]
+            for k in sorted(codes):
+                ax, ay, bx, by = ends[k]
+                for start, end in codes[k]:
+                    s, t = start // 2, (end + 1) // 2
+                    px, py = ax * (steps - s) + bx * s, ay * (steps - s) + by * s
+                    qx, qy = ax * (steps - t) + bx * t, ay * (steps - t) + by * t
+                    piece = (i, (px, py), (qx, qy),
+                             (min(px, qx), max(px, qx), min(py, qy), max(py, qy)))
+                    own.append(piece)
+                    on[k].append(piece)
+        by_edge = [(e, ((ax * steps, ay * steps), (bx * steps, by * steps)), group)
+                   for e, (ax, ay, bx, by), group in zip(edges, ends, on)]
         return unit * steps, by_set, by_edge
 
 

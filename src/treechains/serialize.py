@@ -357,15 +357,15 @@ def regions_to_json(realized) -> dict:
     out = {"schema": SCHEMA_VERSION, "sets": []}
     for a in realized.system.all_sets():
         r = realized.region(a)
-        steps = r.steps
+        steps, edges = r.steps, r.tree.sorted_edges()
         out["sets"].append({
             "level": a.level + 1,
             "vertex": js(a.vertex),
             "pieces": [
-                [[js(e[0]), js(e[1])],
+                [[js(edges[k][0]), js(edges[k][1])],
                  [[_ratio(s // 2, steps), _ratio((t + 1) // 2, steps), s % 2 == 0, t % 2 == 0]
-                  for s, t in r.codes[e]]]
-                for e in r.sorted_edges()
+                  for s, t in r.codes[k]]]
+                for k in sorted(r.codes)
             ],
         })
     return out

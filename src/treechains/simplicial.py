@@ -146,6 +146,16 @@ class SimplicialGraph:
         list their edges in this order."""
         return {e: k for k, e in enumerate(self.sorted_edges())}
 
+    @cached_property
+    def incidence(self) -> Dict[Vertex, Tuple[Tuple[int, bool], ...]]:
+        """vertex -> (position in ``sorted_edges()``, whether the edge starts
+        there) for each edge at it, ascending in position."""
+        out = {v: [] for v in self.vertices}
+        for k, (a, b) in enumerate(self.sorted_edges()):
+            out[a].append((k, True))
+            out[b].append((k, False))
+        return {v: tuple(at) for v, at in out.items()}
+
     def has_edge(self, u: Vertex, v: Vertex) -> bool:
         return u != v and ((u, v) in self.edges or (v, u) in self.edges)
 
@@ -475,18 +485,24 @@ def lift_map_3(m: SimplicialMapping, source3: SimplicialGraph,
     Each subdivision vertex is sent to the image of its point under the
     realization of m, which is again a vertex of the subdivided target.
     The target holds the edge (fa, fb) or (fb, fa) in canonical order, and
-    the point at t on one is the point at 1 - t on the other.
+    the point at t on one is the point at 1 - t on the other.  GraphError,
+    as from ``m.require_valid()``, unless m is a total simplicial map: the
+    edge check is this loop's own, so it names the same first edge.
     """
-    m.require_valid()
+    bad = m.totality_violation()
+    if bad is not None:
+        raise GraphError("mapping not total: %r" % (bad,))
     assign = {v: m.assignment[v] for v in m.source.vertices}
+    edges = m.target.edges
     for a, b in m.source.sorted_edges():
         fa, fb = m.assignment[a], m.assignment[b]
-        for t, mirror in (("1/3", "2/3"), ("2/3", "1/3")):
-            w = _sub_label(a, b, t)
-            if fa == fb:
-                assign[w] = fa
-            elif (fa, fb) in m.target.edges:
-                assign[w] = _sub_label(fa, fb, t)
-            else:
-                assign[w] = _sub_label(fb, fa, mirror)
+        ua, ub = _sub_label(a, b, "1/3"), _sub_label(a, b, "2/3")
+        if fa == fb:
+            assign[ua] = assign[ub] = fa
+        elif (fa, fb) in edges:
+            assign[ua], assign[ub] = _sub_label(fa, fb, "1/3"), _sub_label(fa, fb, "2/3")
+        elif (fb, fa) in edges:
+            assign[ua], assign[ub] = _sub_label(fb, fa, "2/3"), _sub_label(fb, fa, "1/3")
+        else:
+            raise GraphError("edge %r not sent to an edge or a vertex" % ((a, b),))
     return SimplicialMapping(source3, target3, assign)

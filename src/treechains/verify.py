@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -245,10 +246,9 @@ def _route_mismatch(ctx: VerifyContext, closed: bool):
     pick = realized.closure if closed else realized.region
     found = geo.later_intersecting([pick(a) for a in sets])
     for i, (adj, geo_later) in enumerate(zip(system.adjacency, found)):
-        later = {j for j in adj if j > i}
-        diff = later.symmetric_difference(geo_later)
-        if diff:
-            j = min(diff)
+        later = adj[bisect_right(adj, i):]
+        if later != tuple(geo_later):
+            j = min(set(later).symmetric_difference(geo_later))
             return sets[i], sets[j], j in later
     return None
 

@@ -136,7 +136,14 @@ class TestProximity:
         g1, g0 = path_graph(2), path_graph(3)
         f = SimplicialMapping(g1, g0, {0: f_img, 1: 0})
         g = SimplicialMapping(g1, g0, {0: g_img, 1: 2})
-        with pytest.raises(GraphError, match="unknown vertex"):
+        with pytest.raises(GraphError, match="^unknown vertex 9$"):
+            proximity_vertices(f, g)
+
+    def test_two_images_outside_the_target_name_f_first(self):
+        g1, g0 = path_graph(2), path_graph(3)
+        f = SimplicialMapping(g1, g0, {0: 8, 1: 0})
+        g = SimplicialMapping(g1, g0, {0: 9, 1: 2})
+        with pytest.raises(GraphError, match="^unknown vertex 8$"):
             proximity_vertices(f, g)
 
 

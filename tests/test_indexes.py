@@ -1,6 +1,7 @@
 """The intersection graph, the geometric pair index and the grid distance
 routines against brute-force all-pairs scans of the definitions."""
 
+import dataclasses
 import json
 import math
 import os
@@ -9,7 +10,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 from test_geometry import (
     _endpos,
@@ -51,13 +52,14 @@ from treechains.geometry import (
     enlargement_nesting_violation,
     family_min_gap_squared,
     later_intersecting,
+    realize,
     region_contains,
     regions_share_point,
     segment_dist2,
 )
 from treechains.cli import main
 from treechains.serialize import Instance, instance_from_json
-from treechains.simplicial import EdgePoint, SimplicialGraph, vkey
+from treechains.simplicial import EdgePoint, GraphError, SimplicialGraph, vkey
 from treechains.verify import (
     STAGES,
     VerifyContext,
@@ -329,7 +331,7 @@ def mixed_regions(draw):
     picks = draw(st.lists(st.tuples(st.integers(0, len(sets) - 1), st.booleans()),
                           min_size=1, max_size=4))
     pool = [(MIXED.closure if closed else MIXED.region)(sets[i]) for i, closed in picks]
-    edges = [e for e in MIXED_EDGES if any(e in r.codes for r in pool)]
+    edges = [e for e in MIXED_EDGES if any(e in r.pieces for r in pool)]
     edges.append(draw(st.sampled_from(MIXED_EDGES)))
     pool += draw(st.lists(drawn_region(edges), min_size=1, max_size=3))
     return draw(st.permutations(pool))
@@ -392,6 +394,62 @@ def test_contains_point_off_grid_matches_key_tuples(data):
                    data.draw(drawn_region([edge] + list(MIXED_EDGES[:3])))):
         assert region.contains_point(p) == contains_by_keys(region, p)
     assert MIXED.region(a).contains_point(p) == point_in_cover_set(MIXED.system, p, a)
+
+
+# -- codes keyed by edge position --------------------------------------------
+# A region keys its codes by the edge's position in the tree's
+# sorted_edges(); ``pieces`` gives them back keyed by the edge itself.
+
+region_pools = st.one_of(fork_regions, mixed_regions())
+
+
+@settings(max_examples=200, deadline=None)
+@given(region_pools)
+def test_codes_are_keyed_by_edge_position(regions):
+    for r in regions:
+        edges = r.tree.sorted_edges()
+        assert all(type(k) is int and 0 <= k < len(edges) for k in r.codes)
+        assert list(r.pieces) == r.sorted_edges() == [edges[k] for k in sorted(r.codes)]
+        assert SegmentRegion.from_pieces(r.tree, r.pieces, r.steps).codes == r.codes
+
+
+def _non_edges(tree):
+    vs = tree.sorted_vertices()
+    return [(u, v) for u in vs for v in vs if u != v and not tree.has_edge(u, v)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([FORK, MIXED.system.deepest]), st.data())
+def test_from_pieces_refuses_a_reversed_or_foreign_edge(tree, data):
+    a, b = data.draw(st.sampled_from(tree.sorted_edges()))
+    foreign = data.draw(st.sampled_from(_non_edges(tree) + [(a, "stray"), ("stray", b)]))
+    whole = (F(0), F(1), True, True)
+    for edge in ((b, a), foreign):
+        with pytest.raises(GraphError, match="unknown edge"):
+            SegmentRegion.from_pieces(tree, {(a, b): [whole], edge: [whole]}, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(region_pools, st.data())
+def test_contains_point_is_false_on_a_non_edge_pair(regions, data):
+    tree = regions[0].tree
+    whole = SegmentRegion.from_pieces(
+        tree, {e: [(F(0), F(1), True, True)] for e in tree.edges}, regions[0].steps)
+    u, v = data.draw(st.sampled_from(_non_edges(tree)))
+    t = F(data.draw(st.integers(1, 11)), 12)
+    for r in regions + [whole]:
+        assert not r.contains_point(EdgePoint(u, v, t))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, len(MIXED.system.all_sets()) - 1),
+       st.one_of(st.integers(), st.text(max_size=3), st.tuples(st.integers(), st.integers())))
+def test_realize_refuses_a_fiber_vertex_outside_the_tree(index, stray):
+    system = MIXED.system
+    a = system.all_sets()[index]
+    assume(stray not in system.deepest.vertices)
+    with pytest.raises(GraphError, match="unknown vertex"):
+        realize(system, dataclasses.replace(a, fiber=a.fiber | {stray}))
 
 
 def _ref_min_gap(realized, levels=None):
@@ -696,6 +754,46 @@ def test_tampered_closure_fails_taut_like_brute_force(monkeypatch):
             break
     witness = next(r.witness for r in report.results if r.name == "taut")
     assert witness == expected
+
+
+def _set_comparison_witness(adjacency, geometric):
+    """The first row on which the set of later indices of ``adjacency``
+    differs from ``geometric``'s, as (i, j, j in adjacency[i]) for the least
+    j of the symmetric difference."""
+    for i, (adj, geo_later) in enumerate(zip(adjacency, geometric)):
+        diff = {j for j in adj if j > i} ^ set(geo_later)
+        if diff:
+            j = min(diff)
+            return i, j, j in adj
+    return None
+
+
+@pytest.mark.parametrize("drop, add", [(0, None), (-1, None), (None, 0), (None, -1),
+                                       (0, -1), (-1, 0)])
+def test_tampered_adjacency_row_fails_the_route_like_a_set_comparison(drop, add):
+    # drop the first or last later index from a copied row, add the least or
+    # the largest later index it lacks, or both
+    ctx = VerifyContext(generate_instance(3))
+    system = ctx.system
+    sets = system.all_sets()
+    assert STAGE["taut"](ctx) is None and STAGE["oracle-identity"](ctx) is None
+    # both routes agree with the intersection graph, so its rows are the
+    # geometric answer
+    geometric = [[j for j in adj if j > i] for i, adj in enumerate(system.adjacency)]
+    i = next(i for i, later in enumerate(geometric)
+             if len(later) >= 2 and len(later) < len(sets) - 1 - i)
+    row = list(system.adjacency[i])
+    if drop is not None:
+        row.remove(geometric[i][drop])
+    if add is not None:
+        row.append([j for j in range(i + 1, len(sets)) if j not in row][add])
+    system.adjacency[i] = tuple(sorted(row))
+    found = _set_comparison_witness(system.adjacency, geometric)
+    assert found is not None and found[0] == i
+    _, j, ci = found
+    a, b = sets[i].key(), sets[j].key()
+    assert STAGE["taut"](ctx) == (a, b, ci, not ci)
+    assert STAGE["oracle-identity"](ctx) == ("open", a, b, ci, not ci)
 
 
 def test_extra_meeting_pair_fails_nerve():

@@ -440,6 +440,22 @@ class TestSubdivision:
             lifted = evaluate_realization(f3, to_subdivided(p))
             assert from_subdivided(lifted) == evaluate_realization(f, p)
 
+    @pytest.mark.parametrize("assignment", [
+        {0: 0, 1: 1, 2: 2, 3: 3},                # 4 unmapped
+        {0: 0, 1: 1, 2: 2, 3: 3, 4: 9},          # 9 is not a vertex of the target
+        {0: 0, 1: 2, 2: 2, 3: 3},                # unmapped, and (0, 1) torn too
+        {0: 0, 1: 1, 2: 3, 3: 3, 4: 2},          # (1, 2) sent to the non-edge (1, 3)
+        {0: 0, 1: 2, 2: 0, 3: 3, 4: 1},          # (0, 1), (1, 2) and (3, 4) torn
+    ])
+    def test_lift_raises_what_require_valid_raises(self, assignment):
+        g, h = path_graph(5), path_graph(4)
+        m = SimplicialMapping(g, h, assignment)
+        with pytest.raises(GraphError) as expected:
+            m.require_valid()
+        with pytest.raises(GraphError) as got:
+            lift_map_3(m, subdivide3(g), subdivide3(h))
+        assert str(got.value) == str(expected.value)
+
     def test_subdivided_coords_are_thirds(self):
         g = path_graph(2, spacing=3)
         g3 = subdivide3(g)

@@ -20,6 +20,8 @@ it.  The keys:
   the lifted rows, starting from an empty tree cache;
 - ``system``: the ``CoverSystem``;
 - ``realization``: the ``RealizedSystem``, every region and closure;
+- ``route_sweep``: ``later_intersecting`` over the regions and over the
+  closures, the geometric route of ``oracle-identity`` and ``taut``;
 - ``scaled_pieces``: the one build of the closures' integer pieces, per
   set and per deepest edge;
 - ``margin_scan``: ``family_min_gap_squared``, the least gap over all
@@ -71,6 +73,7 @@ from treechains.geometry import (  # noqa: E402
     enlarge_taut_family,
     enlargement_disjointness_violation,
     family_min_gap_squared,
+    later_intersecting,
     rho_squared,
 )
 from treechains.serialize import (  # noqa: E402
@@ -119,6 +122,9 @@ def one_round(l: int) -> dict:
     system, out["system"] = _timed(
         lambda: CoverSystem(inst.diagram, inst.epsilons, inst.phi_tables))
     realized, out["realization"] = _timed(lambda: RealizedSystem(system))
+    sets = system.all_sets()
+    _, out["route_sweep"] = _timed(lambda: [later_intersecting([pick(a) for a in sets])
+                                            for pick in (realized.region, realized.closure)])
     _, out["scaled_pieces"] = _timed(lambda: realized.scaled_pieces)
     _, out["margin_scan"] = _timed(lambda: family_min_gap_squared(realized))
     _, out["rho_scan"] = _timed(lambda: rho_squared(realized))
