@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .diagram import TreeDiagram
 from .simplicial import EdgePoint, GraphError, vkey
@@ -106,19 +106,15 @@ class CoverSystem:
         self._bonds: Dict[Tuple[int, int], Dict] = {}
         towers = self.towers = [self.bond(n, l) for n in range(l + 1)]
 
-        self.fibers: List[Dict] = []
-        for n in range(l + 1):
-            fib: Dict = {v: set() for v in diagram.levels[n].vertices}
-            for w, v in towers[n].items():
-                fib[v].add(w)
-            self.fibers.append({v: frozenset(ws) for v, ws in fib.items()})
-
         # every cover set is built here, once, and numbered in all_sets() order
         self.covers: List[List[CoverSet]] = []
         self._sets: List[CoverSet] = []
         self.level_start = [0]
         for n in range(l + 1):
-            sets = [CoverSet(n, v, self.fibers[n][v], epsilons[n], len(self._sets) + k)
+            fibers: Dict = {v: set() for v in diagram.levels[n].vertices}
+            for w, v in towers[n].items():
+                fibers[v].add(w)
+            sets = [CoverSet(n, v, frozenset(fibers[v]), epsilons[n], len(self._sets) + k)
                     for k, v in enumerate(diagram.levels[n].sorted_vertices())]
             self.covers.append(sets)
             self._sets += sets
@@ -234,36 +230,15 @@ def set_contains(system: CoverSystem, outer: CoverSet, inner: CoverSet) -> bool:
 # -- condition checkers: each returns a witness tuple or None --------------
 
 
-def first_failing_level_pair(l: int, violation: Callable) -> Optional[Tuple]:
-    """(j, n, witness) for the first level pair, in (j, n) order over
-    0 <= n < j <= l, on which ``violation(j, n)`` returns a witness; None if
-    it returns None on every pair.
-
-    Its users, strong-refinement's fiber inclusion and D2prime, hold on
-    every pair (j, n) exactly when they hold on the l consecutive pairs
-    (j, j - 1).  Only when one of those fails does the scan over all pairs
-    run, to name the first failing pair.
-    """
-    levels = range(1, l + 1)
-    if all(violation(j, j - 1) is None for j in levels):
-        return None
-    for j in levels:
-        for n in range(j):
-            bad = violation(j, n)
-            if bad is not None:
-                return (j, n, bad)
-    return None
-
-
 def refinement_violation(system: CoverSystem, j: int, n: int):
     """Strong refinement of level n by level j > n, with the canonical witness
     map; checked by fiber inclusion."""
     if not 0 <= n < j <= system.l:
         raise GraphError("need n < j")
     bond = system.bond(n, j)
-    for w in system.diagram.levels[j].sorted_vertices():
-        if not system.fibers[j][w] <= system.fibers[n][bond[w]]:
-            return (j, w)
+    for a in system.covers[j]:
+        if not a.fiber <= system.cover_set(n, bond[a.vertex]).fiber:
+            return (j, a.vertex)
     return None
 
 
@@ -295,23 +270,31 @@ def d2_violation(system: CoverSystem, j: int, n: int):
     return None
 
 
-def d2_holds(system: CoverSystem) -> bool:
+def first_d2_violation(system: CoverSystem):
     """D2 on every level pair in one pass: for each set U of level 1 or more,
     the row of phi(U) in ``meets`` is read once and the image of every V in
-    ``adjacency[U]`` with 1 <= level(V) <= level(U) tested.  Those are the
-    pairs ``d2_violation(j, n)`` visits over all n <= j, so this holds
-    exactly when every ``d2_violation`` is None."""
+    ``adjacency[U]`` with 1 <= level(V) <= level(U) tested, the pairs that
+    ``d2_violation(j, n)`` visits over all n <= j.  At the first level of U
+    with a failure, the scan's first witness (least n, then U, then V) is
+    the least (level(V), U, V), returned as (j, n, (u, v)); None if D2
+    holds."""
     starts, adjacency, meets = system.level_start, system.adjacency, system.meets
+    sets = system._sets
     first = starts[1]
     img = [None] * first + [b.index for b in system._images[first:]]
     for level in range(1, system.l + 1):
         end = starts[level + 1]
+        failing = []
         for a in range(starts[level], end):
             adj, row = adjacency[a], meets[img[a]]
             for b in adj[bisect_left(adj, first):bisect_left(adj, end)]:
                 if not row >> img[b] & 1:
-                    return False
-    return True
+                    failing.append((sets[b].level, a, b))
+                    break
+        if failing:
+            n, a, b = min(failing)
+            return (level - 1, n - 1, (sets[a].vertex, sets[b].vertex))
+    return None
 
 
 def d2prime_violation(system: CoverSystem, j: int, n: int):

@@ -12,6 +12,7 @@ from treechains.covers import (
     d2_violation,
     d2prime_violation,
     d3_violation,
+    first_d2_violation,
     nerve,
     nerve_isomorphic_to,
     point_in_cover_set,
@@ -145,7 +146,7 @@ class TestConditions:
             for n in range(j):
                 assert refinement_violation(system, j, n) is None
                 for w, v in system.bond(n, j).items():
-                    assert system.fibers[j][w] <= system.fibers[n][v]
+                    assert system.cover_set(j, w).fiber <= system.cover_set(n, v).fiber
         with pytest.raises(GraphError):
             refinement_violation(system, 1, 1)
 
@@ -192,10 +193,15 @@ class TestConditions:
                     v = rng.choice(levels[n + 1].sorted_vertices())
                     tables[n][v] = rng.choice(sorted(levels[n].neighbors(tables[n][v]), key=vkey))
                 system = CoverSystem(inst.diagram, inst.epsilons, tables)
+                d2 = first_d2_violation(system)
                 for n in range(l):
                     expected = later_partners_scan(system, n)
                     answers.append(expected is None)
                     assert d3_violation(system, n) == expected
+                    # the D3 stage is read off D2: a failing slice fails D2
+                    # on a pair (j, n') no later than (n, n)
+                    if expected is not None:
+                        assert d2 is not None and d2[:2] <= (n, n)
         assert True in answers and False in answers
 
     def test_d1_fails_with_refinement_witness_as_pattern(self):

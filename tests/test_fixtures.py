@@ -12,6 +12,8 @@ from treechains.serialize import FormatError, instance_from_json
 from treechains.verify import CONDITIONS, verify_instance
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+# the verify text of each fixture, one file per fixture
+REPORTS = os.path.join(os.path.dirname(__file__), "fixture_reports")
 
 CASES = [
     ("eps_nondecreasing.json", "schema"),
@@ -51,15 +53,22 @@ def test_fails_exactly_at_condition(name, condition):
 
 @pytest.mark.parametrize("name,condition", CASES)
 def test_cli_exit_code_nonzero(name, condition, capsys):
+    # the printed report is pinned whole: every line, the FAIL line's
+    # witness and the metrics included
     from treechains.cli import main
     assert main(["verify", os.path.join(FIXTURES, name)]) == 1
-    out = capsys.readouterr().out
-    assert "overall                FAIL" in out
+    with open(os.path.join(REPORTS, report_name(name))) as fh:
+        assert capsys.readouterr().out == fh.read()
+
+
+def report_name(name):
+    return name[:-len(".json")] + ".txt"
 
 
 def test_fixture_corpus_complete():
     present = sorted(f for f in os.listdir(FIXTURES) if f.endswith(".json"))
     assert present == sorted(name for name, _ in CASES)
+    assert sorted(os.listdir(REPORTS)) == sorted(report_name(name) for name, _ in CASES)
 
 
 def test_make_fixtures_regenerates_every_fixture_byte_for_byte(tmp_path, monkeypatch):
