@@ -232,14 +232,13 @@ def _d3(ctx: VerifyContext):
     return None
 
 
-def _route_mismatch(ctx: VerifyContext, closed: bool):
+def _route_mismatch(ctx: VerifyContext):
     """First pair, in all_sets() order, on which the intersection graph and
-    the geometric route over the open (or closed) regions disagree, as
-    (a, b, combinatorial answer); None if they agree everywhere."""
+    the geometric route over the closures disagree, as (a, b, combinatorial
+    answer); None if they agree everywhere."""
     system, realized = ctx.system, ctx.realized
     sets = system.all_sets()
-    pick = realized.closure if closed else realized.region
-    found = geo.later_intersecting([pick(a) for a in sets])
+    found = geo.later_intersecting([realized.closure(a) for a in sets])
     for i, (adj, geo_later) in enumerate(zip(system.adjacency, found)):
         later = adj[bisect_right(adj, i):]
         if later != tuple(geo_later):
@@ -249,7 +248,7 @@ def _route_mismatch(ctx: VerifyContext, closed: bool):
 
 
 def _taut(ctx: VerifyContext):
-    bad = _route_mismatch(ctx, closed=True)
+    bad = _route_mismatch(ctx)
     if bad is not None:
         a, b, ci = bad
         return (a.key(), b.key(), ci, not ci)
@@ -293,13 +292,13 @@ def _nerve(ctx: VerifyContext):
 
 
 def _oracle_identity(ctx: VerifyContext):
+    """Membership against the fibers, and cover.  Open regions meet where
+    closures do, so ``taut`` decides them: on an edge (u, w) sets holding u
+    and w have codes (0, 2eE - 1) and (2E - 2e'E + 1, 2E), which overlap as
+    e, e' > 1/2 on the grid give 2eE + 2e'E >= 2E + 2; sets holding one end
+    both start there; a region and its closure hold the same vertices, the
+    fiber.  At e = 1/2 they differ (``test_routes_differ_at_epsilon_one_half``)."""
     system, realized = ctx.system, ctx.realized
-    bad = _route_mismatch(ctx, closed=False)
-    if bad is not None:
-        a, b, ci = bad
-        return ("open", a.key(), b.key(), ci, not ci)
-    # a fiber is the tower preimage of its vertex, and a deepest vertex lies
-    # in a region exactly when it is in its vertex set
     for a in system.all_sets():
         wrong = a.fiber ^ realized.region(a).vertex_set
         if wrong:

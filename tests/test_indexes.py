@@ -33,6 +33,7 @@ from test_geometry import (
 import treechains.geometry as geometry
 from treechains.covers import (
     CoverSystem,
+    EpsilonSchedule,
     d1_violation,
     nerve,
     point_in_cover_set,
@@ -698,6 +699,20 @@ def test_fiber_inclusion_holds_on_every_level_pair(l):
             assert refinement_violation(system, j, n) is None
 
 
+def _first_closure_mismatch(realized):
+    """taut's witness by brute force: the first pair, in all_sets() order,
+    whose closures meet or not unlike the intersection graph says."""
+    system = realized.system
+    sets = system.all_sets()
+    for i, a in enumerate(sets):
+        for b in sets[i + 1:]:
+            ci = sets_intersect(system, a, b)
+            gc = region_intersects(realized.closure(a), realized.closure(b))
+            if ci != gc:
+                return (a.key(), b.key(), ci, gc)
+    return None
+
+
 def test_tampered_closure_fails_taut_like_brute_force(monkeypatch):
     built = []
     original = RealizedSystem.__init__
@@ -716,21 +731,8 @@ def test_tampered_closure_fails_taut_like_brute_force(monkeypatch):
     statuses = {r.name: r.status for r in report.results}
     assert statuses["taut"] == "FAIL" and statuses["D3"] == "PASS"
 
-    realized = built[-1]
-    system = realized.system
-    sets = system.all_sets()
-    expected = None
-    for i, a in enumerate(sets):
-        for b in sets[i + 1:]:
-            ci = sets_intersect(system, a, b)
-            gc = region_intersects(realized.closure(a), realized.closure(b))
-            if ci != gc:
-                expected = (a.key(), b.key(), ci, gc)
-                break
-        if expected:
-            break
     witness = next(r.witness for r in report.results if r.name == "taut")
-    assert witness == expected
+    assert witness == _first_closure_mismatch(built[-1])
 
 
 def _set_comparison_witness(adjacency, geometric):
@@ -770,7 +772,70 @@ def test_tampered_adjacency_row_fails_the_route_like_a_set_comparison(drop, add)
     _, j, ci = found
     a, b = sets[i].key(), sets[j].key()
     assert STAGE["taut"](ctx) == (a, b, ci, not ci)
-    assert STAGE["oracle-identity"](ctx) == ("open", a, b, ci, not ci)
+    # oracle-identity reads no pair: taut decides the open regions' pairs too
+    assert STAGE["oracle-identity"](ctx) is None
+
+
+def _schedule_ending_at(l, last):
+    values = EpsilonSchedule.default(l).values[:-1] + (last,)
+    return EpsilonSchedule(values)  # the dataclass: build rejects a last eps of 1/2
+
+
+def _both_routes(inst):
+    realized = RealizedSystem(CoverSystem(inst.diagram, inst.epsilons))
+    sets = realized.system.all_sets()
+    return (later_intersecting([realized.region(a) for a in sets]),
+            later_intersecting([realized.closure(a) for a in sets]))
+
+
+@pytest.mark.parametrize("last", [None, F(1, 2) + F(1, 1000)], ids=["default", "1/2+1/1000"])
+@pytest.mark.parametrize("l", range(1, 7))
+def test_open_and_closed_routes_agree_above_one_half(l, last):
+    eps = None if last is None else _schedule_ending_at(l, last)
+    opened, closed = _both_routes(generate_instance(l, eps))
+    assert opened == closed
+
+
+@pytest.mark.parametrize("l", [2, 4])
+def test_routes_differ_at_epsilon_one_half(l):
+    # at eps_l = 1/2 the stars of the two ends of a deepest edge are (0, E - 1)
+    # and (E + 1, 2E): apart, while their closures share the midpoint
+    opened, closed = _both_routes(generate_instance(l, _schedule_ending_at(l, F(1, 2))))
+    assert opened != closed
+    assert all(set(o) <= set(c) for o, c in zip(opened, closed))
+
+
+def test_far_edge_on_a_level_0_region_fails_taut_like_brute_force(monkeypatch):
+    original = geometry.realize
+
+    def tampered(system, a):
+        region = original(system, a)
+        if a.index != 0:
+            return region
+        # the level-0 set also covers the inside of the last deepest edge
+        # with no end within one edge of its fiber; RealizedSystem closes it
+        tree = system.deepest
+        near = set(a.fiber).union(*(tree.neighbors(w) for w in a.fiber))
+        k = max(k for k, (u, w) in enumerate(tree.sorted_edges())
+                if u not in near and w not in near)
+        steps = region.steps
+        return SegmentRegion(tree, steps, {**region.codes, k: ((1, 2 * steps - 1),)})
+
+    monkeypatch.setattr(geometry, "realize", tampered)
+    ctx = VerifyContext(generate_instance(2))
+    report = verify_instance(ctx.instance, ctx)
+    assert report.first_failure() == "taut"
+    expected = _first_closure_mismatch(ctx.realized)
+    assert expected is not None and expected[0] == ctx.system.all_sets()[0].key()
+    witness = next(r.witness for r in report.results if r.name == "taut")
+    assert witness == expected
+
+
+@pytest.mark.parametrize("l", [4, 8])
+def test_verify_sweeps_the_regions_once(l, monkeypatch):
+    calls = _counting(monkeypatch, ["later_intersecting"])
+    assert verify_instance(generate_instance(l)).passed
+    assert calls == {"later_intersecting": 1}
 
 
 def test_extra_meeting_pair_fails_nerve():

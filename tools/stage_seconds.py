@@ -20,8 +20,8 @@ it.  The keys:
   the lifted rows, starting from an empty tree cache;
 - ``system``: the ``CoverSystem``;
 - ``realization``: the ``RealizedSystem``, every region and closure;
-- ``route_sweep``: ``later_intersecting`` over the regions and over the
-  closures, the geometric route of ``oracle-identity`` and ``taut``;
+- ``route_sweep``: ``later_intersecting`` over the closures, the geometric
+  route of ``taut`` (``oracle-identity`` reads no pair, see its docstring);
 - ``scaled_pieces``: the one build of the closures' integer pieces, per
   set and per deepest edge;
 - ``margin_scan``: ``family_min_gap_squared``, the least gap over all
@@ -42,7 +42,7 @@ it.  The keys:
   its realization, ``enlargement-disjoint`` the pieces and the margin
   scan).
 
-Every value is the median over the rounds.
+Every value is the median over the rounds, in seconds to 6 decimals.
 
 Only the public API is used, from the ``src`` the script sits beside, and
 one private name: ``family._levels.cache_clear``, before each ``family``
@@ -123,8 +123,8 @@ def one_round(l: int) -> dict:
         lambda: CoverSystem(inst.diagram, inst.epsilons, inst.phi_tables))
     realized, out["realization"] = _timed(lambda: RealizedSystem(system))
     sets = system.all_sets()
-    _, out["route_sweep"] = _timed(lambda: [later_intersecting([pick(a) for a in sets])
-                                            for pick in (realized.region, realized.closure)])
+    _, out["route_sweep"] = _timed(
+        lambda: later_intersecting([realized.closure(a) for a in sets]))
     _, out["scaled_pieces"] = _timed(lambda: realized.scaled_pieces)
     _, out["margin_scan"] = _timed(lambda: family_min_gap_squared(realized))
     _, out["rho_scan"] = _timed(lambda: rho_squared(realized))
@@ -152,7 +152,7 @@ def one_round(l: int) -> dict:
 
 def stage_seconds(l: int) -> dict:
     rounds = [one_round(l) for _ in range(REPEATS)]
-    medians = {key: round(statistics.median(r[key] for r in rounds), 4) for key in rounds[0]}
+    medians = {key: round(statistics.median(r[key] for r in rounds), 6) for key in rounds[0]}
     return {"l": l, "repeats": REPEATS, "median_s": medians}
 
 
