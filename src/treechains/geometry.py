@@ -319,18 +319,22 @@ def region_contains(outer: SegmentRegion, inner: SegmentRegion) -> bool:
     """Every point of inner lies in outer: on each edge, on one E (see
     _code), every interval of inner lies in one merged component of outer's
     intervals, with an end vertex that outer holds through another edge
-    added as a point."""
+    added as a point.  Adding points only grows components, so an edge
+    whose intervals already lie in outer's own is decided without them."""
     top = 2 * _one_grid((outer, inner))
-    holds, edges = outer.vertex_set, outer.tree.sorted_edges()
+    edges = outer.tree.sorted_edges()
     for k, coded in inner.codes.items():
         cover = outer.codes.get(k, ())
-        ends = [(c, c) for v, c in zip(edges[k], (0, top)) if v in holds]
-        if ends:
-            cover = _merge(list(cover) + ends)
-        for start, end in coded:
-            if not any(s <= start and end <= e for s, e in cover):
+        if not _within(coded, cover):
+            ends = [(c, c) for v, c in zip(edges[k], (0, top)) if v in outer.vertex_set]
+            if not _within(coded, _merge(list(cover) + ends)):
                 return False
     return True
+
+
+def _within(coded, cover) -> bool:
+    """Every coded interval lies in one interval of cover."""
+    return all(any(s <= start and end <= e for s, e in cover) for start, end in coded)
 
 
 def covers_whole_tree(regions: Sequence[SegmentRegion]) -> bool:
@@ -766,7 +770,8 @@ def render_svg(realized: RealizedSystem, path: str,
 
     A set's links are its pieces in ``scaled_pieces``, drawn at x / scale:
     every epsilon exceeds 1/2, so a closure's pieces are its region's, and
-    an int quotient is the correctly rounded float of its rational."""
+    an int quotient is the correctly rounded float of its rational.  Each
+    distinct piece end is formatted once per call."""
     system = realized.system
     tree = system.deepest
     if levels is None:
@@ -783,10 +788,17 @@ def render_svg(realized: RealizedSystem, path: str,
         return ((float(p[0]) - x0) * _SVG_SCALE, (y1 - float(p[1])) * _SVG_SCALE)
 
     scale, by_set, _ = realized.scaled_pieces
+    texts = {}  # int point of a piece end -> its "x y" pixel text, formatted once
+
+    def at(p):
+        text = texts.get(p)
+        if text is None:
+            px = to_px((p[0] / scale, p[1] / scale))
+            text = texts[p] = "%s %s" % (_fmt(px[0]), _fmt(px[1]))
+        return text
 
     def link(piece):
-        pp, qq = [to_px((x / scale, y / scale)) for x, y in piece[1:3]]
-        return "M %s %s L %s %s" % (_fmt(pp[0]), _fmt(pp[1]), _fmt(qq[0]), _fmt(qq[1]))
+        return "M %s L %s" % (at(piece[1]), at(piece[2]))
 
     lines = ['<svg xmlns="http://www.w3.org/2000/svg" width="%s" height="%s" '
              'viewBox="0 0 %s %s">' % (_fmt(width + 160), _fmt(height),

@@ -352,20 +352,26 @@ def _ratio(p: int, q: int) -> str:  # p/q, q > 0, as fraction_to_json writes it
 
 def regions_to_json(realized) -> dict:
     """Interval dump of every realized cover set; levels labeled 1-based.
-    Each end is read from the codes as SegmentRegion.pieces reads it."""
+    Each end is read from the codes as SegmentRegion.pieces reads it.
+
+    Every realized region lies on ``system.deepest``, so an edge position
+    names its edge: the payload holds one ``[a, b]`` list per edge and one
+    interval list per distinct (E, codes) run, each shared by every piece
+    that has it, as ``LabelTable`` shares labels; none may be changed in
+    place.  ``write_json`` renders each shared list once."""
+    system = realized.system
     js = LabelTable().json
+    pairs = [[js(a), js(b)] for a, b in system.deepest.sorted_edges()]
+    runs = {}  # (E, codes) -> its interval list
     out = {"schema": SCHEMA_VERSION, "sets": []}
-    for a in realized.system.all_sets():
+    for a in system.all_sets():
         r = realized.region(a)
-        steps, edges = r.steps, r.tree.sorted_edges()
-        out["sets"].append({
-            "level": a.level + 1,
-            "vertex": js(a.vertex),
-            "pieces": [
-                [[js(edges[k][0]), js(edges[k][1])],
-                 [[_ratio(s // 2, steps), _ratio((t + 1) // 2, steps), s % 2 == 0, t % 2 == 0]
-                  for s, t in r.codes[k]]]
-                for k in sorted(r.codes)
-            ],
-        })
+        steps, pieces = r.steps, []
+        for k in sorted(r.codes):
+            key = (steps, r.codes[k])
+            if key not in runs:
+                runs[key] = [[_ratio(s // 2, steps), _ratio((t + 1) // 2, steps),
+                              s % 2 == 0, t % 2 == 0] for s, t in r.codes[k]]
+            pieces.append([pairs[k], runs[key]])
+        out["sets"].append({"level": a.level + 1, "vertex": js(a.vertex), "pieces": pieces})
     return out

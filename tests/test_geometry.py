@@ -353,6 +353,14 @@ class TestRegions:
         small = star_region(g, 1, F(1, 4), 4)
         assert region_contains(whole, small)
         assert not region_contains(small, whole)
+        # the end vertex 1 of (0, 1), held only through (1, 2), closes the
+        # open interval there: containment holds through the vertex alone
+        open_end = {(0, 1): [(F(1, 2), F(1), False, False)]}
+        outer = SegmentRegion.from_pieces(
+            g, {**open_end, (1, 2): [(F(0), F(1, 4), True, False)]}, 4)
+        inner = SegmentRegion.from_pieces(g, {(0, 1): [(F(3, 4), F(1), True, True)]}, 4)
+        assert region_contains(outer, inner)
+        assert not region_contains(SegmentRegion.from_pieces(g, open_end, 4), inner)
 
     def test_distance_and_diameter(self):
         g = path_graph(4, spacing=2)

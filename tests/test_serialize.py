@@ -1,11 +1,13 @@
 import io
 import json
+import os
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import treechains.cli as cli
 import treechains.serialize as serialize
 from treechains.cli import main
 from treechains.covers import CoverSystem
@@ -214,6 +216,33 @@ class TestWriter:
     def test_other_types_raise(self, obj):
         with pytest.raises(TypeError):
             _written(obj)
+
+    @pytest.mark.parametrize("args", [("--l", str(l)) for l in range(1, 6)]
+                             + [("--l", "3", "--eps", "3/4,2/3,3/5,11/20")])
+    def test_generate_payloads_are_the_stdlib_text(self, args, tmp_path, monkeypatch, capsys):
+        """Each of generate's four payloads, its shared lists included, is
+        written as the stdlib writes it; regions.json holds one interval list
+        per distinct (E, codes) run and one [a, b] list per edge."""
+        payloads, realized = {}, []
+
+        def regions(r):
+            realized.append(r)
+            return regions_to_json(r)
+
+        monkeypatch.setattr(cli, "dump_json", lambda obj, path: payloads.update(
+            {os.path.basename(path): obj}))
+        monkeypatch.setattr(cli, "regions_to_json", regions)
+        assert main(["generate", *args, "--out", str(tmp_path)]) == 0
+        assert sorted(payloads) == ["enlargement.json", "instance.json", "regions.json",
+                                    "system.json"]
+        for obj in payloads.values():
+            assert _written(obj) == json.dumps(obj, indent=1, sort_keys=True)
+        regions = realized[0].regions.values()
+        pieces = [p for s in payloads["regions.json"]["sets"] for p in s["pieces"]]
+        assert len({id(run) for _, run in pieces}) == len(
+            {(r.steps, coded) for r in regions for coded in r.codes.values()})
+        assert len({id(pair) for pair, _ in pieces}) == len(
+            {k for r in regions for k in r.codes})
 
     def test_generate_streams_its_files(self, tmp_path, monkeypatch, capsys):
         """At l = 8 no single write exceeds 64 KiB: no document is built whole."""

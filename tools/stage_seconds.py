@@ -34,6 +34,9 @@ it.  The keys:
   system, regions, enlargement), built as Python objects;
 - ``json_write``: ``dump_json`` of those four payloads into a temporary
   directory, the encoding and the file writes;
+- ``svg``: ``render_svg`` of the realized system into the same directory,
+  with the taut radii, as ``cmd_generate`` calls it (the pieces it draws
+  are already built, see ``scaled_pieces``);
 - ``json_load``: ``load_instance`` of the written instance.json, that is
   ``json.load`` plus ``instance_from_json``: verify's read path;
 - ``stage.<name>``: the seconds the report of ``verify_instance`` records
@@ -74,6 +77,7 @@ from treechains.geometry import (  # noqa: E402
     enlargement_disjointness_violation,
     family_min_gap_squared,
     later_intersecting,
+    render_svg,
     rho_squared,
 )
 from treechains.serialize import (  # noqa: E402
@@ -141,6 +145,8 @@ def one_round(l: int) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         _, out["json_write"] = _timed(lambda: [dump_json(obj, os.path.join(tmp, name))
                                                for name, obj in payloads.items()])
+        _, out["svg"] = _timed(
+            lambda: render_svg(realized, os.path.join(tmp, "covers.svg"), radius_sq))
         _, out["json_load"] = _timed(lambda: load_instance(os.path.join(tmp, "instance.json")))
     report = verify_instance(generate_instance(l))
     if not report.passed:
