@@ -142,19 +142,14 @@ class CoverSystem:
         # ends of one deepest edge
         ids = {w: [self._by_vertex[n][towers[n][w]].index for n in range(l + 1)]
                for w in self.deepest.vertices}
-        meets = [set() for _ in self._sets]
-        for own in ids.values():
-            for i in own:
-                meets[i].update(own)
-        for u, w in self.deepest.edges:
+        rows = [set() for _ in self._sets]
+        close = [(w, w) for w in ids] + [p for e in self.deepest.edges for p in (e, e[::-1])]
+        for u, w in close:
             for i in ids[u]:
-                meets[i].update(ids[w])
-            for i in ids[w]:
-                meets[i].update(ids[u])
-        # adjacency[i]: the indices of the sets meeting set i, ascending;
-        # meets[i] has bit j set when sets i and j meet
-        self.adjacency = [tuple(sorted(m)) for m in meets]
-        self.meets: List[int] = [sum(1 << j for j in adj) for adj in self.adjacency]
+                rows[i].update(ids[w])
+        # adjacency[i]: the indices of the sets meeting set i, i among them,
+        # ascending; the one store of the intersection graph
+        self.adjacency = [tuple(sorted(m)) for m in rows]
 
     # -- plumbing ---------------------------------------------------------
 
@@ -212,11 +207,17 @@ def point_in_cover_set(system: CoverSystem, p: EdgePoint, a: CoverSet) -> bool:
     return False
 
 
+def _in_row(row: Sequence[int], j: int) -> bool:
+    """j in the ascending ``row``, by binary search."""
+    k = bisect_left(row, j)
+    return k < len(row) and row[k] == j
+
+
 def sets_intersect(system: CoverSystem, a: CoverSet, b: CoverSet) -> bool:
     """Nonempty intersection: some pair of fiber vertices is 1-close in the
     deepest tree.  Symmetric; closures intersect exactly when the sets do.
-    A lookup in the intersection graph of the system."""
-    return system.meets[a.index] >> b.index & 1 == 1
+    A lookup of b in the adjacency row of a."""
+    return _in_row(system.adjacency[a.index], b.index)
 
 
 def set_contains(system: CoverSystem, outer: CoverSet, inner: CoverSet) -> bool:
@@ -272,23 +273,22 @@ def d2_violation(system: CoverSystem, j: int, n: int):
 
 def first_d2_violation(system: CoverSystem):
     """D2 on every level pair in one pass: for each set U of level 1 or more,
-    the row of phi(U) in ``meets`` is read once and the image of every V in
-    ``adjacency[U]`` with 1 <= level(V) <= level(U) tested, the pairs that
+    the image of every V in ``adjacency[U]`` with 1 <= level(V) <= level(U)
+    is looked up in the adjacency row of phi(U), the pairs that
     ``d2_violation(j, n)`` visits over all n <= j.  At the first level of U
     with a failure, the scan's first witness (least n, then U, then V) is
     the least (level(V), U, V), returned as (j, n, (u, v)); None if D2
     holds."""
-    starts, adjacency, meets = system.level_start, system.adjacency, system.meets
-    sets = system._sets
+    starts, adjacency, sets = system.level_start, system.adjacency, system.all_sets()
     first = starts[1]
-    img = [None] * first + [b.index for b in system._images[first:]]
+    img = [None] * first + [system.apply_phi(a).index for a in sets[first:]]
     for level in range(1, system.l + 1):
         end = starts[level + 1]
         failing = []
         for a in range(starts[level], end):
-            adj, row = adjacency[a], meets[img[a]]
+            adj, row = adjacency[a], adjacency[img[a]]
             for b in adj[bisect_left(adj, first):bisect_left(adj, end)]:
-                if not row >> img[b] & 1:
+                if not _in_row(row, img[b]):
                     failing.append((sets[b].level, a, b))
                     break
         if failing:

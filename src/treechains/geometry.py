@@ -494,18 +494,18 @@ def _grid_pairs(pieces, reach: int):
 
 
 class _GapScan:
-    """The pairs of pieces of two sets that do not meet (bit j of meets[i]
-    set when sets i and j meet) that may be at most sqrt(``limit``) apart,
-    as (squared box gap, a, b).
+    """(squared box gap, a, b) for the pieces a and b of sets i and j that
+    may lie at most sqrt(``limit``) apart, when j is not in ``adjacency[i]``.
 
     A group is (ends, points, pieces): one edge of a tree, the int points of
     its ends and the pieces (set index, p, q, box) on it, in the same int
     units.  Pieces are paired on one edge, on two edges at one vertex, and
     on two edges that share no vertex and whose boxes are at most
     sqrt(``limit``) apart, found by one grid over the edge boxes.  A piece
-    of set i is skipped at once when every set on the other edge meets it,
-    mask & ~meets[i] == 0.  At a vertex V, with u and w the other ends of
-    the two edges less V, two pieces whose nearer ends lie da and db
+    of set i is skipped at once when every set on the other edge h meets
+    it, on[h] <= rows[i], the sets with pieces on h against ``adjacency[i]``
+    as a frozenset, built per scan.  At a vertex V, with u and w the other
+    ends of the two edges less V, two pieces whose nearer ends lie da and db
     (squared) from V are at least da + db apart if u . w <= 0, else at
     least max(da, db) (u x w)^2 / (|u|^2 |w|^2), squared; there the pieces
     are swept by distance from V, and the sweep stops once that bound
@@ -514,10 +514,10 @@ class _GapScan:
     pair at most sqrt(final limit) apart is yielded.
     """
 
-    def __init__(self, groups, meets: Sequence[int], limit):
-        self.groups, self.meets, self.limit = groups, meets, limit
-        self.masks = [sum(1 << i for i in {pc[0] for pc in pieces})
-                      for _, _, pieces in groups]
+    def __init__(self, groups, adjacency, limit):
+        self.groups, self.limit = groups, limit
+        self.on = [frozenset(pc[0] for pc in pieces) for _, _, pieces in groups]
+        self.rows = {i: frozenset(adjacency[i]) for i in frozenset().union(*self.on)}
 
     def __iter__(self):
         groups = self.groups
@@ -541,8 +541,8 @@ class _GapScan:
 
     def _free(self, g, h):
         """The pieces of group g of a set that misses some set on group h."""
-        mask, meets = self.masks[h], self.meets
-        return [pc for pc in self.groups[g][2] if mask & ~meets[pc[0]]]
+        on, rows = self.on[h], self.rows
+        return [pc for pc in self.groups[g][2] if not on <= rows[pc[0]]]
 
     def _close(self, a, b):
         gap = _box_gap_squared(a[3], b[3])
@@ -553,9 +553,9 @@ class _GapScan:
         here = self._free(g, h)
         there = here if g == h else self._free(h, g)
         for x, a in enumerate(here):
-            free = self.masks[h] & ~self.meets[a[0]]
+            row = self.rows[a[0]]
             for b in (there[x + 1:] if g == h else there):
-                if free >> b[0] & 1:
+                if b[0] not in row:
                     yield from self._close(a, b)
 
     def _at_vertex(self, g, k, h, m):
@@ -577,11 +577,11 @@ class _GapScan:
         for da, a in _by_distance(here, v):
             if beyond(da, 0):
                 break
-            free = self.masks[h] & ~self.meets[a[0]]
+            row = self.rows[a[0]]
             for db, b in there:
                 if beyond(da, db):
                     break
-                if free >> b[0] & 1:
+                if b[0] not in row:
                     yield from self._close(a, b)
 
 
@@ -592,7 +592,7 @@ def _by_distance(pieces, v):
                   key=lambda t: t[0])
 
 
-def _least_gap_squared(groups, meets: Sequence[int]):
+def _least_gap_squared(groups, adjacency):
     """Least squared distance between two pieces of sets that do not meet,
     exact, in the units of the groups (see _GapScan); None if there is no
     such pair.
@@ -606,7 +606,7 @@ def _least_gap_squared(groups, meets: Sequence[int]):
     if not any(pieces for _, _, pieces in groups):
         return None
     whole = _box([pt for _, points, _ in groups for pt in points])
-    scan = _GapScan(groups, meets, (whole[1] - whole[0]) ** 2 + (whole[3] - whole[2]) ** 2)
+    scan = _GapScan(groups, adjacency, (whole[1] - whole[0]) ** 2 + (whole[3] - whole[2]) ** 2)
     found = []
     for gap, a, b in scan:
         found.append((gap, a, b))
@@ -626,7 +626,7 @@ def _min_disjoint_gap_squared(realized: RealizedSystem, groups) -> Optional[Frac
     """Least squared distance between pieces of two disjoint sets in the
     edge groups ``groups`` of ``scaled_pieces``, exact; None if none."""
     scale = realized.scaled_pieces[0]
-    best = _least_gap_squared(groups, realized.system.meets)
+    best = _least_gap_squared(groups, realized.system.adjacency)
     return None if best is None else Fraction(best) / (scale * scale)
 
 
@@ -714,7 +714,7 @@ def enlargement_disjointness_violation(realized: RealizedSystem,
     scale, _, by_edge = realized.scaled_pieces
     s2 = scale * scale
     near: Dict = {}
-    for _, a, b in _GapScan(by_edge, system.meets, 4 * max(radius) * s2):
+    for _, a, b in _GapScan(by_edge, system.adjacency, 4 * max(radius) * s2):
         pair = (a[0], b[0]) if a[0] < b[0] else (b[0], a[0])
         d = segment_dist2(a[1], a[2], b[1], b[2])
         if pair not in near or d < near[pair]:

@@ -35,6 +35,7 @@ from treechains.covers import (
     CoverSystem,
     EpsilonSchedule,
     d1_violation,
+    first_d2_violation,
     nerve,
     point_in_cover_set,
     refinement_violation,
@@ -551,7 +552,7 @@ def test_taut_radii_pass_enlargement_disjoint_on_the_margin(tmp_path, monkeypatc
     assert calls == {"enlargement_disjointness_violation": 0, "family_min_gap_squared": 1}
 
 
-def _piece_grid_least_gap(pieces, meets):
+def _piece_grid_least_gap(pieces, adjacency):
     # the piece-level scan that the edge-by-edge _GapScan replaced: a grid
     # over all pieces whose reach doubles until the best gap lies within it
     if not pieces:
@@ -563,7 +564,7 @@ def _piece_grid_least_gap(pieces, meets):
         best = None
         for p, q in _grid_pairs(pieces, reach):
             a, b = pieces[p], pieces[q]
-            if meets[a[0]] >> b[0] & 1:
+            if b[0] in adjacency[a[0]]:
                 continue
             if best is not None and geometry._box_gap_squared(a[3], b[3]) >= best:
                 continue
@@ -591,7 +592,7 @@ def _piece_grid_disjointness_violation(realized, radius_sq):
     for p, q in _grid_pairs(pieces, math.isqrt(bound)):
         a, b = pieces[p], pieces[q]
         i, j = a[0], b[0]
-        if system.meets[i] >> j & 1 or geometry._box_gap_squared(a[3], b[3]) > bound:
+        if j in system.adjacency[i] or geometry._box_gap_squared(a[3], b[3]) > bound:
             continue
         near.add((i, j) if i < j else (j, i))
     for i, j in sorted(near):
@@ -608,14 +609,15 @@ def test_edge_scan_matches_the_piece_grid(l):
     # further, for the margin, rho and the check at four radius factors
     inst = generate_instance(l)
     realized = RealizedSystem(CoverSystem(inst.diagram, inst.epsilons))
-    sets, meets = realized.system.all_sets(), realized.system.meets
+    sets, adjacency = realized.system.all_sets(), realized.system.adjacency
     scale, by_set, _ = realized.scaled_pieces
     pieces = [pc for own in by_set for pc in own]
     s2 = scale * scale
-    assert family_min_gap_squared(realized) == Fraction(_piece_grid_least_gap(pieces, meets), s2)
+    assert family_min_gap_squared(realized) == \
+        Fraction(_piece_grid_least_gap(pieces, adjacency), s2)
     level0 = [pc for pc in pieces if sets[pc[0]].level == 0]
     assert compute_rho_and_mesh(realized)[0] == \
-        Fraction(_piece_grid_least_gap(level0, meets), s2)
+        Fraction(_piece_grid_least_gap(level0, adjacency), s2)
     _, radius_sq = enlarge_taut_family(realized)
     witnesses = []
     for factor in ("1", "9/4", "3", "40"):
@@ -851,7 +853,6 @@ def test_extra_meeting_pair_fails_nerve():
                 if not sets_intersect(system, a, b))
     for i, j in ((a.index, b.index), (b.index, a.index)):
         system.adjacency[i] = tuple(sorted(system.adjacency[i] + (j,)))
-        system.meets[i] |= 1 << j
     assert nerve(system, 0).edges == system.diagram.levels[0].edges
     assert not nerve(system, 1).is_tree()
     assert STAGE["nerve"](ctx) == ("not-isomorphic", 1)
@@ -933,10 +934,10 @@ def test_one_pass_stages_match_the_level_pair_scans(l):
                                       else levels[n].sorted_vertices())
         _assert_stages_match_references(
             VerifyContext(Instance(inst.diagram, inst.epsilons, tables)), seen)
-    # one extra meeting pair at a level >= 1, in adjacency and in meets
+    # one extra meeting pair at a level >= 1, in adjacency
     ctx = VerifyContext(inst)
     system = ctx.system
-    adjacency, meets = list(system.adjacency), list(system.meets)
+    adjacency = list(system.adjacency)
     sets = system.all_sets()[system.level_start[1]:]
     for _ in range(40):
         a = rng.choice(sets)
@@ -945,9 +946,8 @@ def test_one_pass_stages_match_the_level_pair_scans(l):
                         if not sets_intersect(system, a, b)])
         for i, j in ((a.index, b.index), (b.index, a.index)):
             system.adjacency[i] = tuple(sorted(system.adjacency[i] + (j,)))
-            system.meets[i] |= 1 << j
         _assert_stages_match_references(ctx, seen)
-        system.adjacency[:], system.meets[:] = adjacency, meets
+        system.adjacency[:] = adjacency
     assert {("D2", False), ("D2", True), ("D2", "first U"), ("D2", "later U"),
             ("D2prime", False), ("nerve", False), ("nerve", True)} <= seen
     # one meeting pair of a level taken out: the nerve loses an edge of T_n
@@ -956,9 +956,30 @@ def test_one_pass_stages_match_the_level_pair_scans(l):
         b = rng.choice([b for b in system.neighbors(a, n) if b is not a])
         for i, j in ((a.index, b.index), (b.index, a.index)):
             system.adjacency[i] = tuple(k for k in system.adjacency[i] if k != j)
-            system.meets[i] &= ~(1 << j)
         assert STAGE["nerve"](ctx) == _ref_nerve(system) == ("not-isomorphic", n)
-        system.adjacency[:], system.meets[:] = adjacency, meets
+        system.adjacency[:] = adjacency
+
+
+def test_every_reader_sees_one_adjacency_edit():
+    # one symmetric meeting pair added to adjacency alone: two sets of level
+    # 1 or more that miss each other and whose phi-images miss each other too
+    ctx = VerifyContext(generate_instance(2))
+    system = ctx.system
+    sets = system.all_sets()[system.level_start[1]:]
+    a, b = next((a, b) for x, a in enumerate(sets) for b in sets[x + 1:]
+                if not sets_intersect(system, a, b)
+                and not sets_intersect(system, system.apply_phi(a), system.apply_phi(b)))
+    _, _, by_edge = ctx.realized.scaled_pieces
+    pair = [(e, points, [pc for pc in pieces if pc[0] in (a.index, b.index)])
+            for e, points, pieces in by_edge]
+    assert first_d2_violation(system) is None
+    assert _least_gap_squared(pair, system.adjacency) is not None
+    for i, j in ((a.index, b.index), (b.index, a.index)):
+        system.adjacency[i] = tuple(sorted(system.adjacency[i] + (j,)))
+    assert sets_intersect(system, a, b) and sets_intersect(system, b, a)
+    expected = _ref_d2(system)
+    assert expected is not None and first_d2_violation(system) == expected
+    assert _least_gap_squared(pair, system.adjacency) is None
 
 
 def _triangle_tampers(system):
@@ -987,16 +1008,15 @@ def test_grown_region_fails_triples_like_brute_force(monkeypatch):
     def tampered(self, system):
         original(self, system)
         sets = system.all_sets()
-        meets = list(system.meets)
+        adjacency = list(system.adjacency)
         for b, q in _triangle_tampers(system):
             i = b.index
-            system.meets = list(meets)
+            rows = [set(row) for row in adjacency]
             for j, d in enumerate(sets):
                 if self.closure(d).contains_point(q):
-                    system.meets[i] |= 1 << j
-                    system.meets[j] |= 1 << i
-            system.adjacency = [tuple(j for j in range(len(sets)) if m >> j & 1)
-                                for m in system.meets]
+                    rows[i].add(j)
+                    rows[j].add(i)
+            system.adjacency = [tuple(sorted(row)) for row in rows]
             if d1_violation(system, 0) is None:
                 break
         else:
@@ -1143,15 +1163,16 @@ def edge_groups(draw):
 
 
 @st.composite
-def meets_tables(draw):
-    """Every set meets every other, less some pairs drawn at random."""
-    meets = [(1 << _SETS) - 1] * _SETS
+def adjacency_rows(draw):
+    """Every set meets every other, less some pairs drawn at random, as
+    ascending rows that hold the set itself."""
+    rows = [set(range(_SETS)) for _ in range(_SETS)]
     for i, j in draw(st.lists(st.tuples(st.integers(0, _SETS - 1),
                                         st.integers(0, _SETS - 1)), max_size=12)):
         if i != j:
-            meets[i] &= ~(1 << j)
-            meets[j] &= ~(1 << i)
-    return meets
+            rows[i].discard(j)
+            rows[j].discard(i)
+    return [tuple(sorted(row)) for row in rows]
 
 
 def _kind(groups, a, b):
@@ -1163,25 +1184,25 @@ def _kind(groups, a, b):
 
 
 @settings(max_examples=300, deadline=None)
-@given(edge_groups(), meets_tables())
-def test_least_gap_matches_all_pairs(groups, meets):
+@given(edge_groups(), adjacency_rows())
+def test_least_gap_matches_all_pairs(groups, adjacency):
     pieces = [pc for _, _, group in groups for pc in group]
     brute = min((segment_dist2(a[1], a[2], b[1], b[2])
                  for x, a in enumerate(pieces) for b in pieces[x + 1:]
-                 if not meets[a[0]] >> b[0] & 1),
+                 if b[0] not in adjacency[a[0]]),
                 default=None)
-    assert _least_gap_squared(groups, meets) == brute
+    assert _least_gap_squared(groups, adjacency) == brute
 
 
 @settings(max_examples=300, deadline=None)
-@given(edge_groups(), meets_tables(), st.integers(0, 400))
-def test_gap_scan_yields_every_pair_within_its_limit(groups, meets, limit):
+@given(edge_groups(), adjacency_rows(), st.integers(0, 400))
+def test_gap_scan_yields_every_pair_within_its_limit(groups, adjacency, limit):
     pieces = [pc for _, _, group in groups for pc in group]
-    found = [(id(a), id(b)) for _, a, b in _GapScan(groups, meets, limit)]
+    found = [(id(a), id(b)) for _, a, b in _GapScan(groups, adjacency, limit)]
     assert len(set(map(frozenset, found))) == len(found)
     for x, a in enumerate(pieces):
         for b in pieces[x + 1:]:
-            if meets[a[0]] >> b[0] & 1:
+            if b[0] in adjacency[a[0]]:
                 continue
             if segment_dist2(a[1], a[2], b[1], b[2]) <= limit:
                 event("within the limit: " + _kind(groups, a, b))
@@ -1200,10 +1221,10 @@ def test_gap_scan_yields_every_pair_within_its_limit(groups, meets, limit):
                ((2, 3), ((7, 0), (9, 0)), [_piece(1, (7, 0), (9, 0))])], 9),
 ])
 def test_least_gap_on_each_kind_of_edge_pair(kind, groups, expected):
-    meets = [1, 2]  # each set meets only itself
-    (_, a, b), = _GapScan(groups, meets, expected)
+    adjacency = [(0,), (1,)]  # each set meets only itself
+    (_, a, b), = _GapScan(groups, adjacency, expected)
     assert _kind(groups, a, b) == kind
-    assert _least_gap_squared(groups, meets) == expected
+    assert _least_gap_squared(groups, adjacency) == expected
 
 
 def test_least_gap_widens_past_a_nearer_cell():
@@ -1218,7 +1239,7 @@ def test_least_gap_widens_past_a_nearer_cell():
               (("c0", "c1"), ((8, 0), (12, 0)), [c]), (("c1", "b1"), ((12, 0), (16, 4)), [b])]
     boxes = [(k, None, None, _piece(0, *points)[3]) for k, (_, points, _) in enumerate(groups)]
     assert (0, 2) not in {tuple(sorted(pair)) for pair in _grid_pairs(boxes, 0)}
-    assert _least_gap_squared(groups, [1, 2, 4]) == 16
+    assert _least_gap_squared(groups, [(0,), (1,), (2,)]) == 16
 
 
 _roots = st.fractions(min_value=0, max_value=20, max_denominator=12)

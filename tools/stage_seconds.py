@@ -46,6 +46,9 @@ it.  The keys:
   scan).
 
 Every value is the median over the rounds, in seconds to 6 decimals.
+Beside them, ``peak_rss_mb`` is ``ru_maxrss`` after that l's rounds, in
+MB: the process's high-water mark so far, not that l's own peak.  So a
+per-l peak needs one l per invocation.
 
 Only the public API is used, from the ``src`` the script sits beside, and
 one private name: ``family._levels.cache_clear``, before each ``family``
@@ -54,6 +57,7 @@ build and each ``family_sweep``.
 
 import json
 import os
+import resource
 import statistics
 import sys
 import tempfile
@@ -159,7 +163,8 @@ def one_round(l: int) -> dict:
 def stage_seconds(l: int) -> dict:
     rounds = [one_round(l) for _ in range(REPEATS)]
     medians = {key: round(statistics.median(r[key] for r in rounds), 6) for key in rounds[0]}
-    return {"l": l, "repeats": REPEATS, "median_s": medians}
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KB on Linux
+    return {"l": l, "repeats": REPEATS, "median_s": medians, "peak_rss_mb": round(peak, 1)}
 
 
 def main(argv) -> int:
