@@ -207,17 +207,13 @@ def point_in_cover_set(system: CoverSystem, p: EdgePoint, a: CoverSet) -> bool:
     return False
 
 
-def _in_row(row: Sequence[int], j: int) -> bool:
-    """j in the ascending ``row``, by binary search."""
-    k = bisect_left(row, j)
-    return k < len(row) and row[k] == j
-
-
 def sets_intersect(system: CoverSystem, a: CoverSet, b: CoverSet) -> bool:
     """Nonempty intersection: some pair of fiber vertices is 1-close in the
     deepest tree.  Symmetric; closures intersect exactly when the sets do.
-    A lookup of b in the adjacency row of a."""
-    return _in_row(system.adjacency[a.index], b.index)
+    A binary search for b in the ascending adjacency row of a."""
+    row = system.adjacency[a.index]
+    k = bisect_left(row, b.index)
+    return k < len(row) and row[k] == b.index
 
 
 def set_contains(system: CoverSystem, outer: CoverSet, inner: CoverSet) -> bool:
@@ -245,6 +241,8 @@ def refinement_violation(system: CoverSystem, j: int, n: int):
 
 def d1_violation(system: CoverSystem, n: int):
     """U in level n meets V in level n+1 but phi_n(V) still meets U."""
+    if not 0 <= n <= system.l - 1:
+        raise GraphError("need 0 <= n <= l-1")
     for v_set in system.covers[n + 1]:
         img = system.apply_phi(v_set)
         for u_set in system.neighbors(v_set, n):
@@ -271,39 +269,13 @@ def d2_violation(system: CoverSystem, j: int, n: int):
     return None
 
 
-def first_d2_violation(system: CoverSystem):
-    """D2 on every level pair in one pass: for each set U of level 1 or more,
-    the image of every V in ``adjacency[U]`` with 1 <= level(V) <= level(U)
-    is looked up in the adjacency row of phi(U), the pairs that
-    ``d2_violation(j, n)`` visits over all n <= j.  At the first level of U
-    with a failure, the scan's first witness (least n, then U, then V) is
-    the least (level(V), U, V), returned as (j, n, (u, v)); None if D2
-    holds."""
-    starts, adjacency, sets = system.level_start, system.adjacency, system.all_sets()
-    first = starts[1]
-    img = [None] * first + [system.apply_phi(a).index for a in sets[first:]]
-    for level in range(1, system.l + 1):
-        end = starts[level + 1]
-        failing = []
-        for a in range(starts[level], end):
-            adj, row = adjacency[a], adjacency[img[a]]
-            for b in adj[bisect_left(adj, first):bisect_left(adj, end)]:
-                if not _in_row(row, img[b]):
-                    failing.append((sets[b].level, a, b))
-                    break
-        if failing:
-            n, a, b = min(failing)
-            return (level - 1, n - 1, (sets[a].vertex, sets[b].vertex))
-    return None
-
-
 def d2prime_violation(system: CoverSystem, j: int, n: int):
     """cl(U) inside V but phi_j(U) not inside phi_n(V), for U in level j+1 and
     V in level n+1; containments decided by the canonical fiber witness.
     The one V that can contain U is the set of its bond image.  With phi
-    read off the f-row, (j, j - 1) is a square ``commutative`` checks and
-    every pair follows from those (``verify._d2prime``), so this can fail
-    only on an instance that carries its own ``phi`` tables."""
+    read off the f-row every pair follows from the squares ``commutative``
+    checks (``verify._d2prime``), so this can fail only on an instance that
+    carries its own ``phi`` tables."""
     if not 0 <= n <= j <= system.l - 1:
         raise GraphError("need 0 <= n <= j <= l-1")
     bond = system.bond(n + 1, j + 1)
@@ -312,6 +284,18 @@ def d2prime_violation(system: CoverSystem, j: int, n: int):
         if not set_contains(system, system.apply_phi(v_set),
                             system.apply_phi(u_set)):
             return (u_set.vertex, v_set.vertex)
+    return None
+
+
+def first_failing_level_pair(system: CoverSystem, violation):
+    """The first level pair (j, n) with n <= j < l, j first, on which
+    ``violation(system, j, n)`` names a witness, as (j, n, witness); None if
+    there is none."""
+    for j in range(system.l):
+        for n in range(j + 1):
+            bad = violation(system, j, n)
+            if bad is not None:
+                return (j, n, bad)
     return None
 
 

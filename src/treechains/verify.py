@@ -198,6 +198,20 @@ def _strong_refinement(ctx: VerifyContext):
 
 
 def _d1(ctx: VerifyContext):
+    """Scanned only on carried ``phi`` tables.  With phi read off the f-row
+    it holds, by the closed form of the intersection graph: a set V of
+    level m and a set U of level n <= m meet exactly when U = g_{n,m}(x)
+    for some x in the closed star of V in T_m (the fibers meet in a deepest
+    vertex or edge, and a simplicial surjection between trees, which
+    ``diagram-well-formed`` and ``embedding`` make every bond, is onto
+    edges; ``test_adjacency_is_the_closed_form``).  Let V of level n+1 meet
+    U of level n: U = g_n(x), x in the closed star of V, so U is g_n(V) or
+    next to it, as g_n is simplicial.  ``proximity-free`` puts f_n(V) at
+    distance >= 3 from g_n(V), so U is at distance >= 2 from phi_n(V) =
+    f_n(V), and two sets of one level meet only when their vertices are
+    equal or adjacent."""
+    if ctx.instance.phi_tables is None:
+        return None
     for n in range(ctx.l):
         bad = cv.d1_violation(ctx.system, n)
         if bad is not None:
@@ -206,29 +220,35 @@ def _d1(ctx: VerifyContext):
 
 
 def _d2(ctx: VerifyContext):
-    return cv.first_d2_violation(ctx.system)
+    """Scanned only on carried ``phi`` tables.  With phi read off the f-row
+    it holds: let U of level j+1 meet V of level n+1, n <= j.  By the
+    closed form (``_d1``), V = g_{n+1,j+1}(x) with x in the closed star of
+    U.  Pasting the squares ``commutative`` checks (``_d2prime``) gives
+    phi_n(V) = g_{n,j}(f_j(x)); f_j is simplicial, so f_j(x) is in the
+    closed star of f_j(U) = phi_j(U), and by the closed form phi_j(U)
+    meets phi_n(V)."""
+    if ctx.instance.phi_tables is None:
+        return None
+    return cv.first_failing_level_pair(ctx.system, cv.d2_violation)
 
 
 def _d2prime(ctx: VerifyContext):
-    """``d2prime_violation`` decides C(j, n): g_{n,j} phi_j = phi_n
-    g_{n+1,j+1} on T_{j+1}.  C(j, j) holds (the bond is the identity), and
-    C(j, n) for n < j follows from the consecutive squares by pasting:
-    g_{n,j} phi_j = g_{n,j-1} g_{j-1} phi_j = g_{n,j-1} phi_{j-1} g_j =
-    phi_n g_{n+1,j+1}.  So the rows before the first failing square
-    C(j, j - 1) hold, and the first failure is the least failing n of row j."""
-    system = ctx.system
-    for j in range(1, ctx.l):
-        if cv.d2prime_violation(system, j, j - 1) is not None:
-            for n in range(j):
-                bad = cv.d2prime_violation(system, j, n)
-                if bad is not None:
-                    return (j, n, bad)
-    return None
+    """Scanned only on carried ``phi`` tables.  ``d2prime_violation``
+    decides C(j, n): g_{n,j} phi_j = phi_n g_{n+1,j+1} on T_{j+1}.  C(j, j)
+    holds (the bond is the identity), and C(j, n) for n < j follows from
+    the consecutive squares by pasting: g_{n,j} phi_j = g_{n,j-1} g_{j-1}
+    phi_j = g_{n,j-1} phi_{j-1} g_j = phi_n g_{n+1,j+1}.  With phi read
+    off the f-row the consecutive square C(j, j - 1) is f_{j-1} g_j =
+    g_{j-1} f_j, which ``commutative`` checks, so every pair holds."""
+    if ctx.instance.phi_tables is None:
+        return None
+    return cv.first_failing_level_pair(ctx.system, cv.d2prime_violation)
 
 
 def _d3(ctx: VerifyContext):
     """Decided by D2: ``d3_violation(n)`` is ``d2_violation(n, n)``, a pair
-    that D2 has passed before this stage runs (a failing D2 skips it)."""
+    that D2 has decided before this stage runs, by its scan on carried
+    ``phi`` tables and by its proof otherwise (a failing D2 skips it)."""
     return None
 
 

@@ -12,7 +12,7 @@ from treechains.covers import (
     d2_violation,
     d2prime_violation,
     d3_violation,
-    first_d2_violation,
+    first_failing_level_pair,
     nerve,
     nerve_isomorphic_to,
     point_in_cover_set,
@@ -160,7 +160,8 @@ class TestConditions:
         assert not set_contains(system, inner, outer)
 
     def test_pattern_conditions_hold_on_generated(self):
-        for l in (1, 2, 3):
+        # the scans that verify's D1, D2 and D2prime skip on these instances
+        for l in range(1, 7):
             system = make_system(l)
             for j in range(l):
                 assert d1_violation(system, j) is None
@@ -193,7 +194,7 @@ class TestConditions:
                     v = rng.choice(levels[n + 1].sorted_vertices())
                     tables[n][v] = rng.choice(sorted(levels[n].neighbors(tables[n][v]), key=vkey))
                 system = CoverSystem(inst.diagram, inst.epsilons, tables)
-                d2 = first_d2_violation(system)
+                d2 = first_failing_level_pair(system, d2_violation)
                 for n in range(l):
                     expected = later_partners_scan(system, n)
                     answers.append(expected is None)
@@ -203,6 +204,36 @@ class TestConditions:
                     if expected is not None:
                         assert d2 is not None and d2[:2] <= (n, n)
         assert True in answers and False in answers
+
+    def test_adjacency_is_the_closed_form(self):
+        # the lemma behind verify's D1 and D2 proofs: V of level m and U of
+        # level n <= m meet exactly when U = g_{n,m}(x) for some x in the
+        # closed star of V in T_m, with g_{n,m} composed here from the
+        # g-row's assignments
+        for l in range(1, 7):
+            inst = generate_instance(l)
+            system = CoverSystem(inst.diagram, inst.epsilons)
+            levels, g_row = inst.diagram.levels, inst.diagram.g_row
+            rows = [set() for _ in system.all_sets()]
+            for m in range(l + 1):
+                g_nm = {v: v for v in levels[m].vertices}
+                for n in range(m, -1, -1):
+                    if n < m:
+                        g_nm = {v: g_row[n].assignment[w] for v, w in g_nm.items()}
+                    for v in levels[m].vertices:
+                        i = system.cover_set(m, v).index
+                        for x in levels[m].neighbors(v) | {v}:
+                            k = system.cover_set(n, g_nm[x]).index
+                            rows[i].add(k)
+                            rows[k].add(i)
+            assert system.adjacency == [tuple(sorted(row)) for row in rows]
+
+    def test_d1_checks_its_level(self):
+        system = make_system(2)
+        assert d1_violation(system, 1) is None
+        for n in (-2, -1, 2, 3):
+            with pytest.raises(GraphError):
+                d1_violation(system, n)
 
     def test_d1_fails_with_refinement_witness_as_pattern(self):
         inst = generate_instance(1)

@@ -35,7 +35,8 @@ from treechains.covers import (
     CoverSystem,
     EpsilonSchedule,
     d1_violation,
-    first_d2_violation,
+    d2_violation,
+    first_failing_level_pair,
     nerve,
     point_in_cover_set,
     refinement_violation,
@@ -934,8 +935,10 @@ def test_one_pass_stages_match_the_level_pair_scans(l):
                                       else levels[n].sorted_vertices())
         _assert_stages_match_references(
             VerifyContext(Instance(inst.diagram, inst.epsilons, tables)), seen)
-    # one extra meeting pair at a level >= 1, in adjacency
-    ctx = VerifyContext(inst)
+    # one extra meeting pair at a level >= 1, in adjacency, on the f-row
+    # carried as tables: the stages scan only carried tables
+    f_row = [dict(f.assignment) for f in inst.diagram.f_row]
+    ctx = VerifyContext(Instance(inst.diagram, inst.epsilons, f_row))
     system = ctx.system
     adjacency = list(system.adjacency)
     sets = system.all_sets()[system.level_start[1]:]
@@ -972,13 +975,14 @@ def test_every_reader_sees_one_adjacency_edit():
     _, _, by_edge = ctx.realized.scaled_pieces
     pair = [(e, points, [pc for pc in pieces if pc[0] in (a.index, b.index)])
             for e, points, pieces in by_edge]
-    assert first_d2_violation(system) is None
+    assert first_failing_level_pair(system, d2_violation) is None
     assert _least_gap_squared(pair, system.adjacency) is not None
     for i, j in ((a.index, b.index), (b.index, a.index)):
         system.adjacency[i] = tuple(sorted(system.adjacency[i] + (j,)))
     assert sets_intersect(system, a, b) and sets_intersect(system, b, a)
     expected = _ref_d2(system)
-    assert expected is not None and first_d2_violation(system) == expected
+    assert expected is not None
+    assert first_failing_level_pair(system, d2_violation) == expected
     assert _least_gap_squared(pair, system.adjacency) is None
 
 

@@ -19,6 +19,11 @@ it.  The keys:
   (f, g) and on (``map_sigma``, ``map_tau``), and ``proximity_vertices`` on
   the lifted rows, starting from an empty tree cache;
 - ``system``: the ``CoverSystem``;
+- ``pattern_scans``: the D1, D2 and D2prime stages on a ``VerifyContext``
+  whose instance carries the f-row as its ``phi`` tables, its
+  ``CoverSystem`` built before the timing: the scans those stages skip on
+  a generated instance, where they hold by proof (``stage.D1``,
+  ``stage.D2`` and ``stage.D2prime`` read about 0 there);
 - ``realization``: the ``RealizedSystem``, every region and closure;
 - ``route_sweep``: ``later_intersecting`` over the closures, the geometric
   route of ``taut`` (``oracle-identity`` reads no pair, see its docstring);
@@ -93,7 +98,12 @@ from treechains.serialize import (  # noqa: E402
     system_to_json,
 )
 from treechains.simplicial import subdivide3  # noqa: E402
-from treechains.verify import generate_instance, verify_instance  # noqa: E402
+from treechains.verify import (  # noqa: E402
+    STAGES,
+    VerifyContext,
+    generate_instance,
+    verify_instance,
+)
 
 REPEATS = 5
 
@@ -118,6 +128,18 @@ def family_sweep(l: int) -> None:
             proximity_vertices(lifted.f_row[n], lifted.g_row[n])
 
 
+def pattern_scans(diagram, epsilons) -> float:
+    """Seconds of the D1, D2 and D2prime stages on the f-row carried as
+    ``phi`` tables; the system is built before the timing."""
+    ctx = VerifyContext(Instance(diagram, epsilons, [dict(f.assignment) for f in diagram.f_row]))
+    ctx.system  # built here, outside the timing
+    stages = dict(STAGES)
+    witnesses, seconds = _timed(lambda: [stages[name](ctx) for name in ("D1", "D2", "D2prime")])
+    if witnesses != [None] * 3:
+        raise SystemExit("pattern scans failed: %r" % (witnesses,))
+    return seconds
+
+
 def one_round(l: int) -> dict:
     out = {}
     family._levels.cache_clear()  # the last round's generate_instance cached the trees
@@ -129,6 +151,7 @@ def one_round(l: int) -> dict:
     inst = Instance(lifted, EpsilonSchedule.default(l))  # as generate_instance(l)
     system, out["system"] = _timed(
         lambda: CoverSystem(inst.diagram, inst.epsilons, inst.phi_tables))
+    out["pattern_scans"] = pattern_scans(lifted, inst.epsilons)
     realized, out["realization"] = _timed(lambda: RealizedSystem(system))
     sets = system.all_sets()
     _, out["route_sweep"] = _timed(
