@@ -104,7 +104,7 @@ class CoverSystem:
 
         # towers[n] is the bond g_nl: vertex of T_l -> vertex of T_n
         self._bonds: Dict[Tuple[int, int], Dict] = {}
-        towers = self.towers = [self.bond(n, l) for n in range(l + 1)]
+        towers = [self.bond(n, l) for n in range(l + 1)]
 
         # every cover set is built here, once, and numbered in all_sets() order
         self.covers: List[List[CoverSet]] = []
@@ -119,7 +119,6 @@ class CoverSystem:
             self.covers.append(sets)
             self._sets += sets
             self.level_start.append(len(self._sets))
-        self._by_vertex = [{a.vertex: a for a in sets} for sets in self.covers]
 
         if phi_tables is None:
             self.phi = [dict(diagram.f_row[n].assignment) for n in range(l)]
@@ -140,7 +139,8 @@ class CoverSystem:
         # the intersection graph, built once on the sets' indices: two sets
         # meet exactly when their fibers hold one deepest vertex or the two
         # ends of one deepest edge
-        ids = {w: [self._by_vertex[n][towers[n][w]].index for n in range(l + 1)]
+        by_level = list(zip(self.level_start, [t.rank for t in diagram.levels], towers))
+        ids = {w: [start + rank[tower[w]] for start, rank, tower in by_level]
                for w in self.deepest.vertices}
         rows = [set() for _ in self._sets]
         close = [(w, w) for w in ids] + [p for e in self.deepest.edges for p in (e, e[::-1])]
@@ -154,7 +154,7 @@ class CoverSystem:
     # -- plumbing ---------------------------------------------------------
 
     def cover_set(self, n: int, v) -> CoverSet:
-        return self._by_vertex[n][v]
+        return self.covers[n][self.diagram.levels[n].rank[v]]
 
     def all_sets(self) -> List[CoverSet]:
         return list(self._sets)
@@ -193,7 +193,7 @@ class CoverSystem:
 def point_in_cover_set(system: CoverSystem, p: EdgePoint, a: CoverSet) -> bool:
     """Definitional membership of an arbitrary realization point: push p down
     the g-tower and test against the epsilon-star of a.vertex."""
-    tower = system.towers[a.level]
+    tower = system.bond(a.level, system.l)
     q = EdgePoint(tower[p.a], tower[p.b], p.t) if tower[p.a] != tower[p.b] \
         else EdgePoint.vertex(tower[p.a])
     c = q.canonical()

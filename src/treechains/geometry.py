@@ -215,11 +215,6 @@ class SegmentRegion:
                                  s % 2 == 0, e % 2 == 0) for s, e in self.codes[k])
                 for k in sorted(self.codes)}
 
-    def sorted_edges(self):
-        """The region's edges in the tree's ``sorted_edges()`` order."""
-        edges = self.tree.sorted_edges()
-        return [edges[k] for k in sorted(self.codes)]
-
     @cached_property
     def vertex_set(self) -> frozenset:
         top, edges = 2 * self.steps, self.tree.sorted_edges()
@@ -406,48 +401,46 @@ def realize(system: CoverSystem, a: CoverSet) -> SegmentRegion:
 
 
 class RealizedSystem:
-    """Cover system together with the realized region of every cover set."""
+    """Cover system together with the realized region of every cover set.
+
+    A realized region holds one interval per edge: the stars of an edge's
+    ends, (0, 2eE - 1) and (2E - 2eE + 1, 2E), overlap as e > 1/2 on the
+    grid gives 4eE >= 2E + 2, and ``realize`` merges them.  So closing
+    merges nothing, and ``region(a).closure()`` has the region's pieces."""
 
     def __init__(self, system: CoverSystem):
         self.system = system
-        self.regions: Dict[Tuple[int, object], SegmentRegion] = {}
-        self.closures: Dict[Tuple[int, object], SegmentRegion] = {}
-        for a in system.all_sets():
-            r = realize(system, a)
-            self.regions[(a.level, a.vertex)] = r
-            self.closures[(a.level, a.vertex)] = r.closure()
+        self.regions: Dict[Tuple[int, object], SegmentRegion] = {
+            (a.level, a.vertex): realize(system, a) for a in system.all_sets()}
 
     def region(self, a: CoverSet) -> SegmentRegion:
         return self.regions[(a.level, a.vertex)]
 
-    def closure(self, a: CoverSet) -> SegmentRegion:
-        return self.closures[(a.level, a.vertex)]
-
     @cached_property
     def scaled_pieces(self):
-        """(scale, by_set, by_edge): every closed piece of every closure as
+        """(scale, by_set, by_edge): every closed piece of every region as
         one (set index, p, q, box) in int coordinates, built once.
-        ``by_set[i]`` lists set i's, its closure's edges in ``sorted_edges()``
+        ``by_set[i]`` lists set i's, its region's edges in ``sorted_edges()``
         order; ``by_edge`` holds one group (edge, points, pieces) per edge of
         the deepest tree in that order, with its ends' int points and the
         same tuples on it, in all_sets() order.
 
         With the deepest tree's int frame (A, B the int ends of an edge) and
-        the closures' codes on one E (see _one_grid), a closed end has code
-        2L for the parameter L/E, at the point (A (E - L) + B L) / E, so
-        ``scale`` is the frame's times E and every coordinate is an int
-        combination, with no Fraction in between.
+        the regions' codes on one E (see _one_grid), a code's closed ends are
+        L = start // 2 and (end + 1) // 2 (see the class docstring), the
+        parameter L/E at the point (A (E - L) + B L) / E, so ``scale`` is the
+        frame's times E and every coordinate is an int combination.
         """
         tree = self.system.deepest
         unit, ipt = tree.int_frame
-        closures = [self.closure(a) for a in self.system.all_sets()]
-        steps = _one_grid(closures)
+        regions = [self.region(a) for a in self.system.all_sets()]
+        steps = _one_grid(regions)
         edges = tree.sorted_edges()
         ends = [ipt[a] + ipt[b] for a, b in edges]  # (ax, ay, bx, by) by position
         on: List[List] = [[] for _ in edges]
-        by_set: List[List] = [[] for _ in closures]
-        for i, closure in enumerate(closures):
-            codes, own = closure.codes, by_set[i]
+        by_set: List[List] = [[] for _ in regions]
+        for i, region in enumerate(regions):
+            codes, own = region.codes, by_set[i]
             for k in sorted(codes):
                 ax, ay, bx, by = ends[k]
                 for start, end in codes[k]:
@@ -768,10 +761,9 @@ def render_svg(realized: RealizedSystem, path: str,
     per cover level, stroked twice the level's enlargement radius wide when
     ``radius_sq`` is given.  Returns the SVG text.
 
-    A set's links are its pieces in ``scaled_pieces``, drawn at x / scale:
-    every epsilon exceeds 1/2, so a closure's pieces are its region's, and
-    an int quotient is the correctly rounded float of its rational.  Each
-    distinct piece end is formatted once per call."""
+    A set's links are its region's closed pieces in ``scaled_pieces``, drawn
+    at x / scale: an int quotient is the correctly rounded float of its
+    rational.  Each distinct piece end is formatted once per call."""
     system = realized.system
     tree = system.deepest
     if levels is None:

@@ -26,13 +26,16 @@ def vkey(v):
 
     A tuple's key lists its items' keys, so a subdivision label has
     ``vkey(("sub", (a, b), t)) == (2, vkey("sub"), (2, vkey(a), vkey(b)), vkey(t))``;
-    ``subdivide3`` derives its new labels' keys by this identity.
+    ``subdivide3`` derives its new labels' keys by this identity.  A bool
+    has a class of its own, tested after the branches the program's labels take.
     """
     if isinstance(v, tuple):
         return (2, *[(0, x) if type(x) is int else (1, x) if type(x) is str else vkey(x)
                      for x in v])
     if isinstance(v, int) and not isinstance(v, bool):
         return (0, v)
+    if isinstance(v, bool):
+        return (3, v)
     return (1, str(v))
 
 

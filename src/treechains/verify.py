@@ -180,19 +180,19 @@ def _system_build(ctx: VerifyContext):
 
 def _strong_refinement(ctx: VerifyContext):
     """Closure containment along each bond.  Fiber inclusion holds by
-    construction: a fiber is a preimage under towers[j] = bond(j, l), and
-    bond(n, l), built as g_n o bond(n + 1, l), is bond(n, j) o bond(j, l).
-    The closure check reads the realized regions.  On a realization of the
-    schedule it holds too: g_n, linear on edges, maps the closed
-    eps_{n+1}-star of w into the open eps_n-star of g_n(w), as eps is
-    strictly decreasing.  The shrunk level-1 region of
-    ``test_nesting_witness_matches_all_pairs`` fails it."""
+    construction: a fiber is a preimage under bond(j, l), and bond(n, l),
+    built as g_n o bond(n + 1, l), is bond(n, j) o bond(j, l).  The closure
+    check reads each realized region and the closure it derives
+    (``SegmentRegion.closure``).  On a realization of the schedule it holds
+    too: g_n, linear on edges, maps the closed eps_{n+1}-star of w into the
+    open eps_n-star of g_n(w), as eps is strictly decreasing.  The shrunk
+    level-1 region of ``test_nesting_witness_matches_all_pairs`` fails it."""
     system, realized = ctx.system, ctx.realized
     for n in range(ctx.l):
         bond = system.bond(n, n + 1)
         for a in system.covers[n + 1]:
             outer = system.cover_set(n, bond[a.vertex])
-            if not geo.region_contains(realized.region(outer), realized.closure(a)):
+            if not geo.region_contains(realized.region(outer), realized.region(a).closure()):
                 return ("closure", n, a.vertex)
     return None
 
@@ -252,26 +252,27 @@ def _d3(ctx: VerifyContext):
     return None
 
 
-def _route_mismatch(ctx: VerifyContext):
-    """First pair, in all_sets() order, on which the intersection graph and
-    the geometric route over the closures disagree, as (a, b, combinatorial
-    answer); None if they agree everywhere."""
+def _taut(ctx: VerifyContext):
+    """The intersection graph against the geometric route over the regions:
+    the first pair, in all_sets() order, on which they disagree, as (key a,
+    key b, combinatorial answer, geometric answer).
+
+    Tautness asks that disjoint members have disjoint closures, and the
+    open regions meet exactly where their closures do: on an edge (u, w)
+    sets holding u and w have codes (0, 2eE - 1) and (2E - 2e'E + 1, 2E),
+    which overlap as e, e' > 1/2 on the grid give 2eE + 2e'E >= 2E + 2;
+    sets holding one end both hold it; a region and its closure hold the
+    same vertices, the fiber, as e < 1.  At e = 1/2 they differ
+    (``test_routes_differ_at_epsilon_one_half``)."""
     system, realized = ctx.system, ctx.realized
     sets = system.all_sets()
-    found = geo.later_intersecting([realized.closure(a) for a in sets])
+    found = geo.later_intersecting([realized.region(a) for a in sets])
     for i, (adj, geo_later) in enumerate(zip(system.adjacency, found)):
         later = adj[bisect_right(adj, i):]
         if later != tuple(geo_later):
             j = min(set(later).symmetric_difference(geo_later))
-            return sets[i], sets[j], j in later
-    return None
-
-
-def _taut(ctx: VerifyContext):
-    bad = _route_mismatch(ctx)
-    if bad is not None:
-        a, b, ci = bad
-        return (a.key(), b.key(), ci, not ci)
+            ci = j in later
+            return (sets[i].key(), sets[j].key(), ci, not ci)
     return None
 
 
@@ -302,7 +303,7 @@ def _nerve(ctx: VerifyContext):
     """The nerve of each level has T_n's vertices and edges.  It is then a
     tree with no test of its own: ``embedding`` found every T_n a tree.
     The built graph passes: the fibers of one level are disjoint, so two of
-    its sets meet only across a deepest edge, which towers[n] sends to an
+    its sets meet only across a deepest edge, which bond(n, l) sends to an
     edge of T_n, and a simplicial surjection between trees is onto edges.
     ``test_extra_meeting_pair_fails_nerve`` fails it on a tampered graph."""
     for n in range(ctx.l + 1):
@@ -312,12 +313,8 @@ def _nerve(ctx: VerifyContext):
 
 
 def _oracle_identity(ctx: VerifyContext):
-    """Membership against the fibers, and cover.  Open regions meet where
-    closures do, so ``taut`` decides them: on an edge (u, w) sets holding u
-    and w have codes (0, 2eE - 1) and (2E - 2e'E + 1, 2E), which overlap as
-    e, e' > 1/2 on the grid give 2eE + 2e'E >= 2E + 2; sets holding one end
-    both start there; a region and its closure hold the same vertices, the
-    fiber.  At e = 1/2 they differ (``test_routes_differ_at_epsilon_one_half``)."""
+    """Membership against the fibers, and cover.  ``taut`` has decided the
+    open regions' pairs: its sweep reads them."""
     system, realized = ctx.system, ctx.realized
     for a in system.all_sets():
         wrong = a.fiber ^ realized.region(a).vertex_set

@@ -103,7 +103,7 @@ class TestIntersection:
     def test_membership_is_tower_fiber(self):
         system = make_system(2)
         for a in system.all_sets():
-            tower = system.towers[a.level]
+            tower = system.bond(a.level, system.l)
             assert a.fiber == {w for w in system.deepest.vertices if tower[w] == a.vertex}
 
     def test_point_membership_half_open(self):

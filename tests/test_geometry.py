@@ -76,11 +76,17 @@ def region_union(regions):
     return SegmentRegion.from_pieces(regions[0].tree, raw, regions[0].steps)
 
 
+def region_edges(region):
+    """The edges a region has pieces on, in the tree's ``sorted_edges()``
+    order."""
+    return [region.tree.sorted_edges()[k] for k in sorted(region.codes)]
+
+
 def geometric_pieces(region):
     """The closed carrier segments of a region with exact Fraction endpoints,
     edge by edge in ``sorted_edges()`` order."""
     segs = []
-    for a, b in region.sorted_edges():
+    for a, b in region_edges(region):
         (ax, ay), (bx, by) = region.tree.point(a), region.tree.point(b)
         for lo, hi, _, _ in region.pieces[(a, b)]:
             segs.append(tuple((ax + t * (bx - ax), ay + t * (by - ay)) for t in (lo, hi)))
@@ -382,13 +388,13 @@ class TestRegions:
                 reader([coarse, fine])
         with pytest.raises(GraphError, match="different trees"):
             region_contains(coarse, SegmentRegion.from_pieces(path_graph(3), half, 2))
-        # a realized system whose closures are not all on one grid
+        # a realized system whose regions are not all on one grid
         inst = generate_instance(1)
         realized = RealizedSystem(CoverSystem(inst.diagram, inst.epsilons))
         a = realized.system.covers[0][0]
-        closure = realized.closure(a)
-        realized.closures[(a.level, a.vertex)] = SegmentRegion.from_pieces(
-            closure.tree, closure.pieces, 2 * closure.steps)
+        region = realized.region(a)
+        realized.regions[(a.level, a.vertex)] = SegmentRegion.from_pieces(
+            region.tree, region.pieces, 2 * region.steps)
         with pytest.raises(GraphError, match="not on one grid"):
             realized.scaled_pieces
 
@@ -431,8 +437,8 @@ class TestRealized:
             for b in level0[i + 1:]:
                 if sets_intersect(system, a, b):
                     continue
-                for p1, q1 in geometric_pieces(realized.closure(a)):
-                    for p2, q2 in geometric_pieces(realized.closure(b)):
+                for p1, q1 in geometric_pieces(realized.region(a).closure()):
+                    for p2, q2 in geometric_pieces(realized.region(b).closure()):
                         for s in range(11):
                             for t in range(11):
                                 x1 = float(p1[0]) + (float(q1[0]) - float(p1[0])) * s / 10

@@ -23,6 +23,7 @@ from test_geometry import (
     normalize_intervals,
     path_graph,
     region_contains_by_keys,
+    region_edges,
     region_intersects,
     region_union,
     set_distance_squared,
@@ -117,13 +118,13 @@ def test_scaled_pieces_are_the_closures_pieces(realized):
     assert all(pc[0] == i for i, own in enumerate(by_set) for pc in own)
     got = [(i, tuple((F(x, scale), F(y, scale)) for x, y in (p, q)))
            for i, p, q, _ in pieces]
-    sets = realized.system.all_sets()
-    assert got == [(i, seg) for i, a in enumerate(sets)
-                   for seg in geometric_pieces(realized.closure(a))]
+    closures = [realized.region(a).closure() for a in realized.system.all_sets()]
+    assert got == [(i, seg) for i, closure in enumerate(closures)
+                   for seg in geometric_pieces(closure)]
     # by_edge holds the very same tuples, grouped by the edge each lies on,
     # in all_sets() order, with the edge's ends in the same units
-    on = [e for a in sets for e in realized.closure(a).sorted_edges()
-          for _ in realized.closure(a).pieces[e]]
+    on = [e for closure in closures for e in region_edges(closure)
+          for _ in closure.pieces[e]]
     tree = realized.system.deepest
     assert [e for e, _, _ in by_edge] == list(tree.sorted_edges())
     for e, points, group in by_edge:
@@ -137,7 +138,7 @@ def test_scaled_pieces_are_the_closures_pieces(realized):
 def test_every_region_is_on_the_schedule_grid(realized):
     steps = realized.system.epsilons.steps
     for a in realized.system.all_sets():
-        assert realized.region(a).steps == realized.closure(a).steps == steps
+        assert realized.region(a).steps == realized.region(a).closure().steps == steps
 
 
 def test_realize_matches_the_union_of_stars(realized):
@@ -160,12 +161,11 @@ def test_graph_matches_hull_definition(realized):
 
 
 def test_region_index_matches_all_pairs(realized):
-    sets = realized.system.all_sets()
-    for pick in (realized.region, realized.closure):
-        regions = [pick(a) for a in sets]
-        brute = [[j for j in range(i + 1, len(sets))
+    opened = [realized.region(a) for a in realized.system.all_sets()]
+    for regions in (opened, [r.closure() for r in opened]):
+        brute = [[j for j in range(i + 1, len(regions))
                   if region_intersects(regions[i], regions[j])]
-                 for i in range(len(sets))]
+                 for i in range(len(regions))]
         assert later_intersecting(regions) == brute
 
 
@@ -333,7 +333,8 @@ def mixed_regions(draw):
     sets = MIXED.system.all_sets()
     picks = draw(st.lists(st.tuples(st.integers(0, len(sets) - 1), st.booleans()),
                           min_size=1, max_size=4))
-    pool = [(MIXED.closure if closed else MIXED.region)(sets[i]) for i, closed in picks]
+    pool = [MIXED.region(sets[i]).closure() if closed else MIXED.region(sets[i])
+            for i, closed in picks]
     edges = [e for e in MIXED_EDGES if any(e in r.pieces for r in pool)]
     edges.append(draw(st.sampled_from(MIXED_EDGES)))
     pool += draw(st.lists(drawn_region(edges), min_size=1, max_size=3))
@@ -393,7 +394,7 @@ def test_contains_point_off_grid_matches_key_tuples(data):
     flipped = data.draw(st.booleans())
     p = EdgePoint(edge[1], edge[0], 1 - t) if flipped else EdgePoint(*edge, t)
     event("on the grid: %s" % ((t * MIXED_STEPS).denominator == 1))
-    for region in (MIXED.region(a), MIXED.closure(a),
+    for region in (MIXED.region(a), MIXED.region(a).closure(),
                    data.draw(drawn_region([edge] + list(MIXED_EDGES[:3])))):
         assert region.contains_point(p) == contains_by_keys(region, p)
     assert MIXED.region(a).contains_point(p) == point_in_cover_set(MIXED.system, p, a)
@@ -412,7 +413,7 @@ def test_codes_are_keyed_by_edge_position(regions):
     for r in regions:
         edges = r.tree.sorted_edges()
         assert all(type(k) is int and 0 <= k < len(edges) for k in r.codes)
-        assert list(r.pieces) == r.sorted_edges() == [edges[k] for k in sorted(r.codes)]
+        assert list(r.pieces) == region_edges(r) == [edges[k] for k in sorted(r.codes)]
         assert SegmentRegion.from_pieces(r.tree, r.pieces, r.steps).codes == r.codes
 
 
@@ -459,12 +460,13 @@ def _ref_min_gap(realized, levels=None):
     # all disjoint pairs, pruned only by the exact bounding-box gap
     system = realized.system
     sets = [a for a in system.all_sets() if levels is None or a.level in levels]
+    closures = [realized.region(a).closure() for a in sets]
     best = None
     for i, a in enumerate(sets):
-        for b in sets[i + 1:]:
+        for j, b in enumerate(sets[i + 1:], i + 1):
             if sets_intersect(system, a, b):
                 continue
-            ra, rb = realized.closure(a), realized.closure(b)
+            ra, rb = closures[i], closures[j]
             if best is not None and bbox_gap_squared(ra, rb) >= best:
                 continue
             d = set_distance_squared(ra, rb)
@@ -485,12 +487,13 @@ def test_grid_gaps_match_all_pairs(realized):
 def _ref_disjointness_violation(realized, radius_sq):
     system = realized.system
     sets = system.all_sets()
+    closures = [realized.region(a).closure() for a in sets]
     for i, a in enumerate(sets):
-        for b in sets[i + 1:]:
+        for j, b in enumerate(sets[i + 1:], i + 1):
             if sets_intersect(system, a, b):
                 continue
             ra2, rb2 = radius_sq[a.level], radius_sq[b.level]
-            ra, rb = realized.closure(a), realized.closure(b)
+            ra, rb = closures[i], closures[j]
             if _gt_sum_of_roots(bbox_gap_squared(ra, rb), ra2, rb2):
                 continue
             d2 = set_distance_squared(ra, rb)
@@ -707,10 +710,11 @@ def _first_closure_mismatch(realized):
     whose closures meet or not unlike the intersection graph says."""
     system = realized.system
     sets = system.all_sets()
+    closures = [realized.region(a).closure() for a in sets]
     for i, a in enumerate(sets):
-        for b in sets[i + 1:]:
+        for j, b in enumerate(sets[i + 1:], i + 1):
             ci = sets_intersect(system, a, b)
-            gc = region_intersects(realized.closure(a), realized.closure(b))
+            gc = region_intersects(closures[i], closures[j])
             if ci != gc:
                 return (a.key(), b.key(), ci, gc)
     return None
@@ -722,11 +726,12 @@ def test_tampered_closure_fails_taut_like_brute_force(monkeypatch):
 
     def tampered(self, system):
         original(self, system)
-        # grow one coarse closure over the whole tree; nothing checks a
-        # level-0 closure before taut
+        # grow one coarse region over the whole tree; the one stage before
+        # taut that reads it, strong-refinement, needs it to hold the
+        # closures of level 1 below it, which it still does
         a = system.covers[0][0]
-        self.closures[(a.level, a.vertex)] = region_union(
-            [self.closure(a)] + [self.closure(b) for b in system.covers[system.l]])
+        self.regions[(a.level, a.vertex)] = region_union(
+            [self.region(a)] + [self.region(b) for b in system.covers[system.l]])
         built.append(self)
 
     monkeypatch.setattr(RealizedSystem, "__init__", tampered)
@@ -787,8 +792,8 @@ def _schedule_ending_at(l, last):
 def _both_routes(inst):
     realized = RealizedSystem(CoverSystem(inst.diagram, inst.epsilons))
     sets = realized.system.all_sets()
-    return (later_intersecting([realized.region(a) for a in sets]),
-            later_intersecting([realized.closure(a) for a in sets]))
+    opened = [realized.region(a) for a in sets]
+    return (later_intersecting(opened), later_intersecting([r.closure() for r in opened]))
 
 
 @pytest.mark.parametrize("last", [None, F(1, 2) + F(1, 1000)], ids=["default", "1/2+1/1000"])
@@ -806,6 +811,27 @@ def test_routes_differ_at_epsilon_one_half(l):
     opened, closed = _both_routes(generate_instance(l, _schedule_ending_at(l, F(1, 2))))
     assert opened != closed
     assert all(set(o) <= set(c) for o, c in zip(opened, closed))
+
+
+@pytest.mark.parametrize("l, eps", [(l, None) for l in range(1, 7)]
+                         + [(3, "3/4,2/3,3/5,11/20")]
+                         + [(l, "1/2+1/1000") for l in range(1, 7)])
+def test_realized_regions_have_one_interval_per_edge(l, eps):
+    # scaled_pieces reads each region's codes as its closure's: the two stars
+    # on an edge overlap above 1/2, so a realized region holds one interval
+    # per edge, and closing it rounds each open end and merges nothing
+    if eps is None:
+        schedule = None
+    elif eps == "1/2+1/1000":
+        schedule = _schedule_ending_at(l, F(1, 2) + F(1, 1000))
+    else:
+        schedule = EpsilonSchedule.build([F(x) for x in eps.split(",")])
+    realized = VerifyContext(generate_instance(l, schedule)).realized
+    for a in realized.system.all_sets():
+        region = realized.region(a)
+        assert all(len(coded) == 1 for coded in region.codes.values()), a.key()
+        assert region.closure().codes == {
+            k: ((s - s % 2, e + e % 2),) for k, ((s, e),) in region.codes.items()}, a.key()
 
 
 def test_far_edge_on_a_level_0_region_fails_taut_like_brute_force(monkeypatch):
@@ -1003,9 +1029,9 @@ def _triangle_tampers(system):
 def test_grown_region_fails_triples_like_brute_force(monkeypatch):
     # Three sets of one level share a point only on a triangle of the
     # intersection graph, and a tree's nerve has none, so the tamper makes
-    # one: the region and the closure of b grow by q, and b joins every set
-    # whose closure holds q in the graph, so taut still agrees.  The first
-    # tamper that D1 lets through is kept.
+    # one: the region of b grows by q, and b joins every set whose closure
+    # holds q in the graph, so taut still agrees.  The first tamper that D1
+    # lets through is kept.
     built = []
     original = RealizedSystem.__init__
 
@@ -1017,7 +1043,7 @@ def test_grown_region_fails_triples_like_brute_force(monkeypatch):
             i = b.index
             rows = [set(row) for row in adjacency]
             for j, d in enumerate(sets):
-                if self.closure(d).contains_point(q):
+                if self.region(d).closure().contains_point(q):
                     rows[i].add(j)
                     rows[j].add(i)
             system.adjacency = [tuple(sorted(row)) for row in rows]
@@ -1028,8 +1054,7 @@ def test_grown_region_fails_triples_like_brute_force(monkeypatch):
         _, x, y, t = q.canonical()
         point = SegmentRegion.from_pieces(system.deepest, {(x, y): [(t, t, True, True)]},
                                           system.epsilons.steps)
-        for grown in (self.regions, self.closures):
-            grown[(0, b.vertex)] = region_union([grown[(0, b.vertex)], point])
+        self.regions[(0, b.vertex)] = region_union([self.regions[(0, b.vertex)], point])
         built.append(self)
 
     monkeypatch.setattr(RealizedSystem, "__init__", tampered)
@@ -1061,8 +1086,8 @@ def test_opened_region_fails_oracle_identity_like_brute_force(monkeypatch):
 
     def tampered(self, system):
         original(self, system)
-        # open one deepest set's region at its own vertex v; the closures stay
-        # as built, and opening a region only removes a point
+        # open one deepest set's region at its own vertex v; opening a
+        # region only removes a point, and its closure is the one built
         a = system.covers[system.l][0]
         v = a.vertex
         region = self.region(a)
@@ -1079,7 +1104,7 @@ def test_opened_region_fails_oracle_identity_like_brute_force(monkeypatch):
     system = realized.system
     expected = None
     for a in system.all_sets():
-        tower = system.towers[a.level]
+        tower = system.bond(a.level, system.l)
         wrong = [w for w in system.deepest.vertices
                  if (tower[w] == a.vertex) !=
                  realized.region(a).contains_point(EdgePoint.vertex(w))]

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_geometry import region_edges
 
 import treechains.cli as cli
 import treechains.serialize as serialize
@@ -151,7 +152,7 @@ class TestDerivedDumps:
             assert dumped["pieces"] == [
                 [[js(e[0]), js(e[1])], [[fraction_to_json(lo), fraction_to_json(hi), lc, hc]
                                         for lo, hi, lc, hc in r.pieces[e]]]
-                for e in r.sorted_edges()]
+                for e in region_edges(r)]
 
     def test_fibers_listed_per_set(self):
         inst = generate_instance(1)

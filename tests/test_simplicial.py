@@ -72,10 +72,13 @@ def mixed_trees(draw):
 
 
 def recursive_vkey(v):
-    """``vkey`` as first written: each tuple item but an int keyed by recursion."""
+    """``vkey`` as first written, each tuple item but an int keyed by
+    recursion; a bool has a key class of its own."""
     if isinstance(v, tuple):
         return (2, *[(0, x) if type(x) is int else recursive_vkey(x) for x in v])
-    if isinstance(v, int) and not isinstance(v, bool):
+    if isinstance(v, bool):
+        return (3, v)
+    if isinstance(v, int):
         return (0, v)
     return (1, str(v))
 
@@ -105,13 +108,13 @@ class TestGraph:
             if isinstance(v, tuple):
                 return (2, *map(reference, v))
             if isinstance(v, bool):
-                return (1, str(v))
+                return (3, v)
             if isinstance(v, int):
                 return (0, v)
             return (1, str(v))
 
         assert vkey(label) == reference(label) == recursive_vkey(label)
-        assert vkey((True, 1, label)) == (2, (1, "True"), (0, 1), reference(label))
+        assert vkey((True, 1, label)) == (2, (3, True), (0, 1), reference(label))
         sub = ("sub", (label, True), "1/3")
         assert vkey(sub) == recursive_vkey(sub)
 
@@ -244,6 +247,25 @@ for pts in (on, dup):
     g = SimplicialGraph.build(pts, [("a", "b")], pts, check_embedding=False)
     print(g.embedding_violation())
 """
+
+
+# True and "True" had one key, so their order followed string hashing:
+# True came first under PYTHONHASHSEED=1 and "True" under 7
+BOOL_AND_STR = """
+from treechains.simplicial import SimplicialGraph
+g = SimplicialGraph.build([True, "True", 0], [(True, 0), ("True", 0)])
+print(g.sorted_vertices(), g.sorted_edges())
+"""
+
+
+def test_bool_and_str_labels_order_without_string_hashing():
+    src = os.path.dirname(os.path.dirname(treechains.__file__))
+    outputs = set()
+    for seed in (1, 7):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        outputs.add(subprocess.run([sys.executable, "-c", BOOL_AND_STR], env=env,
+                                   capture_output=True, text=True, check=True).stdout)
+    assert outputs == {"(0, 'True', True) ((0, 'True'), (0, True))\n"}
 
 
 class TestEmbeddingViolation:

@@ -24,11 +24,11 @@ it.  The keys:
   ``CoverSystem`` built before the timing: the scans those stages skip on
   a generated instance, where they hold by proof (``stage.D1``,
   ``stage.D2`` and ``stage.D2prime`` read about 0 there);
-- ``realization``: the ``RealizedSystem``, every region and closure;
-- ``route_sweep``: ``later_intersecting`` over the closures, the geometric
+- ``realization``: the ``RealizedSystem``, one region per set;
+- ``route_sweep``: ``later_intersecting`` over the regions, the geometric
   route of ``taut`` (``oracle-identity`` reads no pair, see its docstring);
-- ``scaled_pieces``: the one build of the closures' integer pieces, per
-  set and per deepest edge;
+- ``scaled_pieces``: the one build of the regions' closed integer pieces,
+  per set and per deepest edge;
 - ``margin_scan``: ``family_min_gap_squared``, the least gap over all
   disjoint pairs;
 - ``rho_scan``: ``rho_squared``, the same scan over level 0 alone;
@@ -53,13 +53,19 @@ it.  The keys:
 Every value is the median over the rounds, in seconds to 6 decimals.
 Beside them, ``peak_rss_mb`` is ``ru_maxrss`` after that l's rounds, in
 MB: the process's high-water mark so far, not that l's own peak.  So a
-per-l peak needs one l per invocation.
+per-l peak needs one l per invocation.  ``tracked_objects`` counts what
+the garbage collector tracks: the growth of ``len(gc.get_objects())``,
+each count taken after ``gc.collect()`` (repeated until the count holds),
+over building the ``CoverSystem`` and the ``RealizedSystem`` of
+``generate_instance(l)``, before the rounds.  It is a count, not a timing,
+and reads the same on every run.
 
 Only the public API is used, from the ``src`` the script sits beside, and
 one private name: ``family._levels.cache_clear``, before each ``family``
 build and each ``family_sweep``.
 """
 
+import gc
 import json
 import os
 import resource
@@ -155,7 +161,7 @@ def one_round(l: int) -> dict:
     realized, out["realization"] = _timed(lambda: RealizedSystem(system))
     sets = system.all_sets()
     _, out["route_sweep"] = _timed(
-        lambda: later_intersecting([realized.closure(a) for a in sets]))
+        lambda: later_intersecting([realized.region(a) for a in sets]))
     _, out["scaled_pieces"] = _timed(lambda: realized.scaled_pieces)
     _, out["margin_scan"] = _timed(lambda: family_min_gap_squared(realized))
     _, out["rho_scan"] = _timed(lambda: rho_squared(realized))
@@ -183,11 +189,35 @@ def one_round(l: int) -> dict:
     return out
 
 
+def _tracked() -> int:
+    """``len(gc.get_objects())`` once a ``gc.collect()`` no longer changes
+    it: a collection stops tracking a tuple whose items are all untracked,
+    one level of nesting per pass."""
+    count = None
+    while True:
+        gc.collect()
+        now = len(gc.get_objects())
+        if now == count:
+            return now
+        count = now
+
+
+def tracked_objects(l: int) -> int:
+    """The growth of the objects the collector tracks over building the
+    cover system and its realization."""
+    inst = generate_instance(l)
+    before = _tracked()
+    built = RealizedSystem(CoverSystem(inst.diagram, inst.epsilons, inst.phi_tables))  # noqa: F841
+    return _tracked() - before  # built is still held here
+
+
 def stage_seconds(l: int) -> dict:
+    tracked = tracked_objects(l)
     rounds = [one_round(l) for _ in range(REPEATS)]
     medians = {key: round(statistics.median(r[key] for r in rounds), 6) for key in rounds[0]}
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KB on Linux
-    return {"l": l, "repeats": REPEATS, "median_s": medians, "peak_rss_mb": round(peak, 1)}
+    return {"l": l, "repeats": REPEATS, "median_s": medians, "peak_rss_mb": round(peak, 1),
+            "tracked_objects": tracked}
 
 
 def main(argv) -> int:
