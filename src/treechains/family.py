@@ -1,13 +1,13 @@
 """The explicit H/X tree family and its long coincidence-free diagram.
 
 Vertices are labelled (side, level) with side in {-1, 0, 1}; the planar
-coordinate of (side, level) is the point (side, level).
+coordinate of (side, level) is the int point (side, level), so each tree's
+int frame has scale 1.
 """
 
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 
 from .diagram import TreeDiagram
 from .simplicial import SimplicialGraph, SimplicialMapping
@@ -40,8 +40,7 @@ def build_tree(k: int, n: int) -> SimplicialGraph:
     for grp in groups:
         vertices.update(grp)
         edges.extend(zip(grp, grp[1:]))
-    coords = {(side, mu): (Fraction(side), Fraction(mu)) for side, mu in vertices}
-    return SimplicialGraph.build(vertices, edges, coords)
+    return SimplicialGraph.build(vertices, edges, {v: v for v in vertices})
 
 
 @functools.lru_cache(maxsize=1)

@@ -251,43 +251,50 @@ def later_intersecting(regions: Sequence[SegmentRegion]) -> List[List[int]]:
     regions that meet it.
 
     Two regions meet on an edge both have pieces on or at a vertex both
-    contain.  One pass over each region's codes, in index order, fills the
-    interval list of every edge and the holder list of every vertex: a
-    region holds an edge's start when its first code there is 0 and its end
-    when its last code is 2E.  On each edge the codes (see _code), on one
-    E, are swept by start: an open interval that ends before the current
-    start meets neither it nor any later one and is dropped, and every
-    other open interval meets it (a region's own intervals are apart, so it
-    never meets itself).  At each vertex every two regions holding it meet.
+    contain, so each meeting pair lies in a clique, added in bulk: a vertex's
+    holders (a region holds an edge's start when its first code there is 0,
+    its end when its last code is 2E), or one edge's codes (see _code) open
+    at one point.  Swept by start, the codes open before each close and at
+    the end are such cliques; the first holds every code at the edge's start
+    and the last every one at its end, so a vertex's holders are added only
+    when its edge ends are held by different regions.  A region's own codes
+    are apart, so no clique holds a region twice.
     """
     top = 2 * _one_grid(regions)
     tree = regions[0].tree
     rank = tree.rank
-    ends = [(rank[a], rank[b]) for a, b in tree.sorted_edges()]
-    by_edge: List[List[Tuple[int, int, int]]] = [[] for _ in ends]
-    holders: List[List[int]] = [[] for _ in rank]
+    ends = [rank[v] for e in tree.sorted_edges() for v in e]  # edge k's at 2k, 2k + 1
+    by_edge: List[List[Tuple[int, int, int]]] = [[] for _ in range(len(ends) // 2)]
+    at_end: List[List[int]] = [[] for _ in ends]  # the regions holding each edge end
     for i, r in enumerate(regions):
         for k, coded in r.codes.items():
             items = by_edge[k]
             for start, end in coded:
                 items.append((start, end, i))
-            for v, at in zip(ends[k], (coded[0][0] == 0, coded[-1][1] == top)):
-                held = holders[v]
-                if at and (not held or held[-1] != i):
-                    held.append(i)
-    later = [set() for _ in regions]
+            if coded[0][0] == 0:
+                at_end[2 * k].append(i)
+            if coded[-1][1] == top:
+                at_end[2 * k + 1].append(i)
+    by_vertex: List[List[List[int]]] = [[] for _ in rank]
+    for v, held in zip(ends, at_end):
+        by_vertex[v].append(held)
+    cliques = [sorted(set().union(*lists)) for lists in by_vertex
+               if any(held != lists[0] for held in lists)]
     for items in by_edge:
         items.sort()
-        active: List[Tuple[int, int]] = []
+        opened: List[Tuple[int, int]] = []  # (end, region) of the open codes
+        least = top + 1  # their least end
         for start, end, i in items:
-            active = [a for a in active if a[0] >= start]
-            for _, j in active:
-                if i < j:
-                    later[i].add(j)
-                else:
-                    later[j].add(i)
-            active.append((end, i))
-    for members in holders:
+            if least < start:
+                cliques.append(sorted(map(itemgetter(1), opened)))
+                opened = [o for o in opened if o[0] >= start]
+                least = min(opened, default=(top + 1,))[0]
+            opened.append((end, i))
+            least = min(least, end)
+        if opened:
+            cliques.append(sorted(map(itemgetter(1), opened)))
+    later = [set() for _ in regions]
+    for members in cliques:
         for x, i in enumerate(members):
             later[i].update(members[x + 1:])
     return [sorted(js) for js in later]
@@ -381,7 +388,7 @@ def realize(system: CoverSystem, a: CoverSet) -> SegmentRegion:
     at most these two stars, one from each end, and the two are merged
     once per set.  The edges at w are read from the tree's ``incidence``."""
     tree = system.deepest
-    if tree.coords is None:
+    if tree.int_frame is None:
         raise GraphError("the deepest tree carries no planar coordinates")
     if not a.fiber:
         raise GraphError("empty union: the set %r has an empty fiber" % ((a.level, a.vertex),))
@@ -761,23 +768,25 @@ def render_svg(realized: RealizedSystem, path: str,
     per cover level, stroked twice the level's enlargement radius wide when
     ``radius_sq`` is given.  Returns the SVG text.
 
-    A set's links are its region's closed pieces in ``scaled_pieces``, drawn
-    at x / scale: an int quotient is the correctly rounded float of its
-    rational.  Each distinct piece end is formatted once per call."""
+    The tree's int frame and the links, its regions' closed pieces in
+    ``scaled_pieces``, are drawn at x / scale: an int quotient is the
+    correctly rounded float of its rational.  Each distinct piece end is
+    formatted once per call."""
     system = realized.system
     tree = system.deepest
     if levels is None:
         levels = list(range(system.l + 1))
 
-    xs = [float(p[0]) for p in tree.coords.values()]
-    ys = [float(p[1]) for p in tree.coords.values()]
+    unit, ipt = tree.int_frame
+    xs = [x / unit for x, _ in ipt.values()]
+    ys = [y / unit for _, y in ipt.values()]
     margin = 1.0
     x0, y1 = min(xs) - margin, max(ys) + margin
     width = (max(xs) - min(xs) + 2 * margin) * _SVG_SCALE
     height = (max(ys) - min(ys) + 2 * margin) * _SVG_SCALE
 
-    def to_px(p):
-        return ((float(p[0]) - x0) * _SVG_SCALE, (y1 - float(p[1])) * _SVG_SCALE)
+    def to_px(p, scale):  # p: an int point on that scale
+        return ((p[0] / scale - x0) * _SVG_SCALE, (y1 - p[1] / scale) * _SVG_SCALE)
 
     scale, by_set, _ = realized.scaled_pieces
     texts = {}  # int point of a piece end -> its "x y" pixel text, formatted once
@@ -785,7 +794,7 @@ def render_svg(realized: RealizedSystem, path: str,
     def at(p):
         text = texts.get(p)
         if text is None:
-            px = to_px((p[0] / scale, p[1] / scale))
+            px = to_px(p, scale)
             text = texts[p] = "%s %s" % (_fmt(px[0]), _fmt(px[1]))
         return text
 
@@ -809,7 +818,7 @@ def render_svg(realized: RealizedSystem, path: str,
         lines.append("</g>")
     lines.append('<g id="skeleton" stroke="#000000" stroke-width="1.5">')
     for a, b in tree.sorted_edges():
-        pa, pb = to_px(tree.point(a)), to_px(tree.point(b))
+        pa, pb = to_px(ipt[a], unit), to_px(ipt[b], unit)
         lines.append('<line x1="%s" y1="%s" x2="%s" y2="%s"/>'
                      % (_fmt(pa[0]), _fmt(pa[1]), _fmt(pb[0]), _fmt(pb[1])))
     lines.append("</g>")

@@ -9,13 +9,15 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import gcd
+from operator import itemgetter
 from typing import Dict, List, Optional
 
 from .covers import CoverSystem, EpsilonSchedule
 from .diagram import TreeDiagram
-from .simplicial import SimplicialGraph, SimplicialMapping, vkey
+from .simplicial import _KEY_1_3, _KEY_2_3, _SUB_KEY, SimplicialGraph, SimplicialMapping, vkey
 
 SCHEMA_VERSION = 1
 
@@ -63,31 +65,44 @@ def _pair(obj) -> list:
 
 
 class LabelTable(dict):
-    """label -> (vkey, JSON form) for one document: each label is ordered and
-    converted once.  A document shares the JSON lists of its labels, so none
-    of them may be changed in place.  A label is written only when
-    ``vertex_from_json`` reads it back, so the tests are the loader's: a bool
-    is not an int, and a tag is "1/3" or "2/3"."""
+    """label -> (vkey, JSON form, guard) for one document: each label is
+    ordered and converted once.  A document shares the JSON lists of its
+    labels, so none of them may be changed in place.  A label is written
+    only when ``vertex_from_json`` reads it back: a bool is not an int, even
+    where == (True == 1) finds an entry, and a tag is "1/3" or "2/3".  The
+    guard is the entry's label if it holds an int 0 or 1, else None."""
 
     def __missing__(self, v):
         if (isinstance(v, tuple) and len(v) == 3 and v[0] == "sub"
                 and isinstance(v[1], tuple) and len(v[1]) == 2 and v[2] in ("1/3", "2/3")):
             (a, b), t = v[1], v[2]
             js = ["sub", [self.json(a), self.json(b)], t]
+            (ka, _, ga), (kb, _, gb) = self[a], self[b]  # vkey(v) by the identity in vkey
+            key = (2, _SUB_KEY, (2, ka, kb), _KEY_1_3 if t == "1/3" else _KEY_2_3)
+            risky = ga is not None or gb is not None
         elif isinstance(v, tuple) and len(v) == 2 and type(v[0]) is int and type(v[1]) is int:
-            js = [v[0], v[1]]
+            key, js, risky = vkey(v), [v[0], v[1]], v[0] in (0, 1) or v[1] in (0, 1)
         elif _is_int(v) or isinstance(v, str):
-            js = v
+            key, js, risky = vkey(v), v, v in (0, 1)
         else:
             raise FormatError("unsupported vertex label %r" % (v,))
-        self[v] = (vkey(v), js)
+        self[v] = (key, js, v if risky else None)
         return self[v]
 
     def json(self, v):
-        return self[v][1]
+        _, js, label = self[v]
+        if label is v or label is None or _no_bool(v):
+            return js
+        raise FormatError("unsupported vertex label %r" % (v,))
 
-    def sorted(self, labels):
-        return sorted(labels, key=lambda v: self[v][0])
+
+def _no_bool(v) -> bool:
+    """For v equal to a valid label: whether it holds no bool (True == 1)."""
+    if type(v) is not tuple:
+        return type(v) is not bool
+    if len(v) == 2:
+        return type(v[0]) is int is type(v[1])
+    return _no_bool(v[1][0]) and _no_bool(v[1][1])
 
 
 def vertex_from_json(obj):
@@ -105,15 +120,14 @@ def vertex_from_json(obj):
 
 
 def graph_to_json(g: SimplicialGraph, labels: LabelTable) -> dict:
-    js = labels.json
-    out = {
-        "vertices": [js(v) for v in g.sorted_vertices()],
-        "edges": [[js(a), js(b)] for a, b in g.sorted_edges()],
-    }
-    if g.coords is not None:
-        out["coords"] = [
-            [js(v), [fraction_to_json(g.coords[v][0]), fraction_to_json(g.coords[v][1])]]
-            for v in g.sorted_vertices()]
+    vs, rank = g.sorted_vertices(), g.rank
+    js = list(map(labels.json, vs))  # a vertex's JSON at its rank
+    out = {"vertices": js, "edges": [[js[rank[a]], js[rank[b]]] for a, b in g.sorted_edges()]}
+    if g.int_frame is not None:
+        scale, pts = g.int_frame
+        text = {c: _ratio(c, scale) for c in set(chain.from_iterable(pts.values()))}
+        out["coords"] = [[j, [text[x], text[y]]]
+                         for j, (x, y) in zip(js, map(pts.__getitem__, vs))]
     return out
 
 
@@ -149,8 +163,9 @@ def graph_from_json(obj: dict) -> SimplicialGraph:
 
 
 def assignment_to_json(assignment: Dict, labels: LabelTable) -> list:
-    js = labels.json
-    return [[js(v), js(assignment[v])] for v in labels.sorted(assignment)]
+    js = labels.json  # entries in the vkey order of their keys
+    rows = [(labels[v][0], [js(v), js(w)]) for v, w in assignment.items()]
+    return [row for _, row in sorted(rows, key=itemgetter(0))]
 
 
 def assignment_from_json(obj: list) -> Dict:
@@ -329,6 +344,7 @@ def system_to_json(system: CoverSystem) -> dict:
     """
     labels = LabelTable()
     js = labels.json
+    rank = system.deepest.rank  # fibers lie in the deepest tree, where rank is vkey order
     return {
         "schema": SCHEMA_VERSION,
         "epsilon": [fraction_to_json(e) for e in system.epsilons.values],
@@ -336,7 +352,7 @@ def system_to_json(system: CoverSystem) -> dict:
             {
                 "level": n + 1,
                 "sets": [{"vertex": js(a.vertex),
-                          "fiber": list(map(js, labels.sorted(a.fiber)))}
+                          "fiber": list(map(js, sorted(a.fiber, key=rank.__getitem__)))}
                          for a in system.covers[n]],
             }
             for n in range(system.l + 1)
@@ -367,11 +383,11 @@ def regions_to_json(realized) -> dict:
     for a in system.all_sets():
         r = realized.region(a)
         steps, pieces = r.steps, []
-        for k in sorted(r.codes):
-            key = (steps, r.codes[k])
+        for k, coded in sorted(r.codes.items()):
+            key = (steps, coded)
             if key not in runs:
                 runs[key] = [[_ratio(s // 2, steps), _ratio((t + 1) // 2, steps),
-                              s % 2 == 0, t % 2 == 0] for s, t in r.codes[k]]
+                              s % 2 == 0, t % 2 == 0] for s, t in coded]
             pieces.append([pairs[k], runs[key]])
         out["sets"].append({"level": a.level + 1, "vertex": js(a.vertex), "pieces": pieces})
     return out

@@ -1,8 +1,8 @@
 """Finite simplicial graphs, simplicial maps, and trisection subdivision.
 
 Vertices are arbitrary hashable labels (tuples in practice).  Planar
-coordinates, when present, are exact rational pairs, and every predicate in
-this module is decided with exact arithmetic.
+coordinates, when present, are exact rationals stored as int points over one
+scale, and every predicate in this module is decided with exact arithmetic.
 """
 
 from __future__ import annotations
@@ -11,14 +11,11 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Dict, Hashable, Iterable, Optional, Tuple
 
 Vertex = Hashable
 Point = Tuple[Fraction, Fraction]
-
-THIRD = Fraction(1, 3)
-TWO_THIRDS = Fraction(2, 3)
 
 
 def vkey(v):
@@ -56,29 +53,35 @@ class SimplicialGraph:
     ``edges`` holds canonically ordered pairs and ``rank`` each vertex's
     position in ``sorted_vertices()``; both come from ``build``, which orders
     every vertex once, or from ``subdivide3``, which derives its new labels'
-    keys from the keys of their edges' ends.  Instances are immutable;
-    derived graphs (subdivisions) are new values.  The ``coords`` and
+    keys from the keys of their edges' ends.  ``int_frame``, the one store
+    of the coordinates, is None or (scale, each vertex's int point) with the
+    lcm of the coordinates' denominators as scale.  Instances are immutable;
+    derived graphs (subdivisions) are new values.  The ``int_frame`` and
     ``rank`` dicts must not be written either: one family tree is shared by
     every diagram and map built on its k.
     """
 
     vertices: frozenset
     edges: frozenset
-    coords: Optional[Dict[Vertex, Point]]
+    int_frame: Optional[Tuple[int, Dict[Vertex, Tuple[int, int]]]]
     rank: Dict[Vertex, int] = field(repr=False)
 
     @staticmethod
     def build(vertices: Iterable[Vertex], edges: Iterable[Tuple[Vertex, Vertex]],
               coords: Optional[Dict[Vertex, Point]] = None,
               check_embedding: bool = True) -> "SimplicialGraph":
-        vs = frozenset(vertices)
-        return SimplicialGraph._from_keys({v: vkey(v) for v in vs}, edges,
-                                          dict(coords) if coords is not None else None,
+        vs, frame = frozenset(vertices), None
+        if coords is not None:  # int or Fraction pairs, reduced once to the frame
+            pts = [(v, *coords[v]) for v in vs]
+            scale = lcm(*(c.denominator for _, x, y in pts for c in (x, y)))
+            frame = scale, {v: (x.numerator * (scale // x.denominator),
+                                y.numerator * (scale // y.denominator)) for v, x, y in pts}
+        return SimplicialGraph._from_keys({v: vkey(v) for v in vs}, edges, frame,
                                           check_embedding)
 
     @staticmethod
-    def _from_keys(keys: Dict[Vertex, tuple], edges, coords, check_embedding: bool):
-        # keys: each vertex's vkey; coords is kept, not copied
+    def _from_keys(keys: Dict[Vertex, tuple], edges, frame, check_embedding: bool):
+        # keys: each vertex's vkey; frame is kept, not copied
         vs = frozenset(keys)
 
         def orient(u, v):  # canonical_edge(u, v), on the keys of known vertices
@@ -91,8 +94,8 @@ class SimplicialGraph:
             if a not in vs or b not in vs:
                 raise GraphError("edge (%r, %r) has endpoint outside vertex set" % (a, b))
         rank = {v: k for k, v in enumerate(sorted(vs, key=keys.__getitem__))}
-        g = SimplicialGraph(vs, es, coords, rank)
-        if coords is not None and check_embedding:
+        g = SimplicialGraph(vs, es, frame, rank)
+        if frame is not None and check_embedding:
             bad = g.embedding_violation()
             if bad is not None:
                 raise GraphError("inconsistent planar embedding: %r" % (bad,))
@@ -178,20 +181,16 @@ class SimplicialGraph:
     def is_tree(self) -> bool:
         return self.is_connected() and len(self.edges) == len(self.vertices) - 1
 
-    def point(self, v: Vertex) -> Point:
-        if self.coords is None:
-            raise GraphError("graph has no planar coordinates")
-        return self.coords[v]
+    @property
+    def coords(self) -> Optional[Dict[Vertex, Point]]:
+        """vertex -> its point as Fractions, made afresh from the frame."""
+        return None if self.int_frame is None else {v: self.point(v) for v in self.int_frame[1]}
 
-    @cached_property
-    def int_frame(self) -> Tuple[int, Dict[Vertex, Tuple[int, int]]]:
-        """(scale, points): the planar coordinates multiplied by the lcm of
-        their denominators, so every vertex has an int point; scaling by a
-        positive constant keeps every incidence."""
-        pts = [(v, *self.point(v)) for v in self.vertices]
-        scale = lcm(*(c.denominator for _, x, y in pts for c in (x, y)))
-        return scale, {v: (x.numerator * (scale // x.denominator),
-                           y.numerator * (scale // y.denominator)) for v, x, y in pts}
+    def point(self, v: Vertex) -> Point:
+        if self.int_frame is None:
+            raise GraphError("graph has no planar coordinates")
+        scale, (x, y) = self.int_frame[0], self.int_frame[1][v]
+        return Fraction(x, scale), Fraction(y, scale)
 
     def embedding_violation(self):
         """Return a witness if the planar coordinates are not consistent.
@@ -379,14 +378,6 @@ class EdgePoint:
         return EdgePoint(v, v, Fraction(0))
 
 
-def evaluate_realization(m: SimplicialMapping, p: EdgePoint) -> EdgePoint:
-    """Image of p under the piecewise-linear realization of m."""
-    fa, fb = m.assignment[p.a], m.assignment[p.b]
-    if fa == fb:
-        return EdgePoint.vertex(fa)
-    return EdgePoint(fa, fb, p.t)
-
-
 def _sub_label(a: Vertex, b: Vertex, tag: str) -> Vertex:
     # (a, b) must already be canonical; tag is "1/3" or "2/3", measured from a
     return ("sub", (a, b), tag)
@@ -395,89 +386,37 @@ def _sub_label(a: Vertex, b: Vertex, tag: str) -> Vertex:
 _SUB_KEY, _KEY_1_3, _KEY_2_3 = vkey("sub"), vkey("1/3"), vkey("2/3")
 
 
-def subdivision_vertex(g: SimplicialGraph, edge, t: Fraction) -> Vertex:
-    """Label of the point at parameter t (1/3 or 2/3) on an edge of g, in g^(3)."""
-    if t != THIRD and t != TWO_THIRDS:
-        raise ValueError("t must be 1/3 or 2/3, got %r" % (t,))
-    a, b = canonical_edge(*edge)
-    if (a, b) != tuple(edge):
-        t = 1 - t
-    return _sub_label(a, b, "1/3" if t == THIRD else "2/3")
-
-
-def _third(p: Fraction, q: Fraction) -> Fraction:  # (2p + q) / 3, reduced once
-    if p.numerator == q.numerator and p.denominator == q.denominator:
-        return p  # a coordinate the edge does not change
-    return Fraction(2 * p.numerator * q.denominator + q.numerator * p.denominator,
-                    3 * p.denominator * q.denominator)
-
-
 def subdivide3(g: SimplicialGraph) -> SimplicialGraph:
     """Subdivide each edge into three congruent parts.
 
     Each new label's key is derived from its edge's ends by the identity in
-    :func:`vkey`, so only g's own vertices are keyed by ``vkey``.
+    :func:`vkey`, so only g's own vertices are keyed by ``vkey``.  On g's
+    frame (s, P) the subdivision's is (3s, 3P), with 2A + B and A + 2B at
+    the thirds of an edge from A to B, divided by the gcd of the scale and
+    every coordinate, which leaves the lcm frame ``build`` would compute.
     """
     keys = {v: vkey(v) for v in g.vertices}
     edges = []
-    coords = dict(g.coords) if g.coords is not None else None
+    frame = g.int_frame
+    if frame is not None:
+        old, pts = frame[1], {v: (3 * x, 3 * y) for v, (x, y) in frame[1].items()}
     for a, b in g.sorted_edges():
         ua, ub = _sub_label(a, b, "1/3"), _sub_label(a, b, "2/3")
         ends = (2, keys[a], keys[b])
         keys[ua], keys[ub] = (2, _SUB_KEY, ends, _KEY_1_3), (2, _SUB_KEY, ends, _KEY_2_3)
         edges.extend([(a, ua), (ua, ub), (ub, b)])
-        if coords is not None:
-            (ax, ay), (bx, by) = coords[a], coords[b]
-            coords[ua] = (_third(ax, bx), _third(ay, by))
-            coords[ub] = (_third(bx, ax), _third(by, ay))
+        if frame is not None:
+            (ax, ay), (bx, by) = old[a], old[b]
+            pts[ua] = (2 * ax + bx, 2 * ay + by)
+            pts[ub] = (ax + 2 * bx, ay + 2 * by)
+    if frame is not None:
+        scale = 3 * frame[0]
+        d = gcd(scale, *(c for p in pts.values() for c in p))
+        if d > 1:
+            pts = {v: (x // d, y // d) for v, (x, y) in pts.items()}
+        frame = scale // d, pts
     # the embedding stays consistent: the point set is unchanged
-    return SimplicialGraph._from_keys(keys, edges, coords, check_embedding=False)
-
-
-def to_subdivided(p: EdgePoint) -> EdgePoint:
-    """The same geometric point, in subdivision coordinates of g^(3)."""
-    c = p.canonical()
-    if c[0] == "vertex":
-        return EdgePoint.vertex(c[1])
-    _, a, b, t = c
-    ua, ub = _sub_label(a, b, "1/3"), _sub_label(a, b, "2/3")
-    if t <= THIRD:
-        return EdgePoint(a, ua, 3 * t)
-    if t <= TWO_THIRDS:
-        return EdgePoint(ua, ub, 3 * (t - THIRD))
-    return EdgePoint(ub, b, 3 * (t - TWO_THIRDS))
-
-
-def _original_position(v):
-    # (a, b, t) when v is a subdivision label on edge (a, b), else None
-    if isinstance(v, tuple) and len(v) == 3 and v[0] == "sub":
-        a, b = v[1]
-        return (a, b, THIRD if v[2] == "1/3" else TWO_THIRDS)
-    return None
-
-
-def from_subdivided(p3: EdgePoint) -> EdgePoint:
-    """Inverse of :func:`to_subdivided`: a point of g^(3) as a point of g."""
-    c = p3.canonical()
-    if c[0] == "vertex":
-        pos = _original_position(c[1])
-        if pos is None:
-            return EdgePoint.vertex(c[1])
-        return EdgePoint(pos[0], pos[1], pos[2])
-    _, x, y, t = c
-    px, py = _original_position(x), _original_position(y)
-    if px is None and py is None:
-        raise GraphError("(%r, %r) is not a subdivision edge" % (x, y))
-    if px is None:
-        a, b, q = py
-        px = (a, b, Fraction(0) if x == a else Fraction(1))
-    elif py is None:
-        a, b, q = px
-        py = (a, b, Fraction(0) if y == a else Fraction(1))
-    if px[:2] != py[:2]:
-        raise GraphError("(%r, %r) spans two original edges" % (x, y))
-    a, b = px[:2]
-    return EdgePoint(a, b, (1 - t) * px[2] + t * py[2])
+    return SimplicialGraph._from_keys(keys, edges, frame, check_embedding=False)
 
 
 def lift_map_3(m: SimplicialMapping, source3: SimplicialGraph,

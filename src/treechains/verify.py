@@ -132,7 +132,7 @@ def _embedding(ctx: VerifyContext):
     for n, g in enumerate(ctx.diagram.levels):
         if not g.is_tree():
             return (n, "not-a-tree")
-        if g.coords is not None:
+        if g.int_frame is not None:
             bad = g.embedding_violation()
             if bad is not None:
                 return (n, bad)

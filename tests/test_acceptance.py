@@ -8,6 +8,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from reference import evaluate_realization, from_subdivided, to_subdivided
 from test_geometry import region_intersects
 
 from treechains.covers import CoverSystem, ScheduleError
@@ -27,12 +28,7 @@ from treechains.geometry import (
     family_min_gap_squared,
 )
 from treechains.serialize import FormatError, instance_from_json
-from treechains.simplicial import (
-    EdgePoint,
-    evaluate_realization,
-    from_subdivided,
-    to_subdivided,
-)
+from treechains.simplicial import EdgePoint
 from treechains.verify import (
     CONDITIONS,
     VerifyContext,

@@ -244,6 +244,19 @@ def test_later_intersecting_matches_region_intersects(regions):
     assert later_intersecting(regions) == brute
 
 
+def test_later_intersecting_meets_at_a_vertex_held_through_two_edges():
+    # on the path 0-1-2 the first two regions share the point 1 and nothing
+    # else; the third starts just past the second's end
+    tree = path_graph(3)
+    regions = [SegmentRegion.from_pieces(tree, pieces, 2) for pieces in (
+        {(0, 1): [(F(1, 2), F(1), True, True)]},
+        {(1, 2): [(F(0), F(1, 2), True, True)]},
+        {(1, 2): [(F(1, 2), F(1), False, True)]})]
+    assert [[j for j in range(i + 1, 3) if region_intersects(regions[i], regions[j])]
+            for i in range(3)] == [[1], [], []]
+    assert later_intersecting(regions) == [[1], [], []]
+
+
 @settings(max_examples=300, deadline=None)
 @given(fork_pieces())
 def test_normalize_intervals_matches_key_tuples(raw):

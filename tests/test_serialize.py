@@ -71,14 +71,30 @@ class TestScalars:
             return
         buf = io.StringIO()
         write_json(js, buf)
-        # == is the identity of a vertex set and of the table, so a True met
-        # after an equal 1, inside one label, is written as that 1
-        assert vertex_from_json(json.loads(buf.getvalue())) == label
+        back = vertex_from_json(json.loads(buf.getvalue()))
+        assert back == label and vkey(back) == vkey(label)
 
     def test_bool_labels_are_refused_on_writing(self):
         for label in (True, (True, 1), (0, False), ("sub", ((0, 1), True), "1/3")):
             with pytest.raises(FormatError, match="unsupported vertex label"):
                 LabelTable().json(label)
+
+    @pytest.mark.parametrize("plain, with_bool", [
+        (1, True),
+        ((1, 2), (True, 2)),
+        (("sub", ((0, 1), (1, 2)), "2/3"), ("sub", ((False, 1), (1, 2)), "2/3")),
+        (("sub", (1, "a"), "1/3"), ("sub", (True, "a"), "1/3")),
+    ])
+    def test_bool_label_equal_to_a_written_one_is_refused_in_either_order(self, plain,
+                                                                          with_bool):
+        for first, second in ((plain, with_bool), (with_bool, plain)):
+            table = LabelTable()
+            for label in (first, second):
+                if label is with_bool:
+                    with pytest.raises(FormatError, match="unsupported vertex label"):
+                        table.json(label)
+                else:
+                    assert vertex_from_json(table.json(label)) == plain
 
 
 class TestGraphs:

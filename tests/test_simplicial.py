@@ -8,10 +8,13 @@ from unittest import mock
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
+from reference import evaluate_realization, from_subdivided, subdivision_vertex, to_subdivided
 
 import treechains
 import treechains.geometry as geo
-from treechains.family import build_tree
+from treechains import family
+from treechains.covers import EpsilonSchedule
+from treechains.family import build_family_diagram, build_tree
 from treechains.geometry import point_on_segment, segment_intersection
 from treechains.simplicial import (
     EdgePoint,
@@ -19,15 +22,10 @@ from treechains.simplicial import (
     SimplicialGraph,
     SimplicialMapping,
     canonical_edge,
-    evaluate_realization,
-    from_subdivided,
     is_surjection,
     k_close,
     lift_map_3,
     subdivide3,
-    subdivision_vertex,
-    to_subdivided,
-    _third,
     validate_simplicial,
     vkey,
 )
@@ -414,12 +412,38 @@ class TestSubdivision:
             assert g3.point(u) == expected
             assert all(type(x) is Fraction for x in g3.point(u))
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.fractions(), st.fractions())
-    def test_third_is_two_thirds_of_one_end_and_a_third_of_the_other(self, p, q):
-        for a, b in ((p, q), (q, p), (p, p)):
-            c = _third(a, b)
-            assert c == (2 * a + b) / 3 and type(c) is Fraction
+    def test_int_frame_is_the_reduced_frame(self):
+        eps = EpsilonSchedule.build([Fraction(3, 4), Fraction(2, 3), Fraction(3, 5),
+                                     Fraction(11, 20)])
+        trees = [t for k in range(2, 10) for t in build_family_diagram(k).levels]
+        trees += [t for l in range(1, 7) for t in generate_instance(l).diagram.levels]
+        trees += generate_instance(3, eps).diagram.levels
+        for tree in trees:
+            ref = SimplicialGraph.build(tree.vertices, tree.edges, tree.coords, False)
+            assert tree.int_frame == ref.int_frame
+            assert all(type(c) is Fraction for v in tree.vertices for c in tree.point(v))
+        # trisecting (0,0)-(3,0) puts the new points at 1 and 2: scale 1
+        g3 = subdivide3(path_graph(2, spacing=3))
+        assert g3.int_frame == (1, {0: (0, 0), 1: (3, 0), ("sub", (0, 1), "1/3"): (1, 0),
+                                    ("sub", (0, 1), "2/3"): (2, 0)})
+
+    def test_family_trees_and_their_lift_make_no_fraction(self):
+        made = []
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kw):
+            made.append(args)
+            return new(cls, *args, **kw)
+
+        family._levels.cache_clear()  # so the trees are built here
+        with mock.patch.object(Fraction, "__new__", counting):
+            d = build_family_diagram(5)
+            levels3 = [subdivide3(g) for g in d.levels]
+            for n in range(d.length):
+                lift_map_3(d.g_row[n], levels3[n + 1], levels3[n])
+            assert made == []
+            build_tree(5, 0).point((0, 5))
+            assert made  # the counter sees a Fraction made
 
     @settings(max_examples=200, deadline=None)
     @given(mixed_trees())
@@ -437,7 +461,7 @@ class TestSubdivision:
             g9 = subdivide3(g3)  # g3's "sub" labels sort among g9's new ones
         for h, keys in ((g3, derived[0]), (g9, derived[1])):
             ref = SimplicialGraph.build(h.vertices, h.edges, h.coords, False)
-            assert (h.vertices, h.edges, h.coords) == (ref.vertices, ref.edges, ref.coords)
+            assert (h.vertices, h.edges, h.int_frame) == (ref.vertices, ref.edges, ref.int_frame)
             assert list(h.rank.items()) == list(ref.rank.items())
             assert keys.keys() == h.vertices
             assert all(key == vkey(v) for v, key in keys.items())

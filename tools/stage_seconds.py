@@ -58,7 +58,12 @@ the garbage collector tracks: the growth of ``len(gc.get_objects())``,
 each count taken after ``gc.collect()`` (repeated until the count holds),
 over building the ``CoverSystem`` and the ``RealizedSystem`` of
 ``generate_instance(l)``, before the rounds.  It is a count, not a timing,
-and reads the same on every run.
+and reads the same on every run.  The collector's own work over that l's
+rounds, taken through ``gc.callbacks``, is ``gc_collections``, the
+collections of generations 0, 1 and 2, and ``gc_s``, their total seconds
+(sums over all REPEATS rounds, not medians).  A collection's pause lands in
+whichever key was allocating when it triggered, so the two say how much of
+the rounds' seconds were the collector's.
 
 Only the public API is used, from the ``src`` the script sits beside, and
 one private name: ``family._levels.cache_clear``, before each ``family``
@@ -211,13 +216,36 @@ def tracked_objects(l: int) -> int:
     return _tracked() - before  # built is still held here
 
 
+class Collections:
+    """A ``gc.callbacks`` entry: the collections of each generation and their
+    seconds, while it is installed."""
+
+    def __init__(self):
+        self.counts = [0, 0, 0]
+        self.seconds = 0.0
+        self._start = None
+
+    def __call__(self, phase, info):
+        if phase == "start":
+            self._start = time.perf_counter()
+        else:
+            self.seconds += time.perf_counter() - self._start
+            self.counts[info["generation"]] += 1
+
+
 def stage_seconds(l: int) -> dict:
     tracked = tracked_objects(l)
-    rounds = [one_round(l) for _ in range(REPEATS)]
+    collections = Collections()
+    gc.callbacks.append(collections)
+    try:
+        rounds = [one_round(l) for _ in range(REPEATS)]
+    finally:
+        gc.callbacks.remove(collections)
     medians = {key: round(statistics.median(r[key] for r in rounds), 6) for key in rounds[0]}
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KB on Linux
     return {"l": l, "repeats": REPEATS, "median_s": medians, "peak_rss_mb": round(peak, 1),
-            "tracked_objects": tracked}
+            "tracked_objects": tracked, "gc_collections": collections.counts,
+            "gc_s": round(collections.seconds, 6)}
 
 
 def main(argv) -> int:
