@@ -5,7 +5,6 @@ from .simplicial import (
     GraphError,
     SimplicialGraph,
     SimplicialMapping,
-    k_close,
     lift_map_3,
     subdivide3,
 )
@@ -38,7 +37,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EdgePoint", "GraphError", "SimplicialGraph", "SimplicialMapping",
-    "k_close", "lift_map_3", "subdivide3",
+    "lift_map_3", "subdivide3",
     "TreeDiagram", "coincidence_free", "coincidence_oracle",
     "lift_diagram_3", "proximity_vertices",
     "build_family_diagram", "build_tree", "map_omega", "map_s",

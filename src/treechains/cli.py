@@ -26,6 +26,7 @@ from .serialize import (
     system_to_json,
     write_json,
 )
+from .simplicial import GraphError
 from .verify import (
     ConditionResult,
     VerificationReport,
@@ -137,7 +138,7 @@ def cmd_render(args) -> int:
         return _fail(failure)
     try:
         geo.render_svg(ctx.realized, args.out, levels=levels)
-    except OSError as exc:  # a missing directory, no permission
+    except (OSError, GraphError) as exc:  # no directory or permission; past float range
         return _fail(_failure_report("output", str(exc)))
     print("wrote %s" % args.out)
     return 0

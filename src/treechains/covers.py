@@ -64,9 +64,6 @@ class EpsilonSchedule:
         if len(self.values) != l + 1:
             raise ScheduleError("schedule length %d != l+1 = %d" % (len(self.values), l + 1))
 
-    def __len__(self):
-        return len(self.values)
-
     def __getitem__(self, n):
         return self.values[n]
 
@@ -312,6 +309,8 @@ def d3_violation(system: CoverSystem, n: int):
 def nerve(system: CoverSystem, n: int):
     """Nerve of level n as a simplicial graph on the vertices of T_n."""
     from .simplicial import SimplicialGraph
+    if not 0 <= n <= system.l:
+        raise GraphError("need 0 <= n <= l")
     sets = system.covers[n]
     edges = []
     for i, a in enumerate(sets):
@@ -326,6 +325,8 @@ def nerve_isomorphic_to(system: CoverSystem, n: int) -> bool:
     level n, counted once, must be an edge of T_n in either orientation;
     that plus an equal count makes the edge sets equal, with no graph
     built."""
+    if not 0 <= n <= system.l:
+        raise GraphError("need 0 <= n <= l")
     t = system.diagram.levels[n]
     count = 0
     for i, a in enumerate(system.covers[n]):

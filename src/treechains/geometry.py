@@ -11,7 +11,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import floor, isqrt, sqrt
+from math import floor, inf, isfinite, isqrt, sqrt
 from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -117,25 +117,6 @@ def segment_dist2(a: Point, b: Point, c: Point, d: Point) -> Fraction:
 # -- intervals on one integer coding -------------------------------------
 
 
-def _code(interval: Interval, steps: int) -> Tuple[int, int]:
-    """(start, end) of a Fraction interval on the discrete line of E = ``steps``.
-
-    2T is the point T/E and 2T + 1 the open gap after it, so (lo, hi, lc, hc)
-    starts at 2 lo E (+1 if open) and ends at 2 hi E (-1 if open).  The
-    interval is empty exactly when start > end, two intervals meet exactly
-    when the larger start is at most the smaller end, and they leave no
-    point between them exactly when the later start is at most one past the
-    earlier end.  A region stores its intervals in this form, and every
-    interval question is decided on the codes.  GraphError if an end is not
-    a multiple of 1/E.
-    """
-    lo, hi, lc, hc = interval
-    if steps % lo.denominator or steps % hi.denominator:
-        raise GraphError("interval %s..%s is off the grid of E = %d" % (lo, hi, steps))
-    return (2 * lo.numerator * (steps // lo.denominator) + (0 if lc else 1),
-            2 * hi.numerator * (steps // hi.denominator) - (0 if hc else 1))
-
-
 def _point_code(t, steps: int) -> int:
     """The code of the edge parameter t on the line of E = ``steps``: 2tE
     on the grid, else 2 floor(tE) + 1, the open gap that holds it."""
@@ -176,33 +157,23 @@ def _one_grid(regions: Sequence["SegmentRegion"]) -> int:
 class SegmentRegion:
     """Finite union of parameterized sub-segments of edges, stored as codes.
 
-    ``codes[k]`` holds the region's intervals on the edge at position k of
-    the tree's ``sorted_edges()`` as merged, apart, ascending (start, end)
-    codes (see _code) on the line of E = ``steps``.  A realized region is
-    coded on the schedule's E, and ``from_pieces`` codes on the E its caller
-    gives.  Regions are compared only on one tree and one E (see _one_grid).
-    ``pieces`` gives the same intervals back as Fractions, keyed by edge.
+    On the discrete line of E = ``steps``, the code 2T is the point T/E of
+    an edge and 2T + 1 the open gap after it, so an interval (lo, hi,
+    lo_closed, hi_closed) starts at 2 lo E (+1 if open) and ends at 2 hi E
+    (-1 if open).  It is empty exactly when start > end, two intervals meet
+    exactly when the larger start is at most the smaller end, and they
+    leave no point between them exactly when the later start is at most one
+    past the earlier end.  ``codes[k]`` holds the region's intervals on the
+    edge at position k of the tree's ``sorted_edges()`` as merged, apart,
+    ascending (start, end) codes, and every interval question is decided on
+    them.  A realized region is coded on the schedule's E.  Regions are
+    compared only on one tree and one E (see _one_grid).  ``pieces`` gives
+    the same intervals back as Fractions, keyed by edge.
     """
 
     tree: SimplicialGraph
     steps: int
     codes: Dict[int, Tuple[Tuple[int, int], ...]]
-
-    @staticmethod
-    def from_pieces(tree: SimplicialGraph, raw: Dict, steps: int) -> "SegmentRegion":
-        """The union of the (lo, hi, lo_closed, hi_closed) Fraction intervals
-        given edge by edge, coded on the line of E = ``steps``; GraphError
-        if an edge is not one of the tree's or an end is not a multiple of
-        1/E."""
-        rank = tree.edge_rank
-        codes = {}
-        for edge, intervals in raw.items():
-            if edge not in rank:
-                raise GraphError("unknown edge %r" % (edge,))
-            merged = _merge(_code(i, steps) for i in intervals)
-            if merged:
-                codes[rank[edge]] = tuple(merged)
-        return SegmentRegion(tree, steps, codes)
 
     @property
     def pieces(self) -> Dict[Tuple, Tuple[Interval, ...]]:
@@ -253,11 +224,12 @@ def later_intersecting(regions: Sequence[SegmentRegion]) -> List[List[int]]:
     Two regions meet on an edge both have pieces on or at a vertex both
     contain, so each meeting pair lies in a clique, added in bulk: a vertex's
     holders (a region holds an edge's start when its first code there is 0,
-    its end when its last code is 2E), or one edge's codes (see _code) open
-    at one point.  Swept by start, the codes open before each close and at
-    the end are such cliques; the first holds every code at the edge's start
-    and the last every one at its end, so a vertex's holders are added only
-    when its edge ends are held by different regions.  A region's own codes
+    its end when its last code is 2E), or one edge's codes (see
+    SegmentRegion) open at one point.  Swept by start, the codes open
+    before each close and at the end are such cliques; the first holds
+    every code at the edge's start and the last every one at its end, so a
+    vertex's holders are added only when its edge ends are held by
+    different regions.  A region's own codes
     are apart, so no clique holds a region twice.
     """
     top = 2 * _one_grid(regions)
@@ -303,7 +275,8 @@ def later_intersecting(regions: Sequence[SegmentRegion]) -> List[List[int]]:
 def regions_share_point(regions: Sequence[SegmentRegion]) -> bool:
     """Some point lies in every listed region: a vertex in every
     ``vertex_set``, or a point of one edge in an interval of each, so that
-    on one E (see _code) the largest start is at most the least end."""
+    on one E (see SegmentRegion) the largest start is at most the least
+    end."""
     _one_grid(regions)
     if frozenset.intersection(*(r.vertex_set for r in regions)):
         return True
@@ -319,9 +292,9 @@ def regions_share_point(regions: Sequence[SegmentRegion]) -> bool:
 
 def region_contains(outer: SegmentRegion, inner: SegmentRegion) -> bool:
     """Every point of inner lies in outer: on each edge, on one E (see
-    _code), every interval of inner lies in one merged component of outer's
-    intervals, with an end vertex that outer holds through another edge
-    added as a point.  Adding points only grows components, so an edge
+    SegmentRegion), every interval of inner lies in one merged component of
+    outer's intervals, with an end vertex that outer holds through another
+    edge added as a point.  Adding points only grows components, so an edge
     whose intervals already lie in outer's own is decided without them."""
     top = 2 * _one_grid((outer, inner))
     edges = outer.tree.sorted_edges()
@@ -341,8 +314,8 @@ def _within(coded, cover) -> bool:
 
 def covers_whole_tree(regions: Sequence[SegmentRegion]) -> bool:
     """Every point of every edge of the tree lies in a listed region: on
-    each edge the merged codes (see _code), on one E, are exactly the one
-    interval from 0 to 2E."""
+    each edge the merged codes (see SegmentRegion), on one E, are exactly
+    the one interval from 0 to 2E."""
     steps = _one_grid(regions)
     by_edge: List[List[Tuple[int, int]]] = [[] for _ in regions[0].tree.sorted_edges()]
     for r in regions:
@@ -771,19 +744,25 @@ def render_svg(realized: RealizedSystem, path: str,
     The tree's int frame and the links, its regions' closed pieces in
     ``scaled_pieces``, are drawn at x / scale: an int quotient is the
     correctly rounded float of its rational.  Each distinct piece end is
-    formatted once per call."""
+    formatted once per call.  GraphError, with no file written, when the
+    drawing reaches past float range."""
     system = realized.system
     tree = system.deepest
     if levels is None:
         levels = list(range(system.l + 1))
 
     unit, ipt = tree.int_frame
-    xs = [x / unit for x, _ in ipt.values()]
-    ys = [y / unit for _, y in ipt.values()]
     margin = 1.0
+    try:  # an int quotient past float range raises, a float sum past it is inf
+        xs = [x / unit for x, _ in ipt.values()]
+        ys = [y / unit for _, y in ipt.values()]
+        width = (max(xs) - min(xs) + 2 * margin) * _SVG_SCALE
+        height = (max(ys) - min(ys) + 2 * margin) * _SVG_SCALE
+    except OverflowError:
+        width = height = inf
+    if not (isfinite(width) and isfinite(height)):
+        raise GraphError("the tree reaches past float range: no SVG drawn")
     x0, y1 = min(xs) - margin, max(ys) + margin
-    width = (max(xs) - min(xs) + 2 * margin) * _SVG_SCALE
-    height = (max(ys) - min(ys) + 2 * margin) * _SVG_SCALE
 
     def to_px(p, scale):  # p: an int point on that scale
         return ((p[0] / scale - x0) * _SVG_SCALE, (y1 - p[1] / scale) * _SVG_SCALE)

@@ -8,6 +8,7 @@ instance file is the identity on its canonical form.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -30,20 +31,25 @@ def fraction_to_json(x: Fraction) -> str:
     return "%d/%d" % (x.numerator, x.denominator)
 
 
+_RATIONAL = re.compile(r"-?[0-9]+/[0-9]+")
+
+
 def _is_int(x) -> bool:
     """A JSON integer; true and false are not, though Python's bool is an int."""
     return isinstance(x, int) and not isinstance(x, bool)
 
 
 def fraction_from_json(s) -> Fraction:
+    """A JSON integer, or the text "p/q" in ASCII digits with an optional
+    minus on p and q >= 1; anything else, such as a space, a sign on q, a
+    plus or an underscore that int() would take, is not a rational."""
     if _is_int(s):
         return Fraction(s)
-    if isinstance(s, str) and "/" in s:
-        num, den = s.split("/", 1)
-        try:
-            return Fraction(int(num), int(den))
-        except (ValueError, ZeroDivisionError):
-            pass
+    if isinstance(s, str) and _RATIONAL.fullmatch(s):
+        num, den = s.split("/")
+        den = int(den)
+        if den:
+            return Fraction(int(num), den)
     raise FormatError("not a rational: %r" % (s,))
 
 

@@ -1,13 +1,15 @@
 """Finite simplicial graphs, simplicial maps, and trisection subdivision.
 
 Vertices are arbitrary hashable labels (tuples in practice).  Planar
-coordinates, when present, are exact rationals stored as int points over one
-scale, and every predicate in this module is decided with exact arithmetic.
+coordinates, when present, are exact rationals stored once, as int points
+over one scale (``SimplicialGraph.int_frame``), and every predicate in this
+module is decided with exact arithmetic on them.  The Fraction view of a
+frame and the breadth-first k-closeness reference live with the tests
+(``tests/reference.py``).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -181,17 +183,6 @@ class SimplicialGraph:
     def is_tree(self) -> bool:
         return self.is_connected() and len(self.edges) == len(self.vertices) - 1
 
-    @property
-    def coords(self) -> Optional[Dict[Vertex, Point]]:
-        """vertex -> its point as Fractions, made afresh from the frame."""
-        return None if self.int_frame is None else {v: self.point(v) for v in self.int_frame[1]}
-
-    def point(self, v: Vertex) -> Point:
-        if self.int_frame is None:
-            raise GraphError("graph has no planar coordinates")
-        scale, (x, y) = self.int_frame[0], self.int_frame[1][v]
-        return Fraction(x, scale), Fraction(y, scale)
-
     def embedding_violation(self):
         """Return a witness if the planar coordinates are not consistent.
 
@@ -259,30 +250,6 @@ class SimplicialGraph:
         return min(hits, key=lambda h: h[0])[1] if hits else None
 
 
-def k_close(g: SimplicialGraph, u: Vertex, v: Vertex, k: int) -> bool:
-    """True iff there is a walk of length <= k from u to v (repeats allowed)."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    if u not in g.vertices or v not in g.vertices:
-        raise GraphError("unknown vertex")
-    if u == v:
-        return True
-    dist = {u: 0}
-    queue = deque([u])
-    while queue:
-        w = queue.popleft()
-        d = dist[w]
-        if d == k:
-            continue
-        for x in g.adjacency[w]:
-            if x not in dist:
-                dist[x] = d + 1
-                if x == v:
-                    return True
-                queue.append(x)
-    return False
-
-
 @dataclass(frozen=True)
 class SimplicialMapping:
     """Vertex assignment between two graphs.
@@ -294,9 +261,6 @@ class SimplicialMapping:
     source: SimplicialGraph
     target: SimplicialGraph
     assignment: Dict[Vertex, Vertex]
-
-    def __call__(self, v: Vertex) -> Vertex:
-        return self.assignment[v]
 
     def totality_violation(self):
         for v in self.source.vertices:
@@ -330,10 +294,6 @@ class SimplicialMapping:
         return SimplicialMapping(
             inner.source, self.target,
             {v: self.assignment[w] for v, w in inner.assignment.items()})
-
-    @staticmethod
-    def identity(g: SimplicialGraph) -> "SimplicialMapping":
-        return SimplicialMapping(g, g, {v: v for v in g.vertices})
 
 
 def validate_simplicial(m: SimplicialMapping) -> bool:

@@ -1,16 +1,39 @@
-"""Fraction references for the trisection, used only by the tests.
+"""Test-side references: the Fraction faces of the program's int stores,
+and the trisection and closeness references, used only by the tests.
+
+The program stores a tree's coordinates once, as its int frame
+(``SimplicialGraph.int_frame``), and a region once, as merged int codes on
+one grid (``SegmentRegion(tree, steps, codes)``).  ``coords`` and ``point``
+read a frame back as Fractions, and ``from_pieces`` codes Fraction
+intervals (through ``_code``) into a region, so the tests can state their
+cases in rationals and compare them with what the program computes.
+
+``k_close`` is the breadth-first reference for 1- and 2-closeness, which the
+program decides from its closed forms instead.
 
 A point of a graph's realization is an ``EdgePoint``: a vertex, or the
-point at a rational parameter t on an edge.  These functions map such points
-through a map's realization and between a graph and its trisection g^(3),
-whose new vertex ("sub", (a, b), "1/3") sits at t = 1/3 on the canonical
-edge (a, b).  The program itself never builds these points: it lifts maps
-label by label (``lift_map_3``), and the tests compare the two.
+point at a rational parameter t on an edge.  The trisection functions map
+such points through a map's realization and between a graph and its
+trisection g^(3), whose new vertex ("sub", (a, b), "1/3") sits at t = 1/3
+on the canonical edge (a, b).  The program itself never builds these
+points: it lifts maps label by label (``lift_map_3``), and the tests
+compare the two.
 """
 
+from collections import deque
 from fractions import Fraction
+from typing import Dict, Optional, Tuple
 
-from treechains.simplicial import EdgePoint, GraphError, canonical_edge
+from treechains.geometry import Interval, SegmentRegion, _merge
+from treechains.simplicial import (
+    EdgePoint,
+    GraphError,
+    Point,
+    SimplicialGraph,
+    SimplicialMapping,
+    Vertex,
+    canonical_edge,
+)
 
 THIRD = Fraction(1, 3)
 TWO_THIRDS = Fraction(2, 3)
@@ -78,3 +101,84 @@ def from_subdivided(p3: EdgePoint) -> EdgePoint:
         raise GraphError("(%r, %r) spans two original edges" % (x, y))
     a, b = px[:2]
     return EdgePoint(a, b, (1 - t) * px[2] + t * py[2])
+
+
+# -- the Fraction face of the int stores ---------------------------------
+
+
+def coords(g: SimplicialGraph) -> Optional[Dict[Vertex, Point]]:
+    """vertex -> its point as Fractions, made afresh from the frame."""
+    return None if g.int_frame is None else {v: point(g, v) for v in g.int_frame[1]}
+
+
+def point(g: SimplicialGraph, v: Vertex) -> Point:
+    if g.int_frame is None:
+        raise GraphError("graph has no planar coordinates")
+    scale, (x, y) = g.int_frame[0], g.int_frame[1][v]
+    return Fraction(x, scale), Fraction(y, scale)
+
+
+def _code(interval: Interval, steps: int) -> Tuple[int, int]:
+    """(start, end) of a Fraction interval on the discrete line of E = ``steps``.
+
+    2T is the point T/E and 2T + 1 the open gap after it, so (lo, hi, lc, hc)
+    starts at 2 lo E (+1 if open) and ends at 2 hi E (-1 if open).  The
+    interval is empty exactly when start > end, two intervals meet exactly
+    when the larger start is at most the smaller end, and they leave no
+    point between them exactly when the later start is at most one past the
+    earlier end.  A region stores its intervals in this form, and every
+    interval question is decided on the codes.  GraphError if an end is not
+    a multiple of 1/E.
+    """
+    lo, hi, lc, hc = interval
+    if steps % lo.denominator or steps % hi.denominator:
+        raise GraphError("interval %s..%s is off the grid of E = %d" % (lo, hi, steps))
+    return (2 * lo.numerator * (steps // lo.denominator) + (0 if lc else 1),
+            2 * hi.numerator * (steps // hi.denominator) - (0 if hc else 1))
+
+
+def from_pieces(tree: SimplicialGraph, raw: Dict, steps: int) -> SegmentRegion:
+    """The union of the (lo, hi, lo_closed, hi_closed) Fraction intervals
+    given edge by edge, coded on the line of E = ``steps``; GraphError
+    if an edge is not one of the tree's or an end is not a multiple of
+    1/E."""
+    rank = tree.edge_rank
+    codes = {}
+    for edge, intervals in raw.items():
+        if edge not in rank:
+            raise GraphError("unknown edge %r" % (edge,))
+        merged = _merge(_code(i, steps) for i in intervals)
+        if merged:
+            codes[rank[edge]] = tuple(merged)
+    return SegmentRegion(tree, steps, codes)
+
+
+# -- closeness and maps --------------------------------------------------
+
+
+def k_close(g: SimplicialGraph, u: Vertex, v: Vertex, k: int) -> bool:
+    """True iff there is a walk of length <= k from u to v (repeats allowed)."""
+    if k < 1:
+        raise ValueError("k must be positive")
+    if u not in g.vertices or v not in g.vertices:
+        raise GraphError("unknown vertex")
+    if u == v:
+        return True
+    dist = {u: 0}
+    queue = deque([u])
+    while queue:
+        w = queue.popleft()
+        d = dist[w]
+        if d == k:
+            continue
+        for x in g.adjacency[w]:
+            if x not in dist:
+                dist[x] = d + 1
+                if x == v:
+                    return True
+                queue.append(x)
+    return False
+
+
+def identity(g: SimplicialGraph) -> SimplicialMapping:
+    return SimplicialMapping(g, g, {v: v for v in g.vertices})

@@ -75,6 +75,10 @@ class TestGenerate:
         ["--l", "2", "--eps", "3/4,2/3"],  # one radius short of l+1
         ["--l", "2", "--eps", "3/4,1/2,x"],  # not a rational
         ["--l", "0"],
+        ["--l", "2", "--eps", " 3_0/40,+2/3,5/8"],  # int() reads these, JSON does not
+        ["--l", "2", "--eps", "3 / 4,2/3,5/8"],
+        ["--l", "2", "--eps", "\u0663/\u0664,2/3,5/8"],
+        ["--l", "2", "--eps", "3/4,2/3,-5/-8"],
     ])
     def test_bad_arguments_fail_at_schema(self, tmp_path, capsys, args):
         out = tmp_path / "o"
@@ -259,6 +263,25 @@ class TestOther:
         assert lines[0].startswith("output                 FAIL  witness=")
         assert lines[1:] == ["overall                FAIL"]
         assert not svg.parent.exists()
+
+    @pytest.mark.parametrize("power", [400, 307])
+    def test_render_past_float_range_fails(self, tmp_path, capsys, power):
+        # 10^400 overflows each coordinate's quotient, 10^307 the picture's width
+        payload = generate_instance(2).to_json()
+        for level in payload["diagram"]["levels"]:
+            for _, xy in level["coords"]:
+                xy[:] = ["%d/%s" % (int(p) * 10 ** power, q)
+                         for p, q in (c.split("/") for c in xy)]
+        path, svg = tmp_path / "far.json", tmp_path / "far.svg"
+        path.write_text(json.dumps(payload))
+        assert main(["verify", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["render", str(path), "--out", str(svg)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("output                 FAIL  witness=")
+        assert "float range" in lines[0]
+        assert lines[1:] == ["overall                FAIL"]
+        assert not svg.exists()
 
     @pytest.mark.parametrize("k", ["1", "0", "-2"])
     def test_generate_family_below_two_fails(self, tmp_path, capsys, k):

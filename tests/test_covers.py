@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from reference import k_close
 
 from treechains.covers import (
     CoverSet,
@@ -21,7 +22,7 @@ from treechains.covers import (
     sets_intersect,
 )
 from treechains.serialize import Instance
-from treechains.simplicial import EdgePoint, GraphError, k_close, vkey
+from treechains.simplicial import EdgePoint, GraphError, vkey
 from treechains.verify import VerifyContext, generate_instance, verify_instance
 
 
@@ -234,6 +235,12 @@ class TestConditions:
         for n in (-2, -1, 2, 3):
             with pytest.raises(GraphError):
                 d1_violation(system, n)
+        # the nerve checks read level n too: 0 <= n <= l
+        assert nerve_isomorphic_to(system, 2) and nerve(system, 2).edges
+        for n in (-2, -1, 3, 4):
+            for check in (nerve, nerve_isomorphic_to):
+                with pytest.raises(GraphError):
+                    check(system, n)
 
     def test_d1_fails_with_refinement_witness_as_pattern(self):
         inst = generate_instance(1)

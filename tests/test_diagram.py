@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from reference import identity, k_close
 
 from treechains.diagram import (
     TreeDiagram,
@@ -18,7 +19,6 @@ from treechains.simplicial import (
     GraphError,
     SimplicialGraph,
     SimplicialMapping,
-    k_close,
 )
 from treechains.verify import random_simplicial_map, random_tree
 
@@ -56,7 +56,7 @@ class TestDiagramShape:
 class TestCoincidence:
     def test_identity_pair_has_coincidences_everywhere(self):
         g = path_graph(3)
-        ident = SimplicialMapping.identity(g)
+        ident = identity(g)
         assert not coincidence_free(ident, ident)
         oracle = coincidence_oracle(ident, ident)
         assert all(EdgePoint.vertex(v) in oracle for v in g.vertices)
@@ -116,7 +116,8 @@ class TestProximity:
             dst = random_tree(rng, rng.randrange(2, 13))
             f = random_simplicial_map(rng, src, dst)
             g = random_simplicial_map(rng, src, dst)
-            expected = {v for v in src.vertices if k_close(dst, f(v), g(v), 2)}
+            expected = {v for v in src.vertices
+                        if k_close(dst, f.assignment[v], g.assignment[v], 2)}
             assert proximity_vertices(f, g) == expected
             kinds.add("none" if not expected else "all" if expected == src.vertices else "some")
         assert kinds == {"none", "some", "all"}
@@ -150,7 +151,7 @@ class TestProximity:
 class TestLift:
     def test_lift_requires_coincidence_free_bottom(self):
         g = path_graph(3)
-        ident = SimplicialMapping.identity(g)
+        ident = identity(g)
         d = TreeDiagram((g, g), (ident,), (ident,))
         with pytest.raises(GraphError):
             lift_diagram_3(d)

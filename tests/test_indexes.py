@@ -12,6 +12,7 @@ from itertools import combinations
 import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
+from reference import from_pieces, point
 from test_geometry import (
     _endpos,
     _startpos,
@@ -132,7 +133,7 @@ def test_scaled_pieces_are_the_closures_pieces(realized):
         assert len(group) == len(expected)
         assert all(pc is want for pc, want in zip(group, expected))
         assert tuple((F(x, scale), F(y, scale)) for x, y in points) == \
-            (tree.point(e[0]), tree.point(e[1]))
+            (point(tree, e[0]), point(tree, e[1]))
 
 
 def test_every_region_is_on_the_schedule_grid(realized):
@@ -171,9 +172,9 @@ def test_region_index_matches_all_pairs(realized):
 
 def test_region_index_finds_a_meeting_at_a_vertex_only():
     g = path_graph(3)
-    left = SegmentRegion.from_pieces(g, {(0, 1): [(F(0), F(1), True, True)]}, 2)
-    right = SegmentRegion.from_pieces(g, {(1, 2): [(F(0), F(1, 2), True, True)]}, 2)
-    far = SegmentRegion.from_pieces(g, {(1, 2): [(F(1, 2), F(1), False, True)]}, 2)
+    left = from_pieces(g, {(0, 1): [(F(0), F(1), True, True)]}, 2)
+    right = from_pieces(g, {(1, 2): [(F(0), F(1, 2), True, True)]}, 2)
+    far = from_pieces(g, {(1, 2): [(F(1, 2), F(1), False, True)]}, 2)
     assert later_intersecting([left, right, far]) == [[1], [], []]
 
 
@@ -228,7 +229,7 @@ def _on_one_grid(raw):
     """The regions of one draw of fork_pieces, all coded on the grid of the
     draw's ends."""
     steps = grid_of([i for pieces in raw for intervals in pieces.values() for i in intervals])
-    return [SegmentRegion.from_pieces(FORK, pieces, steps) for pieces in raw]
+    return [from_pieces(FORK, pieces, steps) for pieces in raw]
 
 
 fork_regions = fork_pieces().map(_on_one_grid)
@@ -248,7 +249,7 @@ def test_later_intersecting_meets_at_a_vertex_held_through_two_edges():
     # on the path 0-1-2 the first two regions share the point 1 and nothing
     # else; the third starts just past the second's end
     tree = path_graph(3)
-    regions = [SegmentRegion.from_pieces(tree, pieces, 2) for pieces in (
+    regions = [from_pieces(tree, pieces, 2) for pieces in (
         {(0, 1): [(F(1, 2), F(1), True, True)]},
         {(1, 2): [(F(0), F(1, 2), True, True)]},
         {(1, 2): [(F(1, 2), F(1), False, True)]})]
@@ -309,10 +310,10 @@ def test_covers_whole_tree_matches_union(regions):
 
 def test_covers_whole_tree_needs_the_point_between_two_open_ends():
     half = F(1, 2)
-    left = SegmentRegion.from_pieces(FORK, {e: [(F(0), half, True, False)] for e in FORK.edges}, 2)
+    left = from_pieces(FORK, {e: [(F(0), half, True, False)] for e in FORK.edges}, 2)
     for closed, covers in ((False, False), (True, True)):
-        right = SegmentRegion.from_pieces(FORK, {e: [(half, F(1), closed, True)]
-                                                 for e in FORK.edges}, 2)
+        right = from_pieces(FORK, {e: [(half, F(1), closed, True)]
+                                   for e in FORK.edges}, 2)
         assert covers_whole_tree([left, right]) is covers_by_union([left, right]) is covers
 
 # -- realized regions beside from_pieces regions -----------------------------
@@ -336,7 +337,7 @@ def drawn_region(draw, edges):
         lo, hi = sorted((draw(_grid_ends), draw(_grid_ends)))
         raw.setdefault(draw(st.sampled_from(edges)), []).append(
             (lo, hi, draw(st.booleans()), draw(st.booleans())))
-    return SegmentRegion.from_pieces(MIXED.system.deepest, raw, MIXED_STEPS)
+    return from_pieces(MIXED.system.deepest, raw, MIXED_STEPS)
 
 
 @st.composite
@@ -427,7 +428,7 @@ def test_codes_are_keyed_by_edge_position(regions):
         edges = r.tree.sorted_edges()
         assert all(type(k) is int and 0 <= k < len(edges) for k in r.codes)
         assert list(r.pieces) == region_edges(r) == [edges[k] for k in sorted(r.codes)]
-        assert SegmentRegion.from_pieces(r.tree, r.pieces, r.steps).codes == r.codes
+        assert from_pieces(r.tree, r.pieces, r.steps).codes == r.codes
 
 
 def _non_edges(tree):
@@ -443,14 +444,14 @@ def test_from_pieces_refuses_a_reversed_or_foreign_edge(tree, data):
     whole = (F(0), F(1), True, True)
     for edge in ((b, a), foreign):
         with pytest.raises(GraphError, match="unknown edge"):
-            SegmentRegion.from_pieces(tree, {(a, b): [whole], edge: [whole]}, 2)
+            from_pieces(tree, {(a, b): [whole], edge: [whole]}, 2)
 
 
 @settings(max_examples=200, deadline=None)
 @given(region_pools, st.data())
 def test_contains_point_is_false_on_a_non_edge_pair(regions, data):
     tree = regions[0].tree
-    whole = SegmentRegion.from_pieces(
+    whole = from_pieces(
         tree, {e: [(F(0), F(1), True, True)] for e in tree.edges}, regions[0].steps)
     u, v = data.draw(st.sampled_from(_non_edges(tree)))
     t = F(data.draw(st.integers(1, 11)), 12)
@@ -1065,8 +1066,8 @@ def test_grown_region_fails_triples_like_brute_force(monkeypatch):
         else:
             raise AssertionError("every tamper fails D1")
         _, x, y, t = q.canonical()
-        point = SegmentRegion.from_pieces(system.deepest, {(x, y): [(t, t, True, True)]},
-                                          system.epsilons.steps)
+        point = from_pieces(system.deepest, {(x, y): [(t, t, True, True)]},
+                            system.epsilons.steps)
         self.regions[(0, b.vertex)] = region_union([self.regions[(0, b.vertex)], point])
         built.append(self)
 
@@ -1104,7 +1105,7 @@ def test_opened_region_fails_oracle_identity_like_brute_force(monkeypatch):
         a = system.covers[system.l][0]
         v = a.vertex
         region = self.region(a)
-        self.regions[(a.level, v)] = SegmentRegion.from_pieces(region.tree, {
+        self.regions[(a.level, v)] = from_pieces(region.tree, {
             (p, q): [(lo, hi, lc and p != v, hc and q != v) for lo, hi, lc, hc in iv]
             for (p, q), iv in region.pieces.items()}, region.steps)
         built.append((self, v))

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import coords
 from test_geometry import region_edges
 
 import treechains.cli as cli
@@ -35,8 +36,9 @@ class TestScalars:
         for x in (Fraction(0), Fraction(2, 3), Fraction(-7, 12)):
             assert fraction_from_json(fraction_to_json(x)) == x
         assert fraction_from_json(5) == Fraction(5)
-        with pytest.raises(FormatError):
-            fraction_from_json("abc")
+        for bad in ("abc", " 3 / 4 ", "3_0/40", "+3/4", "\u0663/\u0664", "3/-4", "3/0"):
+            with pytest.raises(FormatError):
+                fraction_from_json(bad)
 
     def test_vertex_roundtrip(self):
         labels = [(1, 3), (-1, 0),
@@ -102,7 +104,7 @@ class TestGraphs:
         g = generate_instance(1).diagram.levels[1]
         back = graph_from_json(json.loads(json.dumps(graph_to_json(g, LabelTable()))))
         assert back == g
-        assert back.coords == g.coords
+        assert coords(back) == coords(g)
 
 
 class TestInstances:

@@ -8,7 +8,15 @@ from unittest import mock
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
-from reference import evaluate_realization, from_subdivided, subdivision_vertex, to_subdivided
+from reference import (
+    coords,
+    evaluate_realization,
+    from_subdivided,
+    k_close,
+    point,
+    subdivision_vertex,
+    to_subdivided,
+)
 
 import treechains
 import treechains.geometry as geo
@@ -23,7 +31,6 @@ from treechains.simplicial import (
     SimplicialMapping,
     canonical_edge,
     is_surjection,
-    k_close,
     lift_map_3,
     subdivide3,
     validate_simplicial,
@@ -195,21 +202,21 @@ def reference_embedding_violation(g):
     witness; witness vertices come in vkey order."""
     pts = {}
     for v in g.sorted_vertices():
-        p = g.point(v)
+        p = point(g, v)
         if p in pts:
             return ("duplicate-coordinate", pts[p], v)
         pts[p] = v
-    segs = [(e, g.point(e[0]), g.point(e[1])) for e in g.sorted_edges()]
+    segs = [(e, point(g, e[0]), point(g, e[1])) for e in g.sorted_edges()]
     for e, a, b in segs:
         for v in g.sorted_vertices():
-            if v not in e and point_on_segment(g.point(v), a, b):
+            if v not in e and point_on_segment(point(g, v), a, b):
                 return ("vertex-in-edge", v, e)
     for i, (e1, a1, b1) in enumerate(segs):
         for e2, a2, b2 in segs[i + 1:]:
             hit = _ref_segment_intersection(a1, b1, a2, b2)
             if hit is None:
                 continue
-            if hit[0] == "overlap" or hit[1] not in {g.point(v) for v in set(e1) & set(e2)}:
+            if hit[0] == "overlap" or hit[1] not in {point(g, v) for v in set(e1) & set(e2)}:
                 return ("edges-cross", e1, e2)
     return None
 
@@ -296,7 +303,7 @@ class TestEmbeddingViolation:
                 if tree.has_edge(keep, target):
                     continue
                 moved = (tree.edges - {e}) | {canonical_edge(keep, target)}
-                g = SimplicialGraph.build(tree.vertices, moved, tree.coords,
+                g = SimplicialGraph.build(tree.vertices, moved, coords(tree),
                                           check_embedding=False)
                 expected = reference_embedding_violation(g)
                 kinds.add(expected and expected[0])
@@ -409,8 +416,8 @@ class TestSubdivision:
         third, two_thirds = Fraction(1, 3), Fraction(2, 3)
         for t, u in ((third, ("sub", (0, 1), "1/3")), (two_thirds, ("sub", (0, 1), "2/3"))):
             expected = tuple((1 - t) * a + t * b for a, b in zip(pa, pb))
-            assert g3.point(u) == expected
-            assert all(type(x) is Fraction for x in g3.point(u))
+            assert point(g3, u) == expected
+            assert all(type(x) is Fraction for x in point(g3, u))
 
     def test_int_frame_is_the_reduced_frame(self):
         eps = EpsilonSchedule.build([Fraction(3, 4), Fraction(2, 3), Fraction(3, 5),
@@ -419,9 +426,9 @@ class TestSubdivision:
         trees += [t for l in range(1, 7) for t in generate_instance(l).diagram.levels]
         trees += generate_instance(3, eps).diagram.levels
         for tree in trees:
-            ref = SimplicialGraph.build(tree.vertices, tree.edges, tree.coords, False)
+            ref = SimplicialGraph.build(tree.vertices, tree.edges, coords(tree), False)
             assert tree.int_frame == ref.int_frame
-            assert all(type(c) is Fraction for v in tree.vertices for c in tree.point(v))
+            assert all(type(c) is Fraction for v in tree.vertices for c in point(tree, v))
         # trisecting (0,0)-(3,0) puts the new points at 1 and 2: scale 1
         g3 = subdivide3(path_graph(2, spacing=3))
         assert g3.int_frame == (1, {0: (0, 0), 1: (3, 0), ("sub", (0, 1), "1/3"): (1, 0),
@@ -442,13 +449,13 @@ class TestSubdivision:
             for n in range(d.length):
                 lift_map_3(d.g_row[n], levels3[n + 1], levels3[n])
             assert made == []
-            build_tree(5, 0).point((0, 5))
+            point(build_tree(5, 0), (0, 5))
             assert made  # the counter sees a Fraction made
 
     @settings(max_examples=200, deadline=None)
     @given(mixed_trees())
     def test_subdivide3_derives_the_keys_build_computes(self, g):
-        event("coords" if g.coords is not None else "no coords")
+        event("coords" if coords(g) is not None else "no coords")
         derived = []
         from_keys = SimplicialGraph._from_keys
 
@@ -460,7 +467,7 @@ class TestSubdivision:
             g3 = subdivide3(g)
             g9 = subdivide3(g3)  # g3's "sub" labels sort among g9's new ones
         for h, keys in ((g3, derived[0]), (g9, derived[1])):
-            ref = SimplicialGraph.build(h.vertices, h.edges, h.coords, False)
+            ref = SimplicialGraph.build(h.vertices, h.edges, coords(h), False)
             assert (h.vertices, h.edges, h.int_frame) == (ref.vertices, ref.edges, ref.int_frame)
             assert list(h.rank.items()) == list(ref.rank.items())
             assert keys.keys() == h.vertices
@@ -506,4 +513,4 @@ class TestSubdivision:
         g = path_graph(2, spacing=3)
         g3 = subdivide3(g)
         u = subdivision_vertex(g, (0, 1), Fraction(1, 3))
-        assert g3.point(u) == (Fraction(1), Fraction(0))
+        assert point(g3, u) == (Fraction(1), Fraction(0))
