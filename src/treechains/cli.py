@@ -138,7 +138,7 @@ def cmd_render(args) -> int:
         return _fail(failure)
     try:
         geo.render_svg(ctx.realized, args.out, levels=levels)
-    except (OSError, GraphError) as exc:  # no directory or permission; past float range
+    except (OSError, GraphError) as exc:  # no directory or permission; not drawable
         return _fail(_failure_report("output", str(exc)))
     print("wrote %s" % args.out)
     return 0

@@ -208,29 +208,22 @@ class SegmentRegion:
         code = _point_code(t, self.steps)
         return any(s <= code <= e for s, e in self.codes.get(k, ()))
 
-    def closure(self) -> "SegmentRegion":
-        """Every open end rounded to its point code, merged again."""
-        closed = {}
-        for k, coded in self.codes.items():
-            ends = [(s - s % 2, e + e % 2) for s, e in coded]
-            closed[k] = tuple(_merge(ends) if len(ends) > 1 else ends)
-        return SegmentRegion(self.tree, self.steps, closed)
 
+def meeting_cliques(regions: Sequence[SegmentRegion]) -> List[List[int]]:
+    """Cliques of the listed regions, each the ascending indices of regions
+    that share a point.  Every set of regions that shares a point lies in
+    one of them (the argument is in ``verify._triples``).
 
-def later_intersecting(regions: Sequence[SegmentRegion]) -> List[List[int]]:
-    """For each listed region i, the ascending indices j > i of the listed
-    regions that meet it.
-
-    Two regions meet on an edge both have pieces on or at a vertex both
-    contain, so each meeting pair lies in a clique, added in bulk: a vertex's
-    holders (a region holds an edge's start when its first code there is 0,
-    its end when its last code is 2E), or one edge's codes (see
+    Regions meet on an edge both have pieces on or at a vertex both
+    contain, so each common point lies in a clique, recorded in bulk: a
+    vertex's holders (a region holds an edge's start when its first code
+    there is 0, its end when its last code is 2E), or one edge's codes (see
     SegmentRegion) open at one point.  Swept by start, the codes open
     before each close and at the end are such cliques; the first holds
     every code at the edge's start and the last every one at its end, so a
-    vertex's holders are added only when its edge ends are held by
-    different regions.  A region's own codes
-    are apart, so no clique holds a region twice.
+    vertex's holders are recorded only when its edge ends are held by
+    different regions.  A region's own codes are apart, so no clique holds
+    a region twice.
     """
     top = 2 * _one_grid(regions)
     tree = regions[0].tree
@@ -265,44 +258,38 @@ def later_intersecting(regions: Sequence[SegmentRegion]) -> List[List[int]]:
             least = min(least, end)
         if opened:
             cliques.append(sorted(map(itemgetter(1), opened)))
-    later = [set() for _ in regions]
+    return cliques
+
+
+def later_intersecting(cliques: Sequence[List[int]], count: int) -> List[List[int]]:
+    """For each of ``count`` regions i, the ascending indices j > i of the
+    regions that share a clique of ``meeting_cliques`` with it: those that
+    meet it."""
+    later = [set() for _ in range(count)]
     for members in cliques:
         for x, i in enumerate(members):
             later[i].update(members[x + 1:])
     return [sorted(js) for js in later]
 
 
-def regions_share_point(regions: Sequence[SegmentRegion]) -> bool:
-    """Some point lies in every listed region: a vertex in every
-    ``vertex_set``, or a point of one edge in an interval of each, so that
-    on one E (see SegmentRegion) the largest start is at most the least
-    end."""
-    _one_grid(regions)
-    if frozenset.intersection(*(r.vertex_set for r in regions)):
-        return True
-    codes = [r.codes for r in regions]
-    for k, common in codes[0].items():
-        for other in codes[1:]:
-            common = [(max(s, t), min(d, f)) for s, d in common
-                      for t, f in other.get(k, ()) if max(s, t) <= min(d, f)]
-        if common:
-            return True
-    return False
-
-
-def region_contains(outer: SegmentRegion, inner: SegmentRegion) -> bool:
-    """Every point of inner lies in outer: on each edge, on one E (see
-    SegmentRegion), every interval of inner lies in one merged component of
-    outer's intervals, with an end vertex that outer holds through another
-    edge added as a point.  Adding points only grows components, so an edge
-    whose intervals already lie in outer's own is decided without them."""
+def closure_within(outer: SegmentRegion, inner: SegmentRegion) -> bool:
+    """The closure of inner lies in outer: on each edge, on one E (see
+    SegmentRegion), every interval of inner, its odd ends rounded outward
+    to their point codes, lies in one merged component of outer's
+    intervals, with an end vertex that outer holds through another edge
+    added as a point.  Adding points only grows components, so an edge
+    whose intervals already lie in outer's own is decided without them.
+    The rounded intervals need no merge: two that touch share a point code,
+    as their ends are even, so they lie in one component of outer or not at
+    all."""
     top = 2 * _one_grid((outer, inner))
     edges = outer.tree.sorted_edges()
     for k, coded in inner.codes.items():
+        closed = [(s - s % 2, e + e % 2) for s, e in coded]
         cover = outer.codes.get(k, ())
-        if not _within(coded, cover):
+        if not _within(closed, cover):
             ends = [(c, c) for v, c in zip(edges[k], (0, top)) if v in outer.vertex_set]
-            if not _within(coded, _merge(list(cover) + ends)):
+            if not _within(closed, _merge(list(cover) + ends)):
                 return False
     return True
 
@@ -386,7 +373,9 @@ class RealizedSystem:
     A realized region holds one interval per edge: the stars of an edge's
     ends, (0, 2eE - 1) and (2E - 2eE + 1, 2E), overlap as e > 1/2 on the
     grid gives 4eE >= 2E + 2, and ``realize`` merges them.  So closing
-    merges nothing, and ``region(a).closure()`` has the region's pieces."""
+    merges nothing: a region's closure has one interval per edge, the
+    region's own with each odd end rounded outward, and ``scaled_pieces``
+    and ``closure_within`` read it off the codes."""
 
     def __init__(self, system: CoverSystem):
         self.system = system
@@ -398,8 +387,9 @@ class RealizedSystem:
 
     @cached_property
     def scaled_pieces(self):
-        """(scale, by_set, by_edge): every closed piece of every region as
-        one (set index, p, q, box) in int coordinates, built once.
+        """(scale, by_set, by_edge): every closed piece of every region, the
+        pieces of its closure (see the class docstring), as one (set index,
+        p, q, box) in int coordinates, built once.
         ``by_set[i]`` lists set i's, its region's edges in ``sorted_edges()``
         order; ``by_edge`` holds one group (edge, points, pieces) per edge of
         the deepest tree in that order, with its ends' int points and the
@@ -743,9 +733,10 @@ def render_svg(realized: RealizedSystem, path: str,
 
     The tree's int frame and the links, its regions' closed pieces in
     ``scaled_pieces``, are drawn at x / scale: an int quotient is the
-    correctly rounded float of its rational.  Each distinct piece end is
-    formatted once per call.  GraphError, with no file written, when the
-    drawing reaches past float range."""
+    correctly rounded float of its rational.  Each distinct piece end and
+    each tree vertex is formatted once per call.  GraphError, with no file
+    written, when the drawing reaches past float range or two tree vertices
+    draw at one pixel text, as coordinates far below a pixel do."""
     system = realized.system
     tree = system.deepest
     if levels is None:
@@ -766,6 +757,13 @@ def render_svg(realized: RealizedSystem, path: str,
 
     def to_px(p, scale):  # p: an int point on that scale
         return ((p[0] / scale - x0) * _SVG_SCALE, (y1 - p[1] / scale) * _SVG_SCALE)
+
+    corners = {}  # tree vertex -> its (x, y) pixel texts
+    for v, p in ipt.items():
+        px = to_px(p, unit)
+        corners[v] = (_fmt(px[0]), _fmt(px[1]))
+    if len(set(corners.values())) < len(corners):
+        raise GraphError("two tree vertices draw at one pixel: no SVG drawn")
 
     scale, by_set, _ = realized.scaled_pieces
     texts = {}  # int point of a piece end -> its "x y" pixel text, formatted once
@@ -797,9 +795,7 @@ def render_svg(realized: RealizedSystem, path: str,
         lines.append("</g>")
     lines.append('<g id="skeleton" stroke="#000000" stroke-width="1.5">')
     for a, b in tree.sorted_edges():
-        pa, pb = to_px(ipt[a], unit), to_px(ipt[b], unit)
-        lines.append('<line x1="%s" y1="%s" x2="%s" y2="%s"/>'
-                     % (_fmt(pa[0]), _fmt(pa[1]), _fmt(pb[0]), _fmt(pb[1])))
+        lines.append('<line x1="%s" y1="%s" x2="%s" y2="%s"/>' % (corners[a] + corners[b]))
     lines.append("</g>")
     lines.append('<g id="legend" font-family="sans-serif" font-size="14">')
     for idx, n in enumerate(levels):

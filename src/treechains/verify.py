@@ -120,6 +120,12 @@ class VerifyContext:
             return own["m_sq"], own["radius_sq"]
         return geo.enlarge_taut_family(self.realized)
 
+    @cached_property
+    def cliques(self) -> List[List[int]]:
+        """``meeting_cliques`` over the regions of all_sets(), by index: one
+        sweep, read by ``taut`` and ``triples``."""
+        return geo.meeting_cliques([self.realized.region(a) for a in self.system.all_sets()])
+
 
 # -- the stages: each takes the context and returns a witness, or None ------
 
@@ -182,17 +188,17 @@ def _strong_refinement(ctx: VerifyContext):
     """Closure containment along each bond.  Fiber inclusion holds by
     construction: a fiber is a preimage under bond(j, l), and bond(n, l),
     built as g_n o bond(n + 1, l), is bond(n, j) o bond(j, l).  The closure
-    check reads each realized region and the closure it derives
-    (``SegmentRegion.closure``).  On a realization of the schedule it holds
-    too: g_n, linear on edges, maps the closed eps_{n+1}-star of w into the
-    open eps_n-star of g_n(w), as eps is strictly decreasing.  The shrunk
-    level-1 region of ``test_nesting_witness_matches_all_pairs`` fails it."""
+    check reads each realized region's codes (``closure_within``).  On a
+    realization of the schedule it holds too: g_n, linear on edges, maps
+    the closed eps_{n+1}-star of w into the open eps_n-star of g_n(w), as
+    eps is strictly decreasing.  The shrunk level-1 region of
+    ``test_nesting_witness_matches_all_pairs`` fails it."""
     system, realized = ctx.system, ctx.realized
     for n in range(ctx.l):
         bond = system.bond(n, n + 1)
         for a in system.covers[n + 1]:
             outer = system.cover_set(n, bond[a.vertex])
-            if not geo.region_contains(realized.region(outer), realized.region(a).closure()):
+            if not geo.closure_within(realized.region(outer), realized.region(a)):
                 return ("closure", n, a.vertex)
     return None
 
@@ -264,9 +270,9 @@ def _taut(ctx: VerifyContext):
     sets holding one end both hold it; a region and its closure hold the
     same vertices, the fiber, as e < 1.  At e = 1/2 they differ
     (``test_routes_differ_at_epsilon_one_half``)."""
-    system, realized = ctx.system, ctx.realized
+    system = ctx.system
     sets = system.all_sets()
-    found = geo.later_intersecting([realized.region(a) for a in sets])
+    found = geo.later_intersecting(ctx.cliques, len(sets))
     for i, (adj, geo_later) in enumerate(zip(system.adjacency, found)):
         later = adj[bisect_right(adj, i):]
         if later != tuple(geo_later):
@@ -277,9 +283,22 @@ def _taut(ctx: VerifyContext):
 
 
 def _triples(ctx: VerifyContext):
-    """No point lies in three sets of one level.  Three sets share a point
-    only if they meet pairwise, so only the triangles of the intersection
-    graph are tested.
+    """No point lies in three sets of one level.  The witness is n and the
+    vertices of the least three sets of level n, in covers[n] order, that
+    share a point.
+
+    Read off ``ctx.cliques``.  Every clique of ``meeting_cliques`` shares a
+    point, and every set of regions that shares a point lies in one
+    recorded clique.  A vertex's holders are recorded as one clique, or
+    else they all lie in the first or last clique of an edge at it.  On an
+    edge the sweep keeps an invariant: a code leaves the open list only at
+    a close, after that clique is recorded, and only when it ends before
+    the next start.  So the codes that hold one code point c are all open once
+    the last of them has started, as none ends before c, and the next
+    recorded clique holds them all.  Three sets thus share a point exactly
+    when one clique holds all three.  A clique's members ascend in
+    all_sets() order, which is level by level, so the least such three are
+    three consecutive members of one clique, of one level.
 
     Implied by the stages before it: a level's sets are unions of eps-stars
     at the vertices of disjoint fibers, and with eps_0 < 1 the star of a
@@ -287,16 +306,13 @@ def _triples(ctx: VerifyContext):
     a vertex lies in one set of a level and a point inside an edge in at
     most the two sets holding its ends.
     """
-    system, realized = ctx.system, ctx.realized
-    for n in range(ctx.l + 1):
-        for i, a in enumerate(system.covers[n]):
-            near = system.neighbors(a, n, i + 1)
-            for x, b in enumerate(near):
-                for c in near[x + 1:]:
-                    if cv.sets_intersect(system, b, c) and geo.regions_share_point(
-                            [realized.region(s) for s in (a, b, c)]):
-                        return (n, a.vertex, b.vertex, c.vertex)
-    return None
+    sets = ctx.system.all_sets()
+    least = min((members[x:x + 3] for members in ctx.cliques for x in range(len(members) - 2)
+                 if sets[members[x]].level == sets[members[x + 2]].level), default=None)
+    if least is None:
+        return None
+    a, b, c = (sets[i] for i in least)
+    return (a.level, a.vertex, b.vertex, c.vertex)
 
 
 def _nerve(ctx: VerifyContext):

@@ -8,6 +8,11 @@ read a frame back as Fractions, and ``from_pieces`` codes Fraction
 intervals (through ``_code``) into a region, so the tests can state their
 cases in rationals and compare them with what the program computes.
 
+``closure`` rounds a region's open ends to their points; the program reads
+closures off the codes where it needs them (``closure_within``,
+``RealizedSystem.scaled_pieces``).  ``folded_leaf_instance`` is the instance
+whose family gap lies below rho.
+
 ``k_close`` is the breadth-first reference for 1- and 2-closeness, which the
 program decides from its closed forms instead.
 
@@ -25,6 +30,7 @@ from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from treechains.geometry import Interval, SegmentRegion, _merge
+from treechains.serialize import Instance, instance_from_json
 from treechains.simplicial import (
     EdgePoint,
     GraphError,
@@ -34,6 +40,7 @@ from treechains.simplicial import (
     Vertex,
     canonical_edge,
 )
+from treechains.verify import generate_instance
 
 THIRD = Fraction(1, 3)
 TWO_THIRDS = Fraction(2, 3)
@@ -151,6 +158,29 @@ def from_pieces(tree: SimplicialGraph, raw: Dict, steps: int) -> SegmentRegion:
         if merged:
             codes[rank[edge]] = tuple(merged)
     return SegmentRegion(tree, steps, codes)
+
+
+def closure(region: SegmentRegion) -> SegmentRegion:
+    """Every open end rounded to its point code, merged again."""
+    closed = {}
+    for k, coded in region.codes.items():
+        ends = [(s - s % 2, e + e % 2) for s, e in coded]
+        closed[k] = tuple(_merge(ends) if len(ends) > 1 else ends)
+    return SegmentRegion(region.tree, region.steps, closed)
+
+
+def folded_leaf_instance() -> Instance:
+    """``generate_instance(2)`` with the leaf (-1, 6) of its deepest tree
+    moved from (-1, 6) to (-47/48, 11/2): the leaf edge folds back beside
+    the edge from ("sub", ((-1, 5), (-1, 6)), "2/3") to its "1/3".  It is
+    still planar and passes every stage, but the least gap of the family,
+    1/4160 squared, lies far below rho, 1/36 squared, so the enlargement
+    margin cannot be read off level 0."""
+    payload = generate_instance(2).to_json()
+    for label, xy in payload["diagram"]["levels"][2]["coords"]:
+        if label == [-1, 6]:
+            xy[:] = ["-47/48", "11/2"]
+    return instance_from_json(payload)
 
 
 # -- closeness and maps --------------------------------------------------

@@ -8,7 +8,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from reference import evaluate_realization, from_subdivided, to_subdivided
+from reference import closure, evaluate_realization, from_subdivided, to_subdivided
 from test_geometry import region_intersects
 
 from treechains.covers import CoverSystem, ScheduleError
@@ -118,7 +118,7 @@ def test_criterion_5_oracle_identity():
     system = CoverSystem(inst.diagram, inst.epsilons)
     realized = RealizedSystem(system)
     sets = system.all_sets()
-    closures = [realized.region(a).closure() for a in sets]
+    closures = [closure(realized.region(a)) for a in sets]
     for i, a in enumerate(sets):
         for j, b in enumerate(sets[i + 1:], i + 1):
             combinatorial = sets_intersect(system, a, b)

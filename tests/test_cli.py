@@ -283,6 +283,25 @@ class TestOther:
         assert lines[1:] == ["overall                FAIL"]
         assert not svg.exists()
 
+    def test_render_collapsed_coordinates_fails(self, tmp_path, capsys):
+        # below 10^-308 every coordinate's quotient is 0.0, so every tree
+        # vertex would draw at one pixel
+        payload = generate_instance(2).to_json()
+        for level in payload["diagram"]["levels"]:
+            for _, xy in level["coords"]:
+                xy[:] = ["%s/%d" % (p, int(q) * 10 ** 400)
+                         for p, q in (c.split("/") for c in xy)]
+        path, svg = tmp_path / "near.json", tmp_path / "near.svg"
+        path.write_text(json.dumps(payload))
+        assert main(["verify", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["render", str(path), "--out", str(svg)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("output                 FAIL  witness=")
+        assert "one pixel" in lines[0]
+        assert lines[1:] == ["overall                FAIL"]
+        assert not svg.exists()
+
     @pytest.mark.parametrize("k", ["1", "0", "-2"])
     def test_generate_family_below_two_fails(self, tmp_path, capsys, k):
         out = tmp_path / "fam.json"

@@ -5,7 +5,7 @@ from math import lcm
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
-from reference import from_pieces, identity, point
+from reference import closure, from_pieces, identity, point
 from test_simplicial import GRID, _ref_segment_intersection
 
 from treechains.covers import CoverSystem, EpsilonSchedule
@@ -13,6 +13,7 @@ from treechains.diagram import TreeDiagram
 from treechains.geometry import (
     RealizedSystem,
     _gt_sum_of_roots,
+    closure_within,
     compute_rho_and_mesh,
     covers_whole_tree,
     dist2,
@@ -20,11 +21,9 @@ from treechains.geometry import (
     enlargement_disjointness_violation,
     enlargement_nesting_violation,
     family_min_gap_squared,
-    later_intersecting,
+    meeting_cliques,
     point_segment_dist2,
     realize,
-    region_contains,
-    regions_share_point,
     render_svg,
     segment_dist2,
     segment_intersection,
@@ -203,6 +202,13 @@ def region_contains_by_keys(outer, inner):
     return True
 
 
+def share_point_by_cliques(regions):
+    """Some point lies in every region, as ``triples`` decides it: one clique
+    of ``meeting_cliques`` holds them all."""
+    everyone = set(range(len(regions)))
+    return any(everyone <= set(members) for members in meeting_cliques(regions))
+
+
 def share_point_pointwise(regions):
     """Some point lies in every region: a vertex, or a point inside an edge
     at an interval end or halfway between two adjacent ends (where the
@@ -238,8 +244,8 @@ class TestIntervals:
         b = (F(1, 2), F(1), True, True)
         c = (F(1, 4), F(3, 4), False, False)
         ra, rb, rc = (from_pieces(g, {(0, 1): [i]}, 4) for i in (a, b, c))
-        assert not regions_share_point([ra, rb])
-        assert regions_share_point([ra, rc]) and regions_share_point([rb, rc])
+        assert not share_point_by_cliques([ra, rb])
+        assert share_point_by_cliques([ra, rc]) and share_point_by_cliques([rb, rc])
         assert interval_intersection(a, b) is None
         assert interval_intersection(a, c) == (F(1, 4), F(1, 2), False, False)
 
@@ -247,9 +253,9 @@ class TestIntervals:
         g = path_graph(2)
         whole = from_pieces(g, {(0, 1): [(F(0), F(1), True, True)]}, 2)
         cover = [(F(0), F(1, 2), True, True), (F(1, 2), F(1), False, True)]
-        assert region_contains(from_pieces(g, {(0, 1): cover}, 2), whole)
+        assert closure_within(from_pieces(g, {(0, 1): cover}, 2), whole)
         holed = [(F(0), F(1, 2), True, False), (F(1, 2), F(1), False, True)]
-        assert not region_contains(from_pieces(g, {(0, 1): holed}, 2), whole)
+        assert not closure_within(from_pieces(g, {(0, 1): holed}, 2), whole)
 
 
 class TestSegments:
@@ -335,7 +341,7 @@ class TestRegions:
         assert star.contains_point(EdgePoint(1, 2, F(1, 2)))
         assert not star.contains_point(EdgePoint(1, 2, F(3, 4)))
         assert not star.contains_point(EdgePoint.vertex(0))
-        closed = star.closure()
+        closed = closure(star)
         assert closed.contains_point(EdgePoint(1, 2, F(3, 4)))
 
     def test_intersect_via_shared_vertex_only(self):
@@ -343,30 +349,30 @@ class TestRegions:
         left = from_pieces(g, {(0, 1): [(F(0), F(1), True, True)]}, 2)
         right = from_pieces(g, {(1, 2): [(F(0), F(1), True, True)]}, 2)
         assert region_intersects(left, right)
-        assert regions_share_point([left, right])
+        assert share_point_by_cliques([left, right])
         # the one common point is the vertex 1, not the middle of (0, 1)
         vertex = from_pieces(g, {(1, 2): [(F(0), F(0), True, True)]}, 2)
         middle = from_pieces(g, {(0, 1): [(F(1, 2), F(1, 2), True, True)]}, 2)
-        assert regions_share_point([left, right, vertex])
-        assert not regions_share_point([left, right, middle])
+        assert share_point_by_cliques([left, right, vertex])
+        assert not share_point_by_cliques([left, right, middle])
 
     def test_containment_across_edges(self):
         g = path_graph(3)
         whole = region_union([star_region(g, v, F(3, 4), 4) for v in g.vertices])
         assert covers_whole_tree([whole])
         mid = from_pieces(g, {(0, 1): [(F(1, 2), F(1), False, True)]}, 4)
-        assert region_contains(whole, mid)
+        assert closure_within(whole, mid)
         small = star_region(g, 1, F(1, 4), 4)
-        assert region_contains(whole, small)
-        assert not region_contains(small, whole)
+        assert closure_within(whole, small)
+        assert not closure_within(small, whole)
         # the end vertex 1 of (0, 1), held only through (1, 2), closes the
         # open interval there: containment holds through the vertex alone
         open_end = {(0, 1): [(F(1, 2), F(1), False, False)]}
         outer = from_pieces(
             g, {**open_end, (1, 2): [(F(0), F(1, 4), True, False)]}, 4)
         inner = from_pieces(g, {(0, 1): [(F(3, 4), F(1), True, True)]}, 4)
-        assert region_contains(outer, inner)
-        assert not region_contains(from_pieces(g, open_end, 4), inner)
+        assert closure_within(outer, inner)
+        assert not closure_within(from_pieces(g, open_end, 4), inner)
 
     def test_distance_and_diameter(self):
         g = path_graph(4, spacing=2)
@@ -382,12 +388,12 @@ class TestRegions:
             from_pieces(g, {(0, 1): [(F(0), F(1, 3), True, True)]}, 2)
         half = {(0, 1): [(F(0), F(1, 2), True, True)]}
         coarse, fine = (from_pieces(g, half, steps) for steps in (2, 4))
-        for reader in (later_intersecting, regions_share_point, covers_whole_tree,
-                       lambda pair: region_contains(*pair)):
+        for reader in (meeting_cliques, share_point_by_cliques, covers_whole_tree,
+                       lambda pair: closure_within(*pair)):
             with pytest.raises(GraphError, match="not on one grid"):
                 reader([coarse, fine])
         with pytest.raises(GraphError, match="different trees"):
-            region_contains(coarse, from_pieces(path_graph(3), half, 2))
+            closure_within(coarse, from_pieces(path_graph(3), half, 2))
         # a realized system whose regions are not all on one grid
         inst = generate_instance(1)
         realized = RealizedSystem(CoverSystem(inst.diagram, inst.epsilons))
@@ -437,8 +443,8 @@ class TestRealized:
             for b in level0[i + 1:]:
                 if sets_intersect(system, a, b):
                     continue
-                for p1, q1 in geometric_pieces(realized.region(a).closure()):
-                    for p2, q2 in geometric_pieces(realized.region(b).closure()):
+                for p1, q1 in geometric_pieces(closure(realized.region(a))):
+                    for p2, q2 in geometric_pieces(closure(realized.region(b))):
                         for s in range(11):
                             for t in range(11):
                                 x1 = float(p1[0]) + (float(q1[0]) - float(p1[0])) * s / 10

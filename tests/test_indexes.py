@@ -12,11 +12,10 @@ from itertools import combinations
 import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
-from reference import from_pieces, point
+from reference import closure, folded_leaf_instance, from_pieces, point
 from test_geometry import (
     _endpos,
     _startpos,
-    bbox_gap_squared,
     diameter_squared,
     geometric_pieces,
     grid_of,
@@ -27,11 +26,12 @@ from test_geometry import (
     region_edges,
     region_intersects,
     region_union,
-    set_distance_squared,
+    share_point_by_cliques,
     share_point_pointwise,
     star_region,
 )
 
+import treechains.covers as covers
 import treechains.geometry as geometry
 from treechains.covers import (
     CoverSystem,
@@ -51,6 +51,7 @@ from treechains.geometry import (
     _grid_pairs,
     _gt_sum_of_roots,
     _least_gap_squared,
+    closure_within,
     compute_rho_and_mesh,
     covers_whole_tree,
     enlarge_taut_family,
@@ -58,9 +59,9 @@ from treechains.geometry import (
     enlargement_nesting_violation,
     family_min_gap_squared,
     later_intersecting,
+    meeting_cliques,
     realize,
-    region_contains,
-    regions_share_point,
+    rho_squared,
     segment_dist2,
 )
 from treechains.cli import main
@@ -94,7 +95,7 @@ def _fixtures_past_system_build():
 
 def _instances():
     cases = [("l=%d" % l, generate_instance(l)) for l in range(1, 7)]
-    return cases + _fixtures_past_system_build()
+    return cases + [("folded-leaf", folded_leaf_instance())] + _fixtures_past_system_build()
 
 
 CASES = _instances()
@@ -108,7 +109,7 @@ def realized(request):
 
 
 def test_fixtures_reach_system_build():
-    assert IDS[6:] == ["inflated_radius.json", "nested_radius.json", "phi_edit_d2.json",
+    assert IDS[7:] == ["inflated_radius.json", "nested_radius.json", "phi_edit_d2.json",
                        "phi_edit_d2prime.json", "phi_equals_g.json"]
 
 
@@ -119,13 +120,13 @@ def test_scaled_pieces_are_the_closures_pieces(realized):
     assert all(pc[0] == i for i, own in enumerate(by_set) for pc in own)
     got = [(i, tuple((F(x, scale), F(y, scale)) for x, y in (p, q)))
            for i, p, q, _ in pieces]
-    closures = [realized.region(a).closure() for a in realized.system.all_sets()]
-    assert got == [(i, seg) for i, closure in enumerate(closures)
-                   for seg in geometric_pieces(closure)]
+    closures = [closure(realized.region(a)) for a in realized.system.all_sets()]
+    assert got == [(i, seg) for i, closed in enumerate(closures)
+                   for seg in geometric_pieces(closed)]
     # by_edge holds the very same tuples, grouped by the edge each lies on,
     # in all_sets() order, with the edge's ends in the same units
-    on = [e for closure in closures for e in region_edges(closure)
-          for _ in closure.pieces[e]]
+    on = [e for closed in closures for e in region_edges(closed)
+          for _ in closed.pieces[e]]
     tree = realized.system.deepest
     assert [e for e, _, _ in by_edge] == list(tree.sorted_edges())
     for e, points, group in by_edge:
@@ -139,7 +140,7 @@ def test_scaled_pieces_are_the_closures_pieces(realized):
 def test_every_region_is_on_the_schedule_grid(realized):
     steps = realized.system.epsilons.steps
     for a in realized.system.all_sets():
-        assert realized.region(a).steps == realized.region(a).closure().steps == steps
+        assert realized.region(a).steps == closure(realized.region(a)).steps == steps
 
 
 def test_realize_matches_the_union_of_stars(realized):
@@ -161,13 +162,19 @@ def test_graph_matches_hull_definition(realized):
                 (a.key(), b.key())
 
 
+def _later(regions):
+    """For each listed region, the later ones that meet it, read off one
+    sweep."""
+    return later_intersecting(meeting_cliques(regions), len(regions))
+
+
 def test_region_index_matches_all_pairs(realized):
     opened = [realized.region(a) for a in realized.system.all_sets()]
-    for regions in (opened, [r.closure() for r in opened]):
+    for regions in (opened, [closure(r) for r in opened]):
         brute = [[j for j in range(i + 1, len(regions))
                   if region_intersects(regions[i], regions[j])]
                  for i in range(len(regions))]
-        assert later_intersecting(regions) == brute
+        assert _later(regions) == brute
 
 
 def test_region_index_finds_a_meeting_at_a_vertex_only():
@@ -175,7 +182,7 @@ def test_region_index_finds_a_meeting_at_a_vertex_only():
     left = from_pieces(g, {(0, 1): [(F(0), F(1), True, True)]}, 2)
     right = from_pieces(g, {(1, 2): [(F(0), F(1, 2), True, True)]}, 2)
     far = from_pieces(g, {(1, 2): [(F(1, 2), F(1), False, True)]}, 2)
-    assert later_intersecting([left, right, far]) == [[1], [], []]
+    assert _later([left, right, far]) == [[1], [], []]
 
 
 # a small tree with a degree-3 vertex: 1 has the neighbours 0, 2 and 3
@@ -242,7 +249,7 @@ def test_later_intersecting_matches_region_intersects(regions):
               if region_intersects(regions[i], regions[j])]
              for i in range(len(regions))]
     event("some regions meet" if any(brute) else "no regions meet")
-    assert later_intersecting(regions) == brute
+    assert _later(regions) == brute
 
 
 def test_later_intersecting_meets_at_a_vertex_held_through_two_edges():
@@ -255,7 +262,7 @@ def test_later_intersecting_meets_at_a_vertex_held_through_two_edges():
         {(1, 2): [(F(1, 2), F(1), False, True)]})]
     assert [[j for j in range(i + 1, 3) if region_intersects(regions[i], regions[j])]
             for i in range(3)] == [[1], [], []]
-    assert later_intersecting(regions) == [[1], [], []]
+    assert _later(regions) == [[1], [], []]
 
 
 @settings(max_examples=300, deadline=None)
@@ -268,27 +275,27 @@ def test_normalize_intervals_matches_key_tuples(raw):
 
 @settings(max_examples=300, deadline=None)
 @given(fork_regions)
-def test_region_contains_matches_key_tuples(regions):
+def test_closure_within_matches_key_tuples(regions):
     # the closures and the union hold regions, so both answers turn up
-    pool = regions + [r.closure() for r in regions] + [region_union(regions)]
+    pool = regions + [closure(r) for r in regions] + [region_union(regions)]
     answers = set()
     for outer in pool:
         for inner in pool:
-            expected = region_contains_by_keys(outer, inner)
+            expected = region_contains_by_keys(outer, closure(inner))
             answers.add(expected)
-            assert region_contains(outer, inner) == expected
-    event("some region outside another" if False in answers else "all nested")
+            assert closure_within(outer, inner) == expected
+    event("some closure outside a region" if False in answers else "all nested")
 
 
 @settings(max_examples=300, deadline=None)
 @given(fork_regions)
-def test_regions_share_point_matches_pointwise(regions):
+def test_shared_points_by_cliques_match_pointwise(regions):
     for size in (1, 2, 3):
         for some in combinations(regions, size):
             expected = share_point_pointwise(some)
             if size == 3:
                 event("three share a point: %s" % expected)
-            assert regions_share_point(some) == expected
+            assert share_point_by_cliques(some) == expected
 
 
 def covers_by_union(regions):
@@ -347,7 +354,7 @@ def mixed_regions(draw):
     sets = MIXED.system.all_sets()
     picks = draw(st.lists(st.tuples(st.integers(0, len(sets) - 1), st.booleans()),
                           min_size=1, max_size=4))
-    pool = [MIXED.region(sets[i]).closure() if closed else MIXED.region(sets[i])
+    pool = [closure(MIXED.region(sets[i])) if closed else MIXED.region(sets[i])
             for i, closed in picks]
     edges = [e for e in MIXED_EDGES if any(e in r.pieces for r in pool)]
     edges.append(draw(st.sampled_from(MIXED_EDGES)))
@@ -362,13 +369,13 @@ def test_realized_and_from_pieces_regions_match_key_tuples(regions):
               if region_intersects(regions[i], regions[j])]
              for i in range(len(regions))]
     event("some regions meet" if any(brute) else "no regions meet")
-    assert later_intersecting(regions) == brute
+    assert _later(regions) == brute
     for outer in regions:
         for inner in regions:
-            assert region_contains(outer, inner) == region_contains_by_keys(outer, inner)
+            assert closure_within(outer, inner) == region_contains_by_keys(outer, closure(inner))
     for size in (1, 2, 3):
         for some in combinations(regions, size):
-            assert regions_share_point(some) == share_point_pointwise(some)
+            assert share_point_by_cliques(some) == share_point_pointwise(some)
 
 
 @settings(max_examples=100, deadline=None)
@@ -408,7 +415,7 @@ def test_contains_point_off_grid_matches_key_tuples(data):
     flipped = data.draw(st.booleans())
     p = EdgePoint(edge[1], edge[0], 1 - t) if flipped else EdgePoint(*edge, t)
     event("on the grid: %s" % ((t * MIXED_STEPS).denominator == 1))
-    for region in (MIXED.region(a), MIXED.region(a).closure(),
+    for region in (MIXED.region(a), closure(MIXED.region(a)),
                    data.draw(drawn_region([edge] + list(MIXED_EDGES[:3])))):
         assert region.contains_point(p) == contains_by_keys(region, p)
     assert MIXED.region(a).contains_point(p) == point_in_cover_set(MIXED.system, p, a)
@@ -470,23 +477,54 @@ def test_realize_refuses_a_fiber_vertex_outside_the_tree(index, stray):
         realize(system, dataclasses.replace(a, fiber=a.fiber | {stray}))
 
 
+def _int_closures(realized, sets):
+    """(s2, segments): each listed set's closed pieces as int segments, in
+    units of 1/(u E) for the deepest tree's int frame u and the schedule's
+    E, from the frame and the closure's codes, whose even ends 2T are the
+    points T/E; s2 = (u E)^2."""
+    tree = realized.system.deepest
+    unit, ipt = tree.int_frame
+    steps = realized.system.epsilons.steps
+    edges = tree.sorted_edges()
+    segments = []
+    for a in sets:
+        own = []
+        for k, coded in closure(realized.region(a)).codes.items():
+            (ax, ay), (bx, by) = ipt[edges[k][0]], ipt[edges[k][1]]
+            own.extend(tuple((ax * (steps - c // 2) + bx * (c // 2),
+                              ay * (steps - c // 2) + by * (c // 2)) for c in ends)
+                       for ends in coded)
+        segments.append(own)
+    return (unit * steps) ** 2, segments
+
+
+def _int_box(segments):
+    xs = [p[0] for seg in segments for p in seg]
+    ys = [p[1] for seg in segments for p in seg]
+    return (min(xs), max(xs), min(ys), max(ys))
+
+
+def _int_distance_squared(r1, r2):
+    return min(segment_dist2(p1, q1, p2, q2) for p1, q1 in r1 for p2, q2 in r2)
+
+
 def _ref_min_gap(realized, levels=None):
     # all disjoint pairs, pruned only by the exact bounding-box gap
     system = realized.system
     sets = [a for a in system.all_sets() if levels is None or a.level in levels]
-    closures = [realized.region(a).closure() for a in sets]
+    s2, closures = _int_closures(realized, sets)
+    boxes = [_int_box(segments) for segments in closures]
     best = None
     for i, a in enumerate(sets):
         for j, b in enumerate(sets[i + 1:], i + 1):
             if sets_intersect(system, a, b):
                 continue
-            ra, rb = closures[i], closures[j]
-            if best is not None and bbox_gap_squared(ra, rb) >= best:
+            if best is not None and geometry._box_gap_squared(boxes[i], boxes[j]) >= best:
                 continue
-            d = set_distance_squared(ra, rb)
+            d = _int_distance_squared(closures[i], closures[j])
             if best is None or d < best:
                 best = d
-    return best
+    return None if best is None else Fraction(best, s2)
 
 
 def test_grid_gaps_match_all_pairs(realized):
@@ -498,19 +536,29 @@ def test_grid_gaps_match_all_pairs(realized):
                            for a in system.covers[n]) for n in range(system.l + 1)]
 
 
+def test_family_gap_lies_below_rho_on_the_folded_leaf():
+    # the family's least gap is not rho on every instance that passes: the
+    # folded leaf edge lies 1/sqrt(4160) from its neighbour's sets
+    ctx = VerifyContext(folded_leaf_instance())
+    assert verify_instance(ctx.instance, ctx).passed
+    assert family_min_gap_squared(ctx.realized) == F(1, 4160) < rho_squared(ctx.realized)
+    assert rho_squared(ctx.realized) == F(1, 36) and ctx.metrics["m_sq"] == F(1, 37440)
+
+
 def _ref_disjointness_violation(realized, radius_sq):
     system = realized.system
     sets = system.all_sets()
-    closures = [realized.region(a).closure() for a in sets]
+    s2, closures = _int_closures(realized, sets)
+    boxes = [_int_box(segments) for segments in closures]
     for i, a in enumerate(sets):
         for j, b in enumerate(sets[i + 1:], i + 1):
             if sets_intersect(system, a, b):
                 continue
             ra2, rb2 = radius_sq[a.level], radius_sq[b.level]
-            ra, rb = closures[i], closures[j]
-            if _gt_sum_of_roots(bbox_gap_squared(ra, rb), ra2, rb2):
+            gap = Fraction(geometry._box_gap_squared(boxes[i], boxes[j]), s2)
+            if _gt_sum_of_roots(gap, ra2, rb2):
                 continue
-            d2 = set_distance_squared(ra, rb)
+            d2 = Fraction(_int_distance_squared(closures[i], closures[j]), s2)
             if not _gt_sum_of_roots(d2, ra2, rb2):
                 return ((a.level, a.vertex), (b.level, b.vertex), d2)
     return None
@@ -656,7 +704,7 @@ def _ref_nesting_violation(realized, radius_sq):
                 witness = ((j, u.vertex), (n, v.vertex))
                 if not radius_sq[j] < radius_sq[n]:
                     return witness + ("radius",)
-                if not region_contains(realized.region(v), realized.region(u)):
+                if not region_contains_by_keys(realized.region(v), realized.region(u)):
                     return witness + ("base",)
     return None
 
@@ -701,9 +749,9 @@ def test_nesting_reads_no_region(monkeypatch):
     _, radius_sq = enlarge_taut_family(realized)
 
     def no_containment(*args):
-        raise AssertionError("region_contains called")
+        raise AssertionError("closure_within called")
 
-    monkeypatch.setattr(geometry, "region_contains", no_containment)
+    monkeypatch.setattr(geometry, "closure_within", no_containment)
     assert enlargement_nesting_violation(realized, radius_sq) is None
     raised = radius_sq[:2] + [radius_sq[0]] + radius_sq[3:]
     assert enlargement_nesting_violation(realized, raised)[2] == "radius"
@@ -724,7 +772,7 @@ def _first_closure_mismatch(realized):
     whose closures meet or not unlike the intersection graph says."""
     system = realized.system
     sets = system.all_sets()
-    closures = [realized.region(a).closure() for a in sets]
+    closures = [closure(realized.region(a)) for a in sets]
     for i, a in enumerate(sets):
         for j, b in enumerate(sets[i + 1:], i + 1):
             ci = sets_intersect(system, a, b)
@@ -807,7 +855,7 @@ def _both_routes(inst):
     realized = RealizedSystem(CoverSystem(inst.diagram, inst.epsilons))
     sets = realized.system.all_sets()
     opened = [realized.region(a) for a in sets]
-    return (later_intersecting(opened), later_intersecting([r.closure() for r in opened]))
+    return (_later(opened), _later([closure(r) for r in opened]))
 
 
 @pytest.mark.parametrize("last", [None, F(1, 2) + F(1, 1000)], ids=["default", "1/2+1/1000"])
@@ -844,7 +892,7 @@ def test_realized_regions_have_one_interval_per_edge(l, eps):
     for a in realized.system.all_sets():
         region = realized.region(a)
         assert all(len(coded) == 1 for coded in region.codes.values()), a.key()
-        assert region.closure().codes == {
+        assert closure(region).codes == {
             k: ((s - s % 2, e + e % 2),) for k, ((s, e),) in region.codes.items()}, a.key()
 
 
@@ -876,9 +924,27 @@ def test_far_edge_on_a_level_0_region_fails_taut_like_brute_force(monkeypatch):
 
 @pytest.mark.parametrize("l", [4, 8])
 def test_verify_sweeps_the_regions_once(l, monkeypatch):
-    calls = _counting(monkeypatch, ["later_intersecting"])
+    calls = _counting(monkeypatch, ["meeting_cliques"])
     assert verify_instance(generate_instance(l)).passed
-    assert calls == {"later_intersecting": 1}
+    assert calls == {"meeting_cliques": 1}
+
+
+def test_one_verify_sweeps_once_and_triples_walks_no_graph(monkeypatch):
+    # one verify sweeps the regions once; taut and triples, run again on
+    # its context, read those cliques, and triples no neighbour list or
+    # pair lookup of the intersection graph
+    calls = _counting(monkeypatch, ["meeting_cliques"])
+    ctx = VerifyContext(generate_instance(3))
+    assert verify_instance(ctx.instance, ctx).passed
+    assert calls == {"meeting_cliques": 1}
+
+    def refuse(*args):
+        raise AssertionError("the intersection graph was walked")
+
+    monkeypatch.setattr(CoverSystem, "neighbors", refuse)
+    monkeypatch.setattr(covers, "sets_intersect", refuse)
+    assert STAGE["taut"](ctx) is None and STAGE["triples"](ctx) is None
+    assert calls == {"meeting_cliques": 1}
 
 
 def test_extra_meeting_pair_fails_nerve():
@@ -1057,7 +1123,7 @@ def test_grown_region_fails_triples_like_brute_force(monkeypatch):
             i = b.index
             rows = [set(row) for row in adjacency]
             for j, d in enumerate(sets):
-                if self.region(d).closure().contains_point(q):
+                if closure(self.region(d)).contains_point(q):
                     rows[i].add(j)
                     rows[j].add(i)
             system.adjacency = [tuple(sorted(row)) for row in rows]

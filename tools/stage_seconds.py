@@ -25,8 +25,9 @@ it.  The keys:
   a generated instance, where they hold by proof (``stage.D1``,
   ``stage.D2`` and ``stage.D2prime`` read about 0 there);
 - ``realization``: the ``RealizedSystem``, one region per set;
-- ``route_sweep``: ``later_intersecting`` over the regions, the geometric
-  route of ``taut`` (``oracle-identity`` reads no pair, see its docstring);
+- ``route_sweep``: ``meeting_cliques`` over the regions, the one sweep
+  that ``taut`` (the geometric route) and ``triples`` read
+  (``oracle-identity`` reads no pair, see its docstring);
 - ``scaled_pieces``: the one build of the regions' closed integer pieces,
   per set and per deepest edge;
 - ``margin_scan``: ``family_min_gap_squared``, the least gap over all
@@ -96,7 +97,7 @@ from treechains.geometry import (  # noqa: E402
     enlarge_taut_family,
     enlargement_disjointness_violation,
     family_min_gap_squared,
-    later_intersecting,
+    meeting_cliques,
     render_svg,
     rho_squared,
 )
@@ -166,7 +167,7 @@ def one_round(l: int) -> dict:
     realized, out["realization"] = _timed(lambda: RealizedSystem(system))
     sets = system.all_sets()
     _, out["route_sweep"] = _timed(
-        lambda: later_intersecting([realized.region(a) for a in sets]))
+        lambda: meeting_cliques([realized.region(a) for a in sets]))
     _, out["scaled_pieces"] = _timed(lambda: realized.scaled_pieces)
     _, out["margin_scan"] = _timed(lambda: family_min_gap_squared(realized))
     _, out["rho_scan"] = _timed(lambda: rho_squared(realized))
