@@ -39,10 +39,6 @@ def _sub(a: Point, b: Point) -> Point:
     return (a[0] - b[0], a[1] - b[1])
 
 
-def _lerp(a: Point, b: Point, t: Fraction) -> Point:
-    return ((1 - t) * a[0] + t * b[0], (1 - t) * a[1] + t * b[1])
-
-
 def dist2(a: Point, b: Point) -> Fraction:
     d = _sub(a, b)
     return _dot(d, d)
@@ -56,12 +52,11 @@ def point_on_segment(p: Point, a: Point, b: Point) -> bool:
             and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
 
 
-def segment_intersection(a: Point, b: Point, c: Point, d: Point):
-    """None, ("point", p), or ("overlap",) for two closed segments.
+def segments_meet(a: Point, b: Point, c: Point, d: Point) -> bool:
+    """Whether the closed segments [a, b] and [c, d] share a point.
 
     Exact for int and Fraction coordinates alike: the parameters are tested
-    as numerators against their common denominator, and the only division
-    builds the point of a hit.
+    as numerators against their common denominator, with no division.
     """
     r = _sub(b, a)
     s = _sub(d, c)
@@ -72,29 +67,23 @@ def segment_intersection(a: Point, b: Point, c: Point, d: Point):
         un = ca[0] * r[1] - ca[1] * r[0]
         if denom < 0:
             denom, tn, un = -denom, -tn, -un
-        if 0 <= tn <= denom and 0 <= un <= denom:
-            return ("point", _lerp(a, b, Fraction(tn, denom)))
-        return None
+        return 0 <= tn <= denom and 0 <= un <= denom
     if _cross(a, b, c) != 0:
-        return None  # parallel, not collinear
+        return False  # parallel, not collinear
     rr = _dot(r, r)
     if rr == 0:
-        if point_on_segment(a, c, d):
-            return ("point", a)
-        return None
+        return point_on_segment(a, c, d)
     n0 = _dot(ca, r)
     n1 = _dot(_sub(d, a), r)
-    lo, hi = max(0, min(n0, n1)), min(rr, max(n0, n1))
-    if lo > hi:
-        return None
-    if lo == hi:
-        return ("point", _lerp(a, b, Fraction(lo, rr)))
-    return ("overlap",)
+    return max(0, min(n0, n1)) <= min(rr, max(n0, n1))
 
 
 def point_segment_dist2(p: Point, a: Point, b: Point) -> Fraction:
-    """Exact for int and Fraction coordinates alike: the clamped parameter is
-    the Fraction num/dd, never a float quotient."""
+    """Squared distance from p to the closed segment [a, b].
+
+    Exact for int and Fraction coordinates alike: when the foot of p lies
+    strictly inside, at parameter num/dd, the squared distance is
+    |p - a|^2 - num^2 / dd, one Fraction and no point built."""
     d = _sub(b, a)
     dd = _dot(d, d)
     num = _dot(_sub(p, a), d)
@@ -102,13 +91,14 @@ def point_segment_dist2(p: Point, a: Point, b: Point) -> Fraction:
         return dist2(p, a)
     if num >= dd:
         return dist2(p, b)
-    return dist2(p, _lerp(a, b, Fraction(num, dd)))
+    return Fraction(dist2(p, a) * dd - num * num, dd)
 
 
 def segment_dist2(a: Point, b: Point, c: Point, d: Point) -> Fraction:
-    """Exact for int and Fraction coordinates alike: zero on a hit, else the
-    least of the four point-segment distances."""
-    if segment_intersection(a, b, c, d) is not None:
+    """Squared distance between the closed segments [a, b] and [c, d],
+    exact for int and Fraction coordinates alike: zero when
+    ``segments_meet``, else the least of the four point-segment distances."""
+    if segments_meet(a, b, c, d):
         return ZERO
     return min(point_segment_dist2(a, c, d), point_segment_dist2(b, c, d),
                point_segment_dist2(c, a, b), point_segment_dist2(d, a, b))
@@ -462,13 +452,18 @@ class _GapScan:
 
     A group is (ends, points, pieces): one edge of a tree, the int points of
     its ends and the pieces (set index, p, q, box) on it, in the same int
-    units.  Pieces are paired on one edge, on two edges at one vertex, and
-    on two edges that share no vertex and whose boxes are at most
-    sqrt(``limit``) apart, found by one grid over the edge boxes.  A piece
-    of set i is skipped at once when every set on the other edge h meets
-    it, on[h] <= rows[i], the sets with pieces on h against ``adjacency[i]``
-    as a frozenset, built per scan.  At a vertex V, with u and w the other
-    ends of the two edges less V, two pieces whose nearer ends lie da and db
+    units.  Precondition: any two sets with pieces in one group meet.  On a
+    realized system it holds: a set has a piece on an edge exactly when its
+    fiber holds an end of that edge (``realize``), and two fibers that hold
+    ends of one edge hold one vertex or the two ends of one edge, so the
+    two sets meet (``CoverSystem.adjacency``).  So no pair lies on one
+    edge, and pieces are paired on two edges at one vertex, and on two
+    edges that share no vertex and whose boxes are at most sqrt(``limit``)
+    apart, found by one grid over the edge boxes.  A piece of set i is
+    skipped at once when every set on the other edge h meets it, on[h] <=
+    rows[i], the sets with pieces on h against ``adjacency[i]`` as a
+    frozenset, built per scan.  At a vertex V, with u and w the other ends
+    of the two edges less V, two pieces whose nearer ends lie da and db
     (squared) from V are at least da + db apart if u . w <= 0, else at
     least max(da, db) (u x w)^2 / (|u|^2 |w|^2), squared; there the pieces
     are swept by distance from V, and the sweep stops once that bound
@@ -487,7 +482,6 @@ class _GapScan:
         at: Dict = {}
         for g, (ends, _, pieces) in enumerate(groups):
             if pieces:
-                yield from self._pairs(g, g)
                 for k in (0, 1):
                     at.setdefault(ends[k], []).append((g, k))
         for sides in at.values():
@@ -507,19 +501,15 @@ class _GapScan:
         on, rows = self.on[h], self.rows
         return [pc for pc in self.groups[g][2] if not on <= rows[pc[0]]]
 
-    def _close(self, a, b):
-        gap = _box_gap_squared(a[3], b[3])
-        if gap <= self.limit:
-            yield gap, a, b
-
     def _pairs(self, g, h):
-        here = self._free(g, h)
-        there = here if g == h else self._free(h, g)
-        for x, a in enumerate(here):
+        there = self._free(h, g)
+        for a in self._free(g, h):
             row = self.rows[a[0]]
-            for b in (there[x + 1:] if g == h else there):
+            for b in there:
                 if b[0] not in row:
-                    yield from self._close(a, b)
+                    gap = _box_gap_squared(a[3], b[3])
+                    if gap <= self.limit:
+                        yield gap, a, b
 
     def _at_vertex(self, g, k, h, m):
         here, there = self._free(g, h), self._free(h, g)
@@ -545,7 +535,9 @@ class _GapScan:
                 if beyond(da, db):
                     break
                 if b[0] not in row:
-                    yield from self._close(a, b)
+                    gap = _box_gap_squared(a[3], b[3])
+                    if gap <= self.limit:
+                        yield gap, a, b
 
 
 def _by_distance(pieces, v):
@@ -557,8 +549,9 @@ def _by_distance(pieces, v):
 
 def _least_gap_squared(groups, adjacency):
     """Least squared distance between two pieces of sets that do not meet,
-    exact, in the units of the groups (see _GapScan); None if there is no
-    such pair.
+    exact, in the units of the groups; None if there is no such pair.  The
+    groups keep _GapScan's precondition, so the two pieces lie on two
+    distinct edges.
 
     The scan starts from the squared diagonal of all the edge boxes, which
     no pair exceeds, and shrinks to the least squared distance between the

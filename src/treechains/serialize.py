@@ -18,7 +18,7 @@ from typing import Dict, List, Optional
 
 from .covers import CoverSystem, EpsilonSchedule
 from .diagram import TreeDiagram
-from .simplicial import _KEY_1_3, _KEY_2_3, _SUB_KEY, SimplicialGraph, SimplicialMapping, vkey
+from .simplicial import SimplicialGraph, SimplicialMapping, sub_keys, vkey
 
 SCHEMA_VERSION = 1
 
@@ -83,8 +83,8 @@ class LabelTable(dict):
                 and isinstance(v[1], tuple) and len(v[1]) == 2 and v[2] in ("1/3", "2/3")):
             (a, b), t = v[1], v[2]
             js = ["sub", [self.json(a), self.json(b)], t]
-            (ka, _, ga), (kb, _, gb) = self[a], self[b]  # vkey(v) by the identity in vkey
-            key = (2, _SUB_KEY, (2, ka, kb), _KEY_1_3 if t == "1/3" else _KEY_2_3)
+            (ka, _, ga), (kb, _, gb) = self[a], self[b]
+            key = sub_keys(ka, kb)[t == "2/3"]
             risky = ga is not None or gb is not None
         elif isinstance(v, tuple) and len(v) == 2 and type(v[0]) is int and type(v[1]) is int:
             key, js, risky = vkey(v), [v[0], v[1]], v[0] in (0, 1) or v[1] in (0, 1)

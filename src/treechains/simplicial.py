@@ -25,7 +25,7 @@ def vkey(v):
 
     A tuple's key lists its items' keys, so a subdivision label has
     ``vkey(("sub", (a, b), t)) == (2, vkey("sub"), (2, vkey(a), vkey(b)), vkey(t))``;
-    ``subdivide3`` derives its new labels' keys by this identity.  A bool
+    ``sub_keys`` derives a subdivision label's key by this identity.  A bool
     has a class of its own, tested after the branches the program's labels take.
     """
     if isinstance(v, tuple):
@@ -242,7 +242,7 @@ class SimplicialGraph:
                 u, w = (u[0] - s[0], u[1] - s[1]), (w[0] - s[0], w[1] - s[1])
                 crosses = u[0] * w[1] == u[1] * w[0] and u[0] * w[0] + u[1] * w[1] > 0
             else:
-                crosses = geometry.segment_intersection(a, b, c, d) is not None
+                crosses = geometry.segments_meet(a, b, c, d)
             if crosses:
                 e, f = sorted((e, f), key=self.edge_rank.__getitem__)
                 hits.append(((1, self.edge_rank[e], self.edge_rank[f]),
@@ -255,7 +255,8 @@ class SimplicialMapping:
     """Vertex assignment between two graphs.
 
     Not validated on construction (negative fixtures need invalid maps);
-    use :func:`validate_simplicial` / :meth:`require_valid`.
+    use :func:`validate_simplicial`, or :meth:`totality_violation` and
+    :meth:`edge_violation` for a witness.
     """
 
     source: SimplicialGraph
@@ -277,15 +278,6 @@ class SimplicialMapping:
             if fa != fb and not self.target.has_edge(fa, fb):
                 return (a, b)
         return None
-
-    def require_valid(self) -> "SimplicialMapping":
-        bad = self.totality_violation()
-        if bad is not None:
-            raise GraphError("mapping not total: %r" % (bad,))
-        bad = self.edge_violation()
-        if bad is not None:
-            raise GraphError("edge %r not sent to an edge or a vertex" % (bad,))
-        return self
 
     def compose(self, inner: "SimplicialMapping") -> "SimplicialMapping":
         """self o inner."""
@@ -346,11 +338,18 @@ def _sub_label(a: Vertex, b: Vertex, tag: str) -> Vertex:
 _SUB_KEY, _KEY_1_3, _KEY_2_3 = vkey("sub"), vkey("1/3"), vkey("2/3")
 
 
+def sub_keys(ka, kb):
+    """The vkeys of ("sub", (a, b), "1/3") and ("sub", (a, b), "2/3") from
+    ka = vkey(a) and kb = vkey(b), by the identity in :func:`vkey`."""
+    ends = (2, ka, kb)
+    return (2, _SUB_KEY, ends, _KEY_1_3), (2, _SUB_KEY, ends, _KEY_2_3)
+
+
 def subdivide3(g: SimplicialGraph) -> SimplicialGraph:
     """Subdivide each edge into three congruent parts.
 
-    Each new label's key is derived from its edge's ends by the identity in
-    :func:`vkey`, so only g's own vertices are keyed by ``vkey``.  On g's
+    Each new label's key is derived from its edge's ends' keys by
+    :func:`sub_keys`, so only g's own vertices are keyed by ``vkey``.  On g's
     frame (s, P) the subdivision's is (3s, 3P), with 2A + B and A + 2B at
     the thirds of an edge from A to B, divided by the gcd of the scale and
     every coordinate, which leaves the lcm frame ``build`` would compute.
@@ -362,8 +361,7 @@ def subdivide3(g: SimplicialGraph) -> SimplicialGraph:
         old, pts = frame[1], {v: (3 * x, 3 * y) for v, (x, y) in frame[1].items()}
     for a, b in g.sorted_edges():
         ua, ub = _sub_label(a, b, "1/3"), _sub_label(a, b, "2/3")
-        ends = (2, keys[a], keys[b])
-        keys[ua], keys[ub] = (2, _SUB_KEY, ends, _KEY_1_3), (2, _SUB_KEY, ends, _KEY_2_3)
+        keys[ua], keys[ub] = sub_keys(keys[a], keys[b])
         edges.extend([(a, ua), (ua, ub), (ub, b)])
         if frame is not None:
             (ax, ay), (bx, by) = old[a], old[b]
@@ -387,9 +385,10 @@ def lift_map_3(m: SimplicialMapping, source3: SimplicialGraph,
     Each subdivision vertex is sent to the image of its point under the
     realization of m, which is again a vertex of the subdivided target.
     The target holds the edge (fa, fb) or (fb, fa) in canonical order, and
-    the point at t on one is the point at 1 - t on the other.  GraphError,
-    as from ``m.require_valid()``, unless m is a total simplicial map: the
-    edge check is this loop's own, so it names the same first edge.
+    the point at t on one is the point at 1 - t on the other.  GraphError
+    unless m is a total simplicial map, naming what ``m.totality_violation()``
+    or then ``m.edge_violation()`` finds: the edge check is this loop's own,
+    in the same ``sorted_edges()`` order, so it names the same first edge.
     """
     bad = m.totality_violation()
     if bad is not None:

@@ -14,7 +14,8 @@ closures off the codes where it needs them (``closure_within``,
 whose family gap lies below rho.
 
 ``k_close`` is the breadth-first reference for 1- and 2-closeness, which the
-program decides from its closed forms instead.
+program decides from its closed forms instead.  ``require_valid`` raises what
+``lift_map_3`` raises on a map that is not total and simplicial.
 
 A point of a graph's realization is an ``EdgePoint``: a vertex, or the
 point at a rational parameter t on an edge.  The trisection functions map
@@ -212,3 +213,15 @@ def k_close(g: SimplicialGraph, u: Vertex, v: Vertex, k: int) -> bool:
 
 def identity(g: SimplicialGraph) -> SimplicialMapping:
     return SimplicialMapping(g, g, {v: v for v in g.vertices})
+
+
+def require_valid(m: SimplicialMapping) -> SimplicialMapping:
+    """m, or GraphError naming what ``totality_violation`` or then
+    ``edge_violation`` finds."""
+    bad = m.totality_violation()
+    if bad is not None:
+        raise GraphError("mapping not total: %r" % (bad,))
+    bad = m.edge_violation()
+    if bad is not None:
+        raise GraphError("edge %r not sent to an edge or a vertex" % (bad,))
+    return m

@@ -26,7 +26,7 @@ from treechains.geometry import (
     realize,
     render_svg,
     segment_dist2,
-    segment_intersection,
+    segments_meet,
 )
 from treechains.simplicial import EdgePoint, GraphError, SimplicialGraph
 from treechains.verify import generate_instance
@@ -260,19 +260,21 @@ class TestIntervals:
 
 class TestSegments:
     def test_intersection_kinds(self):
-        assert segment_intersection((F(0), F(0)), (F(2), F(2)),
-                                    (F(0), F(2)), (F(2), F(0))) == \
-            ("point", (F(1), F(1)))
-        assert segment_intersection((F(0), F(0)), (F(2), F(0)),
-                                    (F(1), F(0)), (F(3), F(0))) == ("overlap",)
-        assert segment_intersection((F(0), F(0)), (F(1), F(0)),
-                                    (F(0), F(1)), (F(1), F(1))) is None
+        crossing = ((F(0), F(0)), (F(2), F(2)), (F(0), F(2)), (F(2), F(0)))
+        overlap = ((F(0), F(0)), (F(2), F(0)), (F(1), F(0)), (F(3), F(0)))
+        parallel = ((F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1), F(1)))
+        assert _ref_segment_intersection(*crossing) == ("point", (F(1), F(1)))
+        assert segments_meet(*crossing) is True
+        assert _ref_segment_intersection(*overlap) == ("overlap",)
+        assert segments_meet(*overlap) is True
+        assert _ref_segment_intersection(*parallel) is None
+        assert segments_meet(*parallel) is False
 
     def test_dist_fast_path_matches_generic(self):
         rng = random.Random(31)
 
         def brute(a, b, c, d):
-            if segment_intersection(a, b, c, d) is not None:
+            if segments_meet(a, b, c, d):
                 return F(0)
             return min(point_segment_dist2(a, c, d), point_segment_dist2(b, c, d),
                        point_segment_dist2(c, a, b), point_segment_dist2(d, a, b))

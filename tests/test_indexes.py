@@ -1207,6 +1207,19 @@ def test_enlargement_takes_no_exact_distance(l, monkeypatch):
     assert calls["segment_dist2"] <= 2
 
 
+@pytest.mark.parametrize("inst", [inst for _, inst in CASES] + [generate_instance(7),
+                                                               generate_instance(8)],
+                         ids=IDS + ["l=7", "l=8"])
+def test_sets_with_pieces_on_one_edge_meet(inst):
+    # geometry._GapScan's precondition, on every realized system built here:
+    # it pairs no two pieces on one edge
+    system = CoverSystem(inst.diagram, inst.epsilons, inst.phi_tables)
+    rows = system.adjacency
+    for _, _, pieces in RealizedSystem(system).scaled_pieces[2]:
+        on = {pc[0] for pc in pieces}
+        assert all(on <= set(rows[i]) for i in on)
+
+
 def _piece(i, p, q):
     return (i, p, q, (min(p[0], q[0]), max(p[0], q[0]), min(p[1], q[1]), max(p[1], q[1])))
 
@@ -1272,29 +1285,32 @@ def edge_groups(draw):
 
 
 @st.composite
-def adjacency_rows(draw):
-    """Every set meets every other, less some pairs drawn at random, as
-    ascending rows that hold the set itself."""
+def gap_cases(draw):
+    """Edge groups and adjacency rows that keep geometry._GapScan's
+    precondition: sets with pieces on one edge meet, and every other pair
+    meets less some pairs drawn at random.  Rows are ascending and hold the
+    set itself."""
+    groups = draw(edge_groups())
+    shared = {(a[0], b[0]) for _, _, group in groups for a in group for b in group}
     rows = [set(range(_SETS)) for _ in range(_SETS)]
     for i, j in draw(st.lists(st.tuples(st.integers(0, _SETS - 1),
-                                        st.integers(0, _SETS - 1)), max_size=12)):
-        if i != j:
+                                        st.integers(0, _SETS - 1)), max_size=20)):
+        if i != j and (i, j) not in shared:
             rows[i].discard(j)
             rows[j].discard(i)
-    return [tuple(sorted(row)) for row in rows]
+    return groups, [tuple(sorted(row)) for row in rows]
 
 
 def _kind(groups, a, b):
-    """Where two pieces lie: on one edge, at one vertex, or apart."""
+    """Where two pieces on two edges lie: at one vertex, or apart."""
     ends = [g[0] for g in groups for pc in g[2] if pc is a or pc is b]
-    if ends[0] == ends[-1]:
-        return "one edge"
-    return "at a vertex" if set(ends[0]) & set(ends[-1]) else "apart"
+    return "at a vertex" if set(ends[0]) & set(ends[1]) else "apart"
 
 
 @settings(max_examples=300, deadline=None)
-@given(edge_groups(), adjacency_rows())
-def test_least_gap_matches_all_pairs(groups, adjacency):
+@given(gap_cases())
+def test_least_gap_matches_all_pairs(case):
+    groups, adjacency = case
     pieces = [pc for _, _, group in groups for pc in group]
     brute = min((segment_dist2(a[1], a[2], b[1], b[2])
                  for x, a in enumerate(pieces) for b in pieces[x + 1:]
@@ -1304,8 +1320,9 @@ def test_least_gap_matches_all_pairs(groups, adjacency):
 
 
 @settings(max_examples=300, deadline=None)
-@given(edge_groups(), adjacency_rows(), st.integers(0, 400))
-def test_gap_scan_yields_every_pair_within_its_limit(groups, adjacency, limit):
+@given(gap_cases(), st.integers(0, 400))
+def test_gap_scan_yields_every_pair_within_its_limit(case, limit):
+    groups, adjacency = case
     pieces = [pc for _, _, group in groups for pc in group]
     found = [(id(a), id(b)) for _, a, b in _GapScan(groups, adjacency, limit)]
     assert len(set(map(frozenset, found))) == len(found)
@@ -1319,9 +1336,6 @@ def test_gap_scan_yields_every_pair_within_its_limit(groups, adjacency, limit):
 
 
 @pytest.mark.parametrize("kind, groups, expected", [
-    # two sets that do not meet on one edge, 2 apart
-    ("one edge", [((0, 1), ((0, 0), (8, 0)),
-                   [_piece(0, (0, 0), (2, 0)), _piece(1, (4, 0), (8, 0))])], 4),
     # an acute corner at (0, 0): the nearer end of the piece on (0,0)-(8,8)
     # lies 4 from the x axis, while the piece on the axis stops at x = 6
     ("at a vertex", [((0, 1), ((0, 0), (8, 8)), [_piece(0, (4, 4), (8, 8))]),

@@ -1,13 +1,17 @@
 """The benchmark's tracer (perfbench/spans.py) wraps package functions and
 methods by name; every name it lists must still resolve, or traced benchmark
-runs break without any test noticing."""
+runs break without any test noticing.  The benchmark's own self-test
+(perfbench/selftest.py) must pass: each workload shape, traced and not,
+reports every metric it names."""
 
 import importlib
 import importlib.util
 import os
+import subprocess
+import sys
 
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                         "perfbench")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
 
 
 def load_spans():
@@ -37,3 +41,9 @@ def test_traced_names_resolve():
         if not hasattr(importlib.import_module("treechains." + module), attr):
             missing.append(name)
     assert missing == []
+
+
+def test_selftest_passes():
+    done = subprocess.run([sys.executable, os.path.join("perfbench", "selftest.py")],
+                          cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-4000:]

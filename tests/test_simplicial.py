@@ -14,6 +14,7 @@ from reference import (
     from_subdivided,
     k_close,
     point,
+    require_valid,
     subdivision_vertex,
     to_subdivided,
 )
@@ -23,7 +24,7 @@ import treechains.geometry as geo
 from treechains import family
 from treechains.covers import EpsilonSchedule
 from treechains.family import build_family_diagram, build_tree
-from treechains.geometry import point_on_segment, segment_intersection
+from treechains.geometry import point_on_segment, segments_meet
 from treechains.simplicial import (
     EdgePoint,
     GraphError,
@@ -32,6 +33,7 @@ from treechains.simplicial import (
     canonical_edge,
     is_surjection,
     lift_map_3,
+    sub_keys,
     subdivide3,
     validate_simplicial,
     vkey,
@@ -122,6 +124,12 @@ class TestGraph:
         assert vkey((True, 1, label)) == (2, (3, True), (0, 1), reference(label))
         sub = ("sub", (label, True), "1/3")
         assert vkey(sub) == recursive_vkey(sub)
+
+    @settings(max_examples=300, deadline=None)
+    @given(LABELS | TREE_LABELS, LABELS | TREE_LABELS)
+    def test_sub_keys_match_vkey(self, a, b):
+        assert sub_keys(vkey(a), vkey(b)) == (vkey(("sub", (a, b), "1/3")),
+                                              vkey(("sub", (a, b), "2/3")))
 
     def test_sorted_vertices_is_one_cached_tuple(self):
         g = generate_instance(2).diagram.levels[-1]
@@ -312,11 +320,11 @@ class TestEmbeddingViolation:
 
     def test_candidate_pairs_stay_near_linear(self, monkeypatch):
         # the deepest tree of the l=8 instance: an all-pairs scan makes
-        # 11,556 point_on_segment and 5,778 segment_intersection calls
+        # 11,556 point_on_segment and 5,778 segments_meet calls
         tree = generate_instance(8).diagram.levels[-1]
         assert (len(tree.vertices), len(tree.edges)) == (109, 108)
         calls = []
-        for name in ("point_on_segment", "segment_intersection"):
+        for name in ("point_on_segment", "segments_meet"):
             original = getattr(geo, name)
             monkeypatch.setattr(geo, name, lambda *args, _f=original, _n=name:
                                 calls.append(_n) or _f(*args))
@@ -327,14 +335,12 @@ class TestEmbeddingViolation:
     @given(st.lists(st.tuples(st.sampled_from(GRID), st.sampled_from(GRID)),
                     min_size=4, max_size=4))
     def test_segment_intersection_exact_on_fractions_and_ints(self, pts):
-        expected = _ref_segment_intersection(*pts)
-        event(expected[0] if expected else "miss")
-        assert segment_intersection(*pts) == expected
+        hit = _ref_segment_intersection(*pts)
+        event(hit[0] if hit else "miss")
+        assert segments_meet(*pts) is (hit is not None)
         # GRID denominators divide 30, so this scaling lands on ints
         scaled = [(int(x * 30), int(y * 30)) for x, y in pts]
-        if expected is not None and expected[0] == "point":
-            expected = ("point", (expected[1][0] * 30, expected[1][1] * 30))
-        assert segment_intersection(*scaled) == expected
+        assert segments_meet(*scaled) is (hit is not None)
 
 
 class TestKClose:
@@ -366,8 +372,8 @@ class TestMapping:
     def test_realization_functoriality(self):
         rng = random.Random(11)
         g2, g1, g0 = path_graph(5), path_graph(4), path_graph(3)
-        f = SimplicialMapping(g2, g1, {0: 0, 1: 1, 2: 2, 3: 3, 4: 2}).require_valid()
-        g = SimplicialMapping(g1, g0, {0: 0, 1: 1, 2: 2, 3: 1}).require_valid()
+        f = require_valid(SimplicialMapping(g2, g1, {0: 0, 1: 1, 2: 2, 3: 3, 4: 2}))
+        g = require_valid(SimplicialMapping(g1, g0, {0: 0, 1: 1, 2: 2, 3: 1}))
         gf = g.compose(f)
         for _ in range(100):
             a = rng.randrange(4)
@@ -483,7 +489,7 @@ class TestSubdivision:
     def test_lift_is_simplicial_and_pointwise_equal(self):
         g = path_graph(5)
         h = path_graph(4)
-        f = SimplicialMapping(g, h, {0: 0, 1: 1, 2: 2, 3: 3, 4: 2}).require_valid()
+        f = require_valid(SimplicialMapping(g, h, {0: 0, 1: 1, 2: 2, 3: 3, 4: 2}))
         f3 = lift_map_3(f, subdivide3(g), subdivide3(h))
         assert validate_simplicial(f3)
         rng = random.Random(23)
@@ -504,7 +510,7 @@ class TestSubdivision:
         g, h = path_graph(5), path_graph(4)
         m = SimplicialMapping(g, h, assignment)
         with pytest.raises(GraphError) as expected:
-            m.require_valid()
+            require_valid(m)
         with pytest.raises(GraphError) as got:
             lift_map_3(m, subdivide3(g), subdivide3(h))
         assert str(got.value) == str(expected.value)

@@ -2,12 +2,14 @@
 
 A name that only the tests reach belongs in ``tests/reference.py``, so that
 the package keeps one constructor and one view of each store.  The scan is
-by name over the sources of ``src/``, ``perfbench/`` and ``tools/``: a name
-in ``treechains.__all__`` must be named there (``src/treechains/__init__.py``
-and the name's own ``def`` or ``class`` line do not count), and a public
-method or property of an exported class must be read there as ``.name``.
+by name over the code of ``src/``, ``perfbench/`` and ``tools/``: a name
+in ``treechains.__all__`` must be named there (``src/treechains/__init__.py``,
+the name's own ``def`` or ``class`` line, docstrings and comments do not
+count), and a public method or property of an exported class must be read
+there as ``.name``.
 """
 
+import ast
 import inspect
 import os
 import re
@@ -21,6 +23,19 @@ INIT = os.path.join(ROOT, "src", "treechains", "__init__.py")
 MEMBER_KINDS = (staticmethod, classmethod, property, cached_property)
 
 
+def _code(source: str) -> str:
+    """The source without its comments and docstrings: ``ast`` keeps no
+    comment, and every statement that is a bare string is dropped."""
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        body = getattr(node, "body", None)
+        if isinstance(body, list):
+            node.body = [stmt for stmt in body
+                         if not (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant)
+                                 and isinstance(stmt.value.value, str))]
+    return ast.unparse(tree)
+
+
 def _callers_text() -> str:
     texts = []
     for top in ("src", "perfbench", "tools"):
@@ -29,7 +44,7 @@ def _callers_text() -> str:
                 path = os.path.join(dirpath, name)
                 if name.endswith(".py") and path != INIT:
                     with open(path, encoding="utf-8") as fh:
-                        texts.append(fh.read())
+                        texts.append(_code(fh.read()))
     return "\n".join(texts)
 
 
